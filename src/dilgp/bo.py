@@ -20,26 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .data import Dataset, Standardizer, fit_standardizer
-from .exceptions import DimensionMismatch, NonFiniteInput, ObjectiveFailure
-from .gp import GPPosterior, NoiseSpec, fit_posterior, predict
-from .kernels import KernelKind, KernelParams
+from .data import Dataset, Standardizer
+from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
+                         ObjectiveFailure)
+from .gp import GPPosterior, predict
 from .rng import rng_for
-from .train import TrainConfig, train_dil_gp, _train_vanilla
+from .train import ModelSpec, fit_model
 
 N_GLOBAL_CANDIDATES = 1024
 N_LOCAL_CANDIDATES = 64
 LOCAL_STD_FRACTION = 0.05
-
-# Surrogate names accepted across the package; gp_* are plain GPs with the
-# named kernel, dil_gp is the invariance-trained model.
-MODEL_KINDS = {
-    "dil_gp": KernelKind.GAUSSIAN,
-    "gp_gaussian": KernelKind.GAUSSIAN,
-    "gp_rq": KernelKind.RATIONAL_QUADRATIC,
-    "gp_dp": KernelKind.DOT_PRODUCT,
-}
-
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -72,38 +62,6 @@ class SearchSpace:
 
     def clip(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self.lower, self.upper)
-
-
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """How bo_run fits its model at each step.
-
-    t1/t2/eta1/eta2/lam mirror TrainConfig; for the plain-GP models t2, eta1
-    and lam are ignored. The default budgets are reduced relative to
-    standalone training since the surrogate is refit every step.
-    """
-
-    model: str = "dil_gp"
-    init_params: KernelParams = KernelParams()
-    noise: NoiseSpec = NoiseSpec(0.01)
-    t1: int = 30
-    t2: int = 5
-    eta1: float = 0.05
-    eta2: float = 0.01
-    lam: float = 1.0
-    grad_mode: str = "analytic_fd_hybrid"
-    standardize: bool = True
-    mean_const: float = 0.0
-
-    def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {sorted(MODEL_KINDS)}, got {self.model!r}")
-        if self.t1 < 0:
-            raise ValueError("t1 must be >= 0")
-
-    @property
-    def kind(self) -> KernelKind:
-        return MODEL_KINDS[self.model]
 
 
 @dataclass
@@ -217,25 +175,11 @@ class Surrogate:
         return (f_raw - self.scaler.y_mean) / self.scaler.y_std
 
 
-def fit_surrogate(cfg: SurrogateConfig, X: np.ndarray, f: np.ndarray,
+def fit_surrogate(spec: ModelSpec, X: np.ndarray, f: np.ndarray,
                   refit_seed: int) -> Surrogate:
-    """Standardize (optionally), train per cfg.model, and factorize."""
-    ds = Dataset(X, f)
-    scaler = None
-    if cfg.standardize:
-        scaler = fit_standardizer(ds)
-        ds = scaler.transform(ds)
-    if cfg.model == "dil_gp":
-        tc = TrainConfig(t1_outer=cfg.t1, t2_inner=cfg.t2, eta1=cfg.eta1,
-                         eta2=cfg.eta2, lam=cfg.lam, seed=refit_seed,
-                         grad_mode=cfg.grad_mode, mean_const=cfg.mean_const)
-        params, _, _ = train_dil_gp(cfg.kind, cfg.init_params, cfg.noise, ds.x, ds.y, tc)
-    else:
-        params, _, _ = _train_vanilla(cfg.kind, cfg.init_params, cfg.noise, ds.x, ds.y,
-                                      cfg.t1, cfg.eta2, cfg.grad_mode, cfg.mean_const)
-    post = fit_posterior(cfg.kind, params, cfg.noise, ds.x, ds.y, cfg.mean_const)
-    incumbent_x = X[int(np.argmin(f))]
-    return Surrogate(post, scaler, incumbent_x)
+    """Fit spec's model on everything queried so far (see fit_model)."""
+    post, scaler, _ = fit_model(spec, Dataset(X, f), refit_seed)
+    return Surrogate(post, scaler, X[int(np.argmin(f))])
 
 
 def propose_next(surrogate: Surrogate, space: SearchSpace, acq, rng) -> np.ndarray:
@@ -258,12 +202,7 @@ def _initial_info_gain(post: GPPosterior, sigma2: float) -> float:
     return float(np.sum(np.log(np.diag(post.chol))) - 0.5 * n * math.log(sigma2))
 
 
-def _eval_objective(objective, x: np.ndarray) -> float:
-    val = float(objective(x))
-    return val
-
-
-def bo_run(objective, space: SearchSpace, surrogate_cfg: SurrogateConfig,
+def bo_run(objective, space: SearchSpace, spec: ModelSpec,
            acq: str, t_bo: int, n_init: int = 5, seed: int = 0,
            delta: float = 0.1, f_star: float | None = None
            ) -> tuple[BOState, RegretDiagnostics]:
@@ -281,9 +220,9 @@ def bo_run(objective, space: SearchSpace, surrogate_cfg: SurrogateConfig,
     the streaming total equals the batch log-det over all queried points.
     """
     if t_bo < 1 or n_init < 1:
-        raise ValueError("t_bo and n_init must be >= 1")
+        raise InvalidSetting(f"t_bo and n_init must be >= 1, got {t_bo} and {n_init}")
     if acq not in ("ucb", "ei"):
-        raise ValueError(f"acq must be 'ucb' or 'ei', got {acq!r}")
+        raise InvalidSetting(f"acq must be 'ucb' or 'ei', got {acq!r}")
     rng_init = rng_for(seed, "bo-init")
     rng_cand = rng_for(seed, "bo-candidates")
 
@@ -291,18 +230,18 @@ def bo_run(objective, space: SearchSpace, surrogate_cfg: SurrogateConfig,
     f = []
     failed_steps: list[int] = []
     for i in range(n_init):
-        val = _eval_objective(objective, X[i])
+        val = float(objective(X[i]))
         if not math.isfinite(val):
             # Initial points are not surrogate proposals; redraw once.
             X[i] = space.uniform(rng_init, 1)[0]
-            val = _eval_objective(objective, X[i])
+            val = float(objective(X[i]))
             if not math.isfinite(val):
                 state = _snapshot(X[:i], np.array(f), [], [], n_init, seed)
                 raise ObjectiveFailure(
                     f"objective non-finite twice at initial point {i}", state=state)
         f.append(val)
 
-    sigma2 = surrogate_cfg.noise.sigma2
+    sigma2 = spec.sigma2
     sigma = math.sqrt(sigma2)
     sigma_history: list[float] = []
     betas, gains, bounds, cregs = [], [], [], []
@@ -310,7 +249,7 @@ def bo_run(objective, space: SearchSpace, surrogate_cfg: SurrogateConfig,
     cum_regret = 0.0
 
     for t in range(1, t_bo + 1):
-        sur = fit_surrogate(surrogate_cfg, np.asarray(X), np.asarray(f),
+        sur = fit_surrogate(spec, np.asarray(X), np.asarray(f),
                             rng_for(seed, "surrogate", t).integers(2 ** 31).item())
         if t == 1:
             cum_gain = _initial_info_gain(sur.post, sigma2)
@@ -323,12 +262,12 @@ def bo_run(objective, space: SearchSpace, surrogate_cfg: SurrogateConfig,
 
         x_t = propose_next(sur, space, acq_fn, rng_cand)
         _, std_t = sur.predict(x_t[None, :])
-        val = _eval_objective(objective, x_t)
+        val = float(objective(x_t))
         if not math.isfinite(val):
             failed_steps.append(t)
             x_t = propose_next(sur, space, acq_fn, rng_cand)
             _, std_t = sur.predict(x_t[None, :])
-            val = _eval_objective(objective, x_t)
+            val = float(objective(x_t))
             if not math.isfinite(val):
                 state = _snapshot(np.asarray(X), np.asarray(f), sigma_history,
                                   failed_steps, n_init, seed)

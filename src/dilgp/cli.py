@@ -18,22 +18,53 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bo import MODEL_KINDS, SurrogateConfig, bo_run, history_jsonl
+from .bo import bo_run, history_jsonl
 from .data import GENERATORS, load_csv
 from .exceptions import DilgpError
-from .experiments import (DATASET_DEFAULTS, QUADRATIC_OPTIMUM,
-                          QUADRATIC_SPACE, FitSettings, fit_eval,
-                          heldout_trajectory, quad_bo_experiment,
-                          quadratic_objective)
-from .gp import NoiseSpec
+from .experiments import (BO_SPEC, DATASET_DEFAULTS, QUADRATIC_OPTIMUM,
+                          QUADRATIC_SPACE, fit_eval, heldout_trajectory,
+                          quad_bo_experiment, quadratic_objective, sweep_seeds)
 from .quad import PIDGains, TrajectoryKind
+from .train import DIL_ONLY_FIELDS, MODEL_KINDS, ModelSpec
 
 TRAJECTORIES = {k.value: k for k in TrajectoryKind}
+
+# config.json key (and flag destination) of each ModelSpec field, per
+# command, where it differs from the field name: "lambda" for lam, and the
+# bo model is its "surrogate".
+SPEC_KEY_ALIASES = {
+    "fit-eval": {"lam": "lambda"},
+    "bo": {"lam": "lambda", "model": "surrogate"},
+}
+
+SPEC_FLAG_HELP = {
+    "t1": "outer training steps",
+    "t2": "inner partition-ascent steps",
+    "eta1": "partition learning rate",
+    "eta2": "parameter learning rate",
+    "lam": "invariance penalty coefficient",
+    "sigma2": "observation noise variance",
+}
+
+
+def spec_keys(command: str) -> dict[str, str]:
+    """ModelSpec field name -> config.json key for one command."""
+    aliases = SPEC_KEY_ALIASES[command]
+    return {f.name: aliases.get(f.name, f.name) for f in fields(ModelSpec)}
+
+
+def spec_config(spec: ModelSpec, command: str) -> dict:
+    """The config.json entries of a spec."""
+    return {key: getattr(spec, name) for name, key in spec_keys(command).items()}
+
+
+def spec_from_config(config: dict, command: str) -> ModelSpec:
+    return ModelSpec(**{name: config[key] for name, key in spec_keys(command).items()})
+
 
 GENERATE_DEFAULTS = {
     "generator": "synthetic_1d",
@@ -49,40 +80,20 @@ FIT_EVAL_DEFAULTS = {
     "feature_columns": None,
     "domain_column": None,
     "noise_as_std": False,
-    "model": "dil_gp",
     "seed": 0,
     "sweep": None,
-    "standardize": True,
-    "t1": 100,
-    "t2": 10,
-    "eta1": 0.1,
-    "eta2": 0.05,
-    "lambda": 1.0,
-    "sigma2": 0.01,
-    "grad_mode": "analytic_fd_hybrid",
+    **spec_config(ModelSpec(), "fit-eval"),
 }
 
 BO_DEFAULTS = {
     "objective": "quadratic",
     "trajectory": "fig8",
-    "surrogate": "dil_gp",
     "acq": "ucb",
     "t_bo": 100,
     "n_init": 5,
     "seed": 0,
-    "standardize": True,
-    "t1": 30,
-    "t2": 5,
-    "eta1": 0.1,
-    "eta2": 0.005,
-    "lambda": 0.01,
-    "sigma2": 0.1,
-    "grad_mode": "analytic_fd_hybrid",
+    **spec_config(BO_SPEC, "bo"),
 }
-
-# Keys that only apply to the invariance-trained model; dropped from the
-# resolved config when a plain GP is selected.
-DIL_ONLY_KEYS = ("t2", "eta1", "lambda")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,23 +120,19 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--domain-column", default=sup,
                      help="tag column for per-domain RMSE reporting")
     fit.add_argument("--noise-as-std", action="store_true", default=sup)
-    fit.add_argument("--model", choices=sorted(MODEL_KINDS), default=sup)
     fit.add_argument("--seed", type=int, default=sup)
     fit.add_argument("--sweep", type=int, default=sup,
                      help="run seeds 0..N-1 and report mean with max deviation")
-    fit.add_argument("--no-standardize", dest="standardize", action="store_false", default=sup)
-    _add_train_flags(fit, sup)
+    _add_spec_flags(fit, "fit-eval", sup)
 
     bo = sub.add_parser("bo", help="run Bayesian optimization")
     bo.add_argument("--objective", choices=["quadratic", "quad_pid"], default=sup)
     bo.add_argument("--trajectory", choices=sorted(TRAJECTORIES), default=sup)
-    bo.add_argument("--surrogate", choices=sorted(MODEL_KINDS), default=sup)
     bo.add_argument("--acq", choices=["ucb", "ei"], default=sup)
     bo.add_argument("--t-bo", type=int, default=sup)
     bo.add_argument("--n-init", type=int, default=sup)
     bo.add_argument("--seed", type=int, default=sup)
-    bo.add_argument("--no-standardize", dest="standardize", action="store_false", default=sup)
-    _add_train_flags(bo, sup)
+    _add_spec_flags(bo, "bo", sup)
 
     for p in (gen, fit, bo):
         p.add_argument("--config", default=None,
@@ -134,51 +141,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_train_flags(p, sup):
-    p.add_argument("--t1", type=int, default=sup, help="outer training steps")
-    p.add_argument("--t2", type=int, default=sup, help="inner partition-ascent steps")
-    p.add_argument("--eta1", type=float, default=sup, help="partition learning rate")
-    p.add_argument("--eta2", type=float, default=sup, help="parameter learning rate")
-    p.add_argument("--lam", dest="lambda", type=float, default=sup,
-                   help="invariance penalty coefficient")
-    p.add_argument("--sigma2", type=float, default=sup, help="observation noise variance")
-    p.add_argument("--grad-mode", choices=["analytic_fd_hybrid", "full_fd"], default=sup)
+def _add_spec_flags(p, command: str, sup):
+    """One flag per ModelSpec field, storing under the field's config key.
 
-
-def _with_dataset_defaults(defaults: dict, args: argparse.Namespace) -> dict:
-    """Layer calibrated per-dataset settings under whatever the user set.
-
-    The chosen dataset has to be peeked at before the real resolution pass,
-    because it decides which calibrated values apply.
+    Flags are named after the field, except the model flag, which is named
+    after its key (--model, or --surrogate for bo); a boolean field becomes
+    a --no-<field> switch.
     """
-    probe = dict(defaults)
+    for f in fields(ModelSpec):
+        key = spec_keys(command)[f.name]
+        if f.name == "model":
+            p.add_argument(f"--{key}", dest=key, choices=sorted(MODEL_KINDS), default=sup)
+        elif isinstance(f.default, bool):
+            p.add_argument(f"--no-{f.name}", dest=key, action="store_false", default=sup)
+        else:
+            p.add_argument(f"--{f.name}", dest=key, type=type(f.default), default=sup,
+                           help=SPEC_FLAG_HELP.get(f.name))
+
+
+def _explicit(defaults: dict, args: argparse.Namespace) -> dict:
+    """The settings given by the config file and the flags (flags win)."""
+    given = {}
     if args.config:
         with open(args.config) as fh:
-            probe.update({k: v for k, v in json.load(fh).items() if k in defaults})
-    for key, val in vars(args).items():
-        if key in defaults:
-            probe[key] = val
-    overlay = DATASET_DEFAULTS.get(probe.get("dataset"), {})
-    merged = dict(defaults)
-    merged.update({("lambda" if k == "lam" else k): v for k, v in overlay.items()})
-    return merged
+            given = json.load(fh)
+        given.pop("command", None)
+        unknown = sorted(set(given) - set(defaults))
+        if unknown:
+            raise DilgpError(f"config has unknown keys for this command: {unknown}")
+    given.update((key, val) for key, val in vars(args).items() if key in defaults)
+    return given
 
 
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, in increasing precedence."""
-    merged = dict(defaults)
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        loaded.pop("command", None)
-        unknown = sorted(set(loaded) - set(defaults))
-        if unknown:
-            raise DilgpError(f"config has unknown keys for this command: {unknown}")
-        merged.update(loaded)
-    for key, val in vars(args).items():
-        if key in defaults:
-            merged[key] = val
-    return merged
+    return {**defaults, **_explicit(defaults, args)}
 
 
 def _write_outputs(outdir: Path, config: dict, t0: float):
@@ -232,90 +229,68 @@ def _load_dataset(config: dict, seed: int):
     return train, test
 
 
-def _fit_settings(config: dict) -> FitSettings:
-    return FitSettings(model=config["model"], t1=config["t1"], t2=config["t2"],
-                       eta1=config["eta1"], eta2=config["eta2"], lam=config["lambda"],
-                       sigma2=config["sigma2"], grad_mode=config["grad_mode"],
-                       standardize=config["standardize"])
-
-
-def _prune_model_keys(config: dict, model_key: str) -> dict:
-    if config[model_key] != "dil_gp":
-        for key in DIL_ONLY_KEYS:
-            config.pop(key, None)
-    return config
+def _prune_model_keys(config: dict, command: str):
+    """Drop the settings the chosen model never reads."""
+    keys = spec_keys(command)
+    if config[keys["model"]] != "dil_gp":
+        for name in DIL_ONLY_FIELDS:
+            config.pop(keys[name])
 
 
 def cmd_fit_eval(args) -> int:
     t0 = time.time()
-    defaults = _with_dataset_defaults(FIT_EVAL_DEFAULTS, args)
-    config = _resolve(defaults, args)
-    config["command"] = "fit-eval"
+    explicit = _explicit(FIT_EVAL_DEFAULTS, args)
+    # Calibrated per-dataset settings sit under whatever the user set.
+    keys = spec_keys("fit-eval")
+    overlay = {keys[name]: val
+               for name, val in DATASET_DEFAULTS.get(explicit.get("dataset"), {}).items()}
+    full = {**FIT_EVAL_DEFAULTS, **overlay, **explicit}
+    settings = spec_from_config(full, "fit-eval")
+    config = dict(full, command="fit-eval")
     if config["dataset"] is not None:
-        if config.get("train_csv") or config.get("test_csv"):
-            raise DilgpError("give either --dataset or --train-csv/--test-csv, not both")
         for key in ("train_csv", "test_csv", "target_column", "feature_columns",
                     "domain_column"):
-            config.pop(key, None)
+            config.pop(key)
     else:
-        config.pop("noise_as_std", None)
-    settings = _fit_settings({**FIT_EVAL_DEFAULTS, **config})
-    _prune_model_keys(config, "model")
+        config.pop("noise_as_std")
+    _prune_model_keys(config, "fit-eval")
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     if config["sweep"] is None:
-        config.pop("sweep", None)
-        train, test = _load_dataset({**FIT_EVAL_DEFAULTS, **config}, config["seed"])
+        config.pop("sweep")
+        train, test = _load_dataset(full, config["seed"])
         report, trace = fit_eval(train, test, settings, seed=config["seed"])
+        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(
             json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
         (outdir / "trace.jsonl").write_text(trace.to_jsonl())
         print(f"rmse={report.rmse:.4f} coverage={report.coverage_rate:.4f}")
     else:
-        config.pop("seed", None)
-        seeds = list(range(config["sweep"]))
-        reports = []
-        for s in seeds:
-            train, test = _load_dataset({**FIT_EVAL_DEFAULTS, **config, "seed": s}, s)
-            rep, _ = fit_eval(train, test, settings, seed=s)
-            reports.append(rep)
-        rmses = np.array([r.rmse for r in reports])
-        covers = np.array([r.coverage_rate for r in reports])
-        payload = {
-            "per_seed": [r.to_json_dict() for r in reports],
-            "summary": {
-                "seeds": seeds,
-                "rmse_mean": float(rmses.mean()),
-                "rmse_max_dev": float(np.max(np.abs(rmses - rmses.mean()))),
-                "coverage_mean": float(covers.mean()),
-                "coverage_max_dev": float(np.max(np.abs(covers - covers.mean()))),
-            },
-        }
+        config.pop("seed")
+        reports, summary = sweep_seeds(lambda s: _load_dataset(full, s), settings,
+                                       range(config["sweep"]))
+        payload = {"per_seed": [r.to_json_dict() for r in reports], "summary": summary}
+        outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"rmse mean={payload['summary']['rmse_mean']:.4f} "
-              f"± {payload['summary']['rmse_max_dev']:.4f} (max dev, {len(seeds)} seeds)")
+        print(f"rmse mean={summary['rmse_mean']:.4f} "
+              f"± {summary['rmse_max_dev']:.4f} (max dev, {len(reports)} seeds)")
     _write_outputs(outdir, config, t0)
     return 0
 
 
 def cmd_bo(args) -> int:
     t0 = time.time()
-    config = _resolve(BO_DEFAULTS, args)
-    config["command"] = "bo"
+    full = _resolve(BO_DEFAULTS, args)
+    surrogate = spec_from_config(full, "bo")
+    config = dict(full, command="bo")
     if config["objective"] != "quad_pid":
-        config.pop("trajectory", None)
-    _prune_model_keys(config, "surrogate")
-    full = {**BO_DEFAULTS, **config}
-    surrogate = SurrogateConfig(model=full["surrogate"], noise=NoiseSpec(full["sigma2"]),
-                                t1=full["t1"], t2=full["t2"], eta1=full["eta1"],
-                                eta2=full["eta2"], lam=full["lambda"],
-                                grad_mode=full["grad_mode"], standardize=full["standardize"])
+        config.pop("trajectory")
+    _prune_model_keys(config, "bo")
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     if config["objective"] == "quadratic":
         state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, surrogate,
                              config["acq"], config["t_bo"], config["n_init"],
                              config["seed"], f_star=0.0)
+        outdir.mkdir(parents=True, exist_ok=True)
         summary = {
             "objective": "quadratic",
             "incumbent_x": state.incumbent_x.tolist(),
@@ -333,6 +308,7 @@ def cmd_bo(args) -> int:
         state, diag = result["state"], result["diagnostics"]
         gains = PIDGains(**result["gains"])
         flight = heldout_trajectory(gains, kind, result["heldout_seeds"][0])
+        outdir.mkdir(parents=True, exist_ok=True)
         flight.export_csv(outdir / "trajectory.csv")
         summary = {
             "objective": "quad_pid",

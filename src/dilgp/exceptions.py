@@ -20,6 +20,10 @@ class NonFiniteInput(DilgpError, ValueError):
     """An input array contains NaN or infinity."""
 
 
+class InvalidSetting(DilgpError, ValueError):
+    """A model or run setting lies outside its valid range."""
+
+
 class NotPositiveDefinite(DilgpError):
     """Cholesky failed even at the maximum jitter level.
 

@@ -6,40 +6,19 @@ regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
-from .bo import MODEL_KINDS, SearchSpace, SurrogateConfig, bo_run
-from .data import (Dataset, EvalReport, GENERATORS, coverage_rate, rmse,
-                   standardize_fit_transform)
-from .gp import NoiseSpec, fit_posterior, predict
-from .kernels import KernelParams
+from .bo import SearchSpace, bo_run
+from .data import Dataset, EvalReport, GENERATORS, coverage_rate, rmse
+from .exceptions import InvalidSetting
+from .gp import predict
 from .quad import (TrajectoryKind, WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN,
                    PIDGains, pid_objective, simulate)
 from .rng import rng_for
-from .train import TrainConfig, _train_vanilla, train_dil_gp
-
-
-@dataclass(frozen=True)
-class FitSettings:
-    """Hyperparameters of one fit-eval run. Rates come from the standard
-    sweep grids; t1/t2 are the full training budgets."""
-
-    model: str = "dil_gp"
-    t1: int = 100
-    t2: int = 10
-    eta1: float = 0.1
-    eta2: float = 0.05
-    lam: float = 1.0
-    sigma2: float = 0.01
-    grad_mode: str = "analytic_fd_hybrid"
-    standardize: bool = True
-    optimize_noise: bool = False
-
-    def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {sorted(MODEL_KINDS)}, got {self.model!r}")
+from .train import ModelSpec, fit_model
 
 
 # Per-dataset defaults, selected from the sweep grids
@@ -54,39 +33,21 @@ DATASET_DEFAULTS = {
 }
 
 
-def settings_for(dataset: str, model: str, **overrides) -> FitSettings:
-    base = dict(DATASET_DEFAULTS.get(dataset, {}))
-    base.update(overrides)
-    return FitSettings(model=model, **base)
+def settings_for(dataset: str, model: str, **overrides) -> ModelSpec:
+    """ModelSpec() with the dataset's calibrated values and then overrides."""
+    return ModelSpec(model=model, **{**DATASET_DEFAULTS.get(dataset, {}), **overrides})
 
 
-def fit_eval(train: Dataset, test: Dataset, settings: FitSettings, seed: int = 0):
-    """Standardize, train the chosen model, predict, score in raw units.
+def fit_eval(train: Dataset, test: Dataset, settings: ModelSpec, seed: int = 0):
+    """Fit with fit_model, predict the test rows, score in raw units.
 
     Coverage uses the observation-level predictive std sqrt(var + sigma^2)
     mapped back to raw units. Returns (EvalReport, TrainTrace).
     """
-    if settings.standardize:
-        tr, te, scaler = standardize_fit_transform(train, test)
-    else:
-        tr, te, scaler = train, test, None
-    kind = MODEL_KINDS[settings.model]
-    init = KernelParams()
-    noise = NoiseSpec(settings.sigma2)
-    if settings.model == "dil_gp":
-        cfg = TrainConfig(t1_outer=settings.t1, t2_inner=settings.t2,
-                          eta1=settings.eta1, eta2=settings.eta2, lam=settings.lam,
-                          seed=seed, grad_mode=settings.grad_mode,
-                          optimize_noise=settings.optimize_noise)
-        params, _, trace = train_dil_gp(kind, init, noise, tr.x, tr.y, cfg)
-        noise_final = trace.final_noise
-    else:
-        params, noise_final, trace = _train_vanilla(
-            kind, init, noise, tr.x, tr.y, settings.t1, settings.eta2,
-            settings.grad_mode, optimize_noise=settings.optimize_noise)
-    post = fit_posterior(kind, params, noise_final, tr.x, tr.y)
-    mean_s, var_s = predict(post, te.x)
-    std_obs = np.sqrt(var_s + noise_final.sigma2)
+    post, scaler, trace = fit_model(settings, train, seed)
+    test_x = scaler.transform_x(test.x) if scaler is not None else test.x
+    mean_s, var_s = predict(post, test_x)
+    std_obs = np.sqrt(var_s + settings.sigma2)
     if scaler is not None:
         mean = scaler.inverse_y(mean_s)
         std = scaler.scale_y(std_obs)
@@ -102,19 +63,20 @@ def fit_eval(train: Dataset, test: Dataset, settings: FitSettings, seed: int = 0
     return report, trace
 
 
-def sweep_seeds(dataset: str, settings: FitSettings, seeds=(0, 1, 2, 3, 4),
-                noise_as_std: bool = False):
-    """Refit across seeds (fresh data draw + fresh training seed per entry).
+def sweep_seeds(dataset: str | Callable[[int], tuple[Dataset, Dataset]],
+                settings: ModelSpec, seeds=(0, 1, 2, 3, 4)):
+    """Refit across seeds: per seed, load (train, test) and fit with that
+    training seed. dataset names a built-in generator (a fresh draw per
+    seed) or is a loader called with the seed.
 
     Returns (reports, summary) where summary reports mean and max absolute
     deviation from the mean, the convention used for multi-run tables.
     """
-    gen = GENERATORS[dataset]
-    reports = []
-    for s in seeds:
-        train, test = gen(s, noise_as_std=noise_as_std)
-        rep, _ = fit_eval(train, test, settings, seed=s)
-        reports.append(rep)
+    load = GENERATORS[dataset] if isinstance(dataset, str) else dataset
+    seeds = list(seeds)
+    if not seeds:
+        raise InvalidSetting("a sweep needs at least one seed")
+    reports = [fit_eval(*load(s), settings, seed=s)[0] for s in seeds]
     rmses = np.array([r.rmse for r in reports])
     covers = np.array([r.coverage_rate for r in reports])
     summary = {
@@ -122,7 +84,7 @@ def sweep_seeds(dataset: str, settings: FitSettings, seeds=(0, 1, 2, 3, 4),
         "rmse_max_dev": float(np.max(np.abs(rmses - rmses.mean()))),
         "coverage_mean": float(covers.mean()),
         "coverage_max_dev": float(np.max(np.abs(covers - covers.mean()))),
-        "seeds": list(seeds),
+        "seeds": seeds,
     }
     return reports, summary
 
@@ -144,16 +106,19 @@ N_TRAIN_SIM_SEEDS = 2
 N_HELDOUT_SIM_SEEDS = 5
 
 
-def quad_surrogate_config(model: str, **overrides) -> SurrogateConfig:
-    base = {"model": model, "t1": 30, "t2": 5, "eta1": 0.1, "eta2": 0.005,
-            "lam": 0.01, "noise": NoiseSpec(0.1)}
-    base.update(overrides)
-    return SurrogateConfig(**base)
+# Surrogate preset of the BO runs (the CLI's bo defaults too): a smaller
+# budget than a one-off fit, since the surrogate is refit every step, with
+# rates and noise calibrated on the PID-tuning objective.
+BO_SPEC = ModelSpec(t1=30, t2=5, eta1=0.1, eta2=0.005, lam=0.01, sigma2=0.1)
+
+
+def quad_surrogate_config(model: str, **overrides) -> ModelSpec:
+    return replace(BO_SPEC, model=model, **overrides)
 
 
 def quad_bo_experiment(kind: TrajectoryKind, model: str, experiment_seed: int,
                        t_bo: int = 50, n_init: int = 5, acq: str = "ucb",
-                       surrogate: SurrogateConfig | None = None) -> dict:
+                       surrogate: ModelSpec | None = None) -> dict:
     """Tune PID gains on the training wind regime, score on the held-out one.
 
     The simulator seeds for training evaluations and for held-out scoring are
@@ -193,18 +158,17 @@ def heldout_trajectory(gains: PIDGains, kind: TrajectoryKind, seed: int):
 
 
 def compare_tuners(kind: TrajectoryKind, experiment_seeds=(0, 1, 2, 3, 4),
-                   t_bo: int = 50, n_init: int = 5,
-                   dil_cfg: SurrogateConfig | None = None,
-                   gp_cfg: SurrogateConfig | None = None) -> dict:
+                   t_bo: int = 50, n_init: int = 5) -> dict:
     """Run the DIL-vs-plain-GP tuning comparison over several seeds."""
+    experiment_seeds = list(experiment_seeds)
     rows = []
     wins = 0
     for s in experiment_seeds:
-        dil = quad_bo_experiment(kind, "dil_gp", s, t_bo, n_init, surrogate=dil_cfg)
-        gp = quad_bo_experiment(kind, "gp_gaussian", s, t_bo, n_init, surrogate=gp_cfg)
+        dil = quad_bo_experiment(kind, "dil_gp", s, t_bo, n_init)
+        gp = quad_bo_experiment(kind, "gp_gaussian", s, t_bo, n_init)
         win = dil["heldout_ace"] <= gp["heldout_ace"]
         wins += int(win)
         rows.append({"seed": s, "dil_heldout": dil["heldout_ace"],
                      "gp_heldout": gp["heldout_ace"], "dil_wins": win})
     return {"trajectory": kind.value, "rows": rows, "dil_wins": wins,
-            "n_seeds": len(list(experiment_seeds))}
+            "n_seeds": len(experiment_seeds)}

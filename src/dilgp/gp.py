@@ -117,22 +117,21 @@ class GPPosterior:
     noise: NoiseSpec
     train_x: np.ndarray
     chol: np.ndarray          # lower triangular L with L L^T = K + sigma^2 I (+ jitter)
-    alpha_vec: np.ndarray     # (K + sigma^2 I)^-1 (y - mean_const)
-    mean_const: float
+    alpha_vec: np.ndarray     # (K + sigma^2 I)^-1 y
     jitter: float
 
 
 def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                  X, y, mean_const: float = 0.0) -> GPPosterior:
+                  X, y) -> GPPosterior:
+    """Zero-mean posterior; callers standardize y when its mean matters."""
     X, y = _validate_xy(X, y)
     if X.shape[0] < 1:
         raise DimensionMismatch("need at least one training point", X.shape, None)
     L, jitter = _factor(kind, params, noise, X)
-    r = y - mean_const
-    alpha = cho_solve((L, True), r, check_finite=False)
+    alpha = cho_solve((L, True), y, check_finite=False)
     for a in (X, L, alpha):
         a.flags.writeable = False
-    return GPPosterior(kind, params, noise, X, L, alpha, float(mean_const), jitter)
+    return GPPosterior(kind, params, noise, X, L, alpha, jitter)
 
 
 def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +141,7 @@ def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     increments a process-wide counter readable via variance_clamp_count().
     """
     Kxs = kernel_matrix(post.kind, post.params, post.train_x, Xs)
-    mean = post.mean_const + Kxs.T @ post.alpha_vec
+    mean = Kxs.T @ post.alpha_vec
     v = solve_triangular(post.chol, Kxs, lower=True, check_finite=False)
     var = kernel_diag(post.kind, post.params, np.asarray(Xs, dtype=float)) - np.einsum("ij,ij->j", v, v)
     neg = var < 0.0
@@ -158,14 +157,14 @@ def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> float:
 
 
 def log_marginal_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                            X, y, mean_const: float = 0.0) -> float:
+                            X, y) -> float:
     X, y = _validate_xy(X, y)
     L, _ = _factor(kind, params, noise, X)
-    return _gaussian_quad_ll(L, y - mean_const)
+    return _gaussian_quad_ll(L, y)
 
 
 def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                       X, y, mask, mean_const: float = 0.0) -> float:
+                       X, y, mask) -> float:
     """Log-likelihood with the residual soft-masked by per-point weights.
 
     The mask multiplies the residual in both factors of the quadratic form;
@@ -180,53 +179,25 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     if not np.all(np.isfinite(mask)) or np.any(mask < 0.0) or np.any(mask > 1.0):
         raise NonFiniteInput("mask entries must lie in [0, 1]")
     L, _ = _factor(kind, params, noise, X)
-    return _gaussian_quad_ll(L, (y - mean_const) * mask)
+    return _gaussian_quad_ll(L, y * mask)
 
 
-def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                       X, y, mean_const: float = 0.0,
-                       with_noise_grad: bool = False):
-    """Log marginal likelihood and its gradient in the log-parameters.
+def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
+    """Log marginal likelihood and its gradient in the four log-parameters.
 
     Uses the standard trace identity: for K depending on a parameter p,
     d LML / dp = 1/2 (alpha^T dK/dp alpha - tr(A^-1 dK/dp)) with
-    A = K + sigma^2 I and alpha = A^-1 r.
-
-    With ``with_noise_grad`` the returned gradient has a fifth entry, the
-    derivative in log sigma^2 (dA/dlog sigma^2 = sigma^2 I).
+    A = K + sigma^2 I and alpha = A^-1 y.
     """
     X, y = _validate_xy(X, y)
     n = X.shape[0]
     L, _ = _factor(kind, params, noise, X)
-    r = y - mean_const
-    alpha = cho_solve((L, True), r, check_finite=False)
-    val = float(-0.5 * (r @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI)
+    alpha = cho_solve((L, True), y, check_finite=False)
+    val = float(-0.5 * (y @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI)
     A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
     grads = kernel_grads(kind, params, X)
-    size = 5 if with_noise_grad else 4
-    g = np.zeros(size)
+    g = np.zeros(4)
     for p in range(4):
         C = grads[p]
         g[p] = 0.5 * (alpha @ C @ alpha - np.einsum("ij,ij->", A_inv, C))
-    if with_noise_grad:
-        g[4] = 0.5 * noise.sigma2 * (alpha @ alpha - np.trace(A_inv))
     return val, g
-
-
-def env_scale_derivative(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                         X, y, mask, mean_const: float = 0.0) -> float:
-    """d/dw of env_log_likelihood with parameters scaled by w, at w = 1.
-
-    Since w multiplies the exponentiated parameters, this equals the sum of
-    the log-space partial derivatives, i.e. the trace identity applied to
-    C = sum_p dK/dlog theta_p with the masked residual.
-    """
-    X, y = _validate_xy(X, y)
-    mask = np.asarray(mask, dtype=float)
-    n = X.shape[0]
-    L, _ = _factor(kind, params, noise, X)
-    rm = (y - mean_const) * mask
-    am = cho_solve((L, True), rm, check_finite=False)
-    A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
-    C = kernel_grads(kind, params, X).sum(axis=0)
-    return float(0.5 * (am @ C @ am - np.einsum("ij,ij->", A_inv, C)))

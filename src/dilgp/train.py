@@ -1,4 +1,5 @@
-"""Adversarial environment inference and invariance-penalized GP training.
+"""Adversarial environment inference, invariance-penalized GP training,
+and the one fit path every caller uses.
 
 Training alternates two moves. Per-point logits q_tilde define soft
 assignments to two environments; gradient ascent on the invariance penalty
@@ -12,35 +13,96 @@ the masked environment likelihood under a common rescaling of the
 exponentiated parameters. At a parameterization that fits both environments
 equally well those derivatives vanish, so the penalty rewards invariance.
 
-Two gradient modes exist. "analytic_fd_hybrid" uses closed-form gradients
-everywhere except the theta-derivative of the penalty, which is central
-finite differences. "full_fd" differentiates everything by central finite
-differences and serves as a slow cross-check.
+All gradients are closed form except the theta-derivative of the penalty,
+which is central finite differences.
+
+`ModelSpec` holds every setting of one model, and `fit_model` is the single
+standardize -> train -> factorize path shared by fit-eval, BO and the CLI.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import expit
 
-from .exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, TrainingAbort
-from .gp import NoiseSpec, _factor, _gaussian_quad_ll, _validate_xy, lml_value_and_grad
+from .data import Dataset, Standardizer, fit_standardizer
+from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
+                         NotPositiveDefinite, TrainingAbort)
+from .gp import (GPPosterior, NoiseSpec, _factor, _gaussian_quad_ll, _validate_xy,
+                 fit_posterior, lml_value_and_grad)
 from .kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams,
                       kernel_scale_direction)
 from .rng import rng_for
 
-GRAD_MODES = ("analytic_fd_hybrid", "full_fd")
-
-# Central-difference step sizes.
-_H_SCALE = 1e-5   # common rescaling factor w
-_H_LOGIT = 1e-4   # logits q_tilde
-_H_THETA = 1e-4   # log-parameters
+# Central-difference step in the log-parameters for the penalty's theta-gradient.
+_H_THETA = 1e-4
 _MAX_HALVINGS = 8
+
+# Model names accepted across the package; gp_* are plain GPs with the named
+# kernel, dil_gp is the invariance-trained model.
+MODEL_KINDS = {
+    "dil_gp": KernelKind.GAUSSIAN,
+    "gp_gaussian": KernelKind.GAUSSIAN,
+    "gp_rq": KernelKind.RATIONAL_QUADRATIC,
+    "gp_dp": KernelKind.DOT_PRODUCT,
+}
+# ModelSpec fields that only the invariance-trained model reads.
+DIL_ONLY_FIELDS = ("t2", "eta1", "lam")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Every setting of one model fit.
+
+    t1 is the number of outer descent steps (kernel parameters, rate eta2);
+    t2, eta1 and lam drive the partition ascent and the penalty, and only
+    dil_gp reads them. sigma2 is the observation noise variance in the units
+    the model is trained in (standardized units when standardize is set).
+    Training always starts from KernelParams().
+    """
+
+    model: str = "dil_gp"
+    t1: int = 100
+    t2: int = 10
+    eta1: float = 0.1
+    eta2: float = 0.05
+    lam: float = 1.0
+    sigma2: float = 0.01
+    standardize: bool = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, want = getattr(self, f.name), type(f.default)
+            ok = isinstance(value, (int, float) if want is float else want)
+            if not ok or (isinstance(value, bool) and want is not bool):
+                raise InvalidSetting(f"{f.name} must be of type {want.__name__}, got {value!r}")
+        if self.model not in MODEL_KINDS:
+            raise InvalidSetting(
+                f"model must be one of {sorted(MODEL_KINDS)}, got {self.model!r}")
+        min_t1 = 1 if self.model == "dil_gp" else 0
+        if self.t1 < min_t1:
+            raise InvalidSetting(f"t1 must be >= {min_t1} for {self.model}, got {self.t1}")
+        if self.t2 < 0:
+            raise InvalidSetting(f"t2 must be >= 0, got {self.t2}")
+        for name in ("eta1", "eta2", "sigma2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidSetting(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidSetting(f"lam must be finite and >= 0, got {self.lam!r}")
+
+    @property
+    def kind(self) -> KernelKind:
+        return MODEL_KINDS[self.model]
+
+    @property
+    def noise(self) -> NoiseSpec:
+        return NoiseSpec(self.sigma2)
 
 
 @dataclass
@@ -69,31 +131,6 @@ def env_masks(logits: DomainLogits) -> tuple[np.ndarray, np.ndarray]:
     p = expit(np.abs(q))
     m0 = np.where(q >= 0, p, 1.0 - p)
     return m0, 1.0 - m0
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    t1_outer: int = 100
-    t2_inner: int = 10
-    eta1: float = 0.05
-    eta2: float = 0.01
-    lam: float = 1.0
-    seed: int = 0
-    grad_mode: str = "analytic_fd_hybrid"
-    optimize_noise: bool = False
-    mean_const: float = 0.0
-
-    def __post_init__(self):
-        if self.t1_outer < 1:
-            raise ValueError("t1_outer must be >= 1")
-        if self.t2_inner < 0:
-            raise ValueError("t2_inner must be >= 0")
-        if not (self.eta1 > 0 and self.eta2 > 0):
-            raise ValueError("learning rates must be > 0")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
-        if self.grad_mode not in GRAD_MODES:
-            raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +163,6 @@ class TraceRecord:
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
     aborted: bool = False
-    final_noise: NoiseSpec | None = None
 
     def __len__(self):
         return len(self.records)
@@ -136,54 +172,32 @@ class TrainTrace:
 
 
 class TrainState:
-    """Data, settings and factorizations cached at the current parameters.
+    """Data and factorizations cached at the current parameters.
 
     The parameters are fixed while the logits move, so the pieces the ascent
-    needs repeatedly are computed once here: in hybrid mode the sandwich
-    matrix M = A^-1 C A^-1 (A = K + sigma^2 I, C = sum_p dK/dlog theta_p) and
-    tr(A^-1 C); in full-FD mode the two factorizations at rescaled
-    parameters, which are logit-independent. One ascent step then costs
-    O(n^2).
+    needs repeatedly are computed once here: the sandwich matrix
+    M = A^-1 C A^-1 (A = K + sigma^2 I, C = sum_p dK/dlog theta_p) and
+    tr(A^-1 C). One ascent step then costs O(n^2).
     """
 
-    def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                 X, y, grad_mode: str = "analytic_fd_hybrid", mean_const: float = 0.0,
-                 optimize_noise: bool = False):
-        if grad_mode not in GRAD_MODES:
-            raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
+    def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
         X, y = _validate_xy(X, y)
         self.kind = kind
-        self.params = params
         self.noise = noise
         self.X = X
         self.y = y
-        self.grad_mode = grad_mode
-        self.mean_const = float(mean_const)
-        self.optimize_noise = optimize_noise
-        self.r = y - self.mean_const
         n = X.shape[0]
-        if grad_mode == "analytic_fd_hybrid":
-            L, _ = _factor(kind, params, noise, X)
-            A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
-            C = kernel_scale_direction(kind, params, X)
-            self.M = A_inv @ C @ A_inv
-            self.tr_AinvC = float(np.einsum("ij,ij->", A_inv, C))
-        else:
-            self.L_plus, _ = _factor(kind, params.scaled(1.0 + _H_SCALE), noise, X)
-            self.L_minus, _ = _factor(kind, params.scaled(1.0 - _H_SCALE), noise, X)
+        L, _ = _factor(kind, params, noise, X)
+        A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
+        C = kernel_scale_direction(kind, params, X)
+        self.M = A_inv @ C @ A_inv
+        self.tr_AinvC = float(np.einsum("ij,ij->", A_inv, C))
 
     def per_env_scale_grads(self, m0: np.ndarray, m1: np.ndarray) -> tuple[float, float]:
         """d/dw of each environment's masked likelihood at w = 1."""
-        out = []
-        for m in (m0, m1):
-            rm = self.r * m
-            if self.grad_mode == "analytic_fd_hybrid":
-                out.append(float(0.5 * (rm @ self.M @ rm) - 0.5 * self.tr_AinvC))
-            else:
-                lp = _gaussian_quad_ll(self.L_plus, rm)
-                lm = _gaussian_quad_ll(self.L_minus, rm)
-                out.append((lp - lm) / (2.0 * _H_SCALE))
-        return out[0], out[1]
+        g0, g1 = (float(0.5 * (v @ self.M @ v) - 0.5 * self.tr_AinvC)
+                  for v in (self.y * m0, self.y * m1))
+        return g0, g1
 
     def penalty(self, logits: DomainLogits) -> PenaltyReport:
         m0, m1 = env_masks(logits)
@@ -192,33 +206,22 @@ class TrainState:
 
     def grad_q(self, logits: DomainLogits) -> np.ndarray:
         """Gradient of the penalty in the logits."""
-        if self.grad_mode == "analytic_fd_hybrid":
-            m0, m1 = env_masks(logits)
-            v0 = self.r * m0
-            v1 = self.r * m1
-            g0 = float(0.5 * (v0 @ self.M @ v0) - 0.5 * self.tr_AinvC)
-            g1 = float(0.5 * (v1 @ self.M @ v1) - 0.5 * self.tr_AinvC)
-            sig_prime = m0 * m1
-            return 2.0 * self.r * sig_prime * (g0 * (self.M @ v0) - g1 * (self.M @ v1))
-        q = logits.q_tilde
-        g = np.zeros_like(q)
-        for i in range(q.shape[0]):
-            for sign in (1.0, -1.0):
-                shifted = q.copy()
-                shifted[i] += sign * _H_LOGIT
-                g[i] += sign * self.penalty(DomainLogits(shifted)).penalty
-        return g / (2.0 * _H_LOGIT)
+        m0, m1 = env_masks(logits)
+        g0, g1 = self.per_env_scale_grads(m0, m1)
+        v0 = self.y * m0
+        v1 = self.y * m1
+        sig_prime = m0 * m1
+        return 2.0 * self.y * sig_prime * (g0 * (self.M @ v0) - g1 * (self.M @ v1))
 
 
 def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                X, y, logits: DomainLogits, grad_mode: str = "analytic_fd_hybrid",
-                mean_const: float = 0.0) -> PenaltyReport:
+                X, y, logits: DomainLogits) -> PenaltyReport:
     """Invariance penalty g0^2 + g1^2 with the per-environment derivatives.
 
     g_e is the derivative, at w = 1, of the environment-masked likelihood
     when every exponentiated kernel parameter is multiplied by the scalar w.
     """
-    return TrainState(kind, params, noise, X, y, grad_mode, mean_const).penalty(logits)
+    return TrainState(kind, params, noise, X, y).penalty(logits)
 
 
 def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> DomainLogits:
@@ -230,122 +233,65 @@ def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> D
     return DomainLogits(logits.q_tilde + eta1 * g)
 
 
-def _penalty_at(state: TrainState, params: KernelParams, noise: NoiseSpec,
+def _penalty_at(kind: KernelKind, X, y, params: KernelParams, noise: NoiseSpec,
                 m0: np.ndarray, m1: np.ndarray) -> tuple[float, tuple[float, float]]:
-    """Penalty for fixed masks at arbitrary parameters (used by FD in theta)."""
-    r = state.r
-    if state.grad_mode == "analytic_fd_hybrid":
-        n = state.X.shape[0]
-        L, _ = _factor(state.kind, params, noise, state.X)
-        A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
-        C = kernel_scale_direction(state.kind, params, state.X)
-        tr = float(np.einsum("ij,ij->", A_inv, C))
-        gs = []
-        for m in (m0, m1):
-            am = cho_solve((L, True), r * m, check_finite=False)
-            gs.append(float(0.5 * (am @ C @ am) - 0.5 * tr))
-    else:
-        Lp, _ = _factor(state.kind, params.scaled(1.0 + _H_SCALE), noise, state.X)
-        Lm, _ = _factor(state.kind, params.scaled(1.0 - _H_SCALE), noise, state.X)
-        gs = []
-        for m in (m0, m1):
-            rm = r * m
-            gs.append((_gaussian_quad_ll(Lp, rm) - _gaussian_quad_ll(Lm, rm)) / (2.0 * _H_SCALE))
+    """Penalty for fixed masks at arbitrary parameters."""
+    n = X.shape[0]
+    L, _ = _factor(kind, params, noise, X)
+    A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
+    C = kernel_scale_direction(kind, params, X)
+    tr = float(np.einsum("ij,ij->", A_inv, C))
+    gs = []
+    for m in (m0, m1):
+        am = cho_solve((L, True), y * m, check_finite=False)
+        gs.append(float(0.5 * (am @ C @ am) - 0.5 * tr))
     g0, g1 = gs
     return g0 * g0 + g1 * g1, (g0, g1)
 
 
-def _nll_value(state: TrainState, params: KernelParams, noise: NoiseSpec) -> float:
-    L, _ = _factor(state.kind, params, noise, state.X)
-    return -_gaussian_quad_ll(L, state.r)
-
-
-def _shift_noise(noise: NoiseSpec, delta: float) -> NoiseSpec:
-    return NoiseSpec(noise.sigma2 * math.exp(delta))
-
-
-def _nll_value_and_grad(state: TrainState, params: KernelParams, noise: NoiseSpec):
-    if state.grad_mode == "analytic_fd_hybrid":
-        val, g = lml_value_and_grad(state.kind, params, noise, state.X, state.y,
-                                    state.mean_const, with_noise_grad=state.optimize_noise)
-        return -val, -g
-    size = 5 if state.optimize_noise else 4
-    g = np.zeros(size)
-    val = _nll_value(state, params, noise)
-    for p_idx, name in enumerate(PARAM_NAMES):
-        if name not in ACTIVE_PARAMS[state.kind]:
-            continue
-        vp = _nll_value(state, params.shifted(name, _H_THETA), noise)
-        vm = _nll_value(state, params.shifted(name, -_H_THETA), noise)
-        g[p_idx] = (vp - vm) / (2.0 * _H_THETA)
-    if state.optimize_noise:
-        vp = _nll_value(state, params, _shift_noise(noise, _H_THETA))
-        vm = _nll_value(state, params, _shift_noise(noise, -_H_THETA))
-        g[4] = (vp - vm) / (2.0 * _H_THETA)
-    return val, g
-
-
-def _penalty_theta_grad(state: TrainState, params: KernelParams, noise: NoiseSpec,
+def _penalty_theta_grad(kind: KernelKind, X, y, params: KernelParams, noise: NoiseSpec,
                         m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """Central finite differences of the penalty in the log-parameters."""
-    size = 5 if state.optimize_noise else 4
-    g = np.zeros(size)
+    g = np.zeros(4)
     for p_idx, name in enumerate(PARAM_NAMES):
         # Parameters the kernel never reads leave the penalty unchanged.
-        if name not in ACTIVE_PARAMS[state.kind]:
+        if name not in ACTIVE_PARAMS[kind]:
             continue
-        pp, _ = _penalty_at(state, params.shifted(name, _H_THETA), noise, m0, m1)
-        pm, _ = _penalty_at(state, params.shifted(name, -_H_THETA), noise, m0, m1)
+        pp, _ = _penalty_at(kind, X, y, params.shifted(name, _H_THETA), noise, m0, m1)
+        pm, _ = _penalty_at(kind, X, y, params.shifted(name, -_H_THETA), noise, m0, m1)
         g[p_idx] = (pp - pm) / (2.0 * _H_THETA)
-    if state.optimize_noise:
-        pp, _ = _penalty_at(state, params, _shift_noise(noise, _H_THETA), m0, m1)
-        pm, _ = _penalty_at(state, params, _shift_noise(noise, -_H_THETA), m0, m1)
-        g[4] = (pp - pm) / (2.0 * _H_THETA)
     return g
 
 
-def _descent_step(state: TrainState, params: KernelParams, noise: NoiseSpec,
-                  m0, m1, eta2: float, lam: float, require_decrease: bool = False):
+def _descent_step(kind: KernelKind, X, y, params: KernelParams, noise: NoiseSpec,
+                  m0, m1, eta2: float, lam: float):
     """One descent step on NLL + lam * penalty with step-halving on failure.
 
     A trial step whose objective is non-finite (or whose covariance cannot be
     factorized) is rejected and the step size halved, up to _MAX_HALVINGS
-    times; after that the step aborts. With require_decrease the acceptance
-    test additionally demands the objective not increase, and exhausting the
-    halvings keeps the current parameters instead of aborting.
+    times; after that the step aborts. With lam = 0 the masks are not read.
     """
-    cur_nll, g = _nll_value_and_grad(state, params, noise)
-    cur_obj = cur_nll
+    _, lml_grad = lml_value_and_grad(kind, params, noise, X, y)
+    g = -lml_grad
     if lam != 0.0:
-        pen, _ = _penalty_at(state, params, noise, m0, m1)
-        cur_obj = cur_nll + lam * pen
-        g = g + lam * _penalty_theta_grad(state, params, noise, m0, m1)
+        g = g + lam * _penalty_theta_grad(kind, X, y, params, noise, m0, m1)
     theta = params.as_array()
-    if state.optimize_noise:
-        theta = np.append(theta, math.log(noise.sigma2))
     eta = float(eta2)
     for _ in range(_MAX_HALVINGS + 1):
-        trial = theta - eta * g
         try:
-            p2 = KernelParams.from_array(trial[:4])
-            n2 = NoiseSpec(math.exp(trial[4])) if state.optimize_noise else noise
-            nll2 = _nll_value(state, p2, n2)
+            p2 = KernelParams.from_array(theta - eta * g)
+            L, _ = _factor(kind, p2, noise, X)
+            obj2 = -_gaussian_quad_ll(L, y)
             if lam != 0.0:
-                pen2, per_env2 = _penalty_at(state, p2, n2, m0, m1)
-                obj2 = nll2 + lam * pen2
+                pen2, per_env2 = _penalty_at(kind, X, y, p2, noise, m0, m1)
+                obj2 = obj2 + lam * pen2
             else:
                 pen2, per_env2 = 0.0, (0.0, 0.0)
-                obj2 = nll2
         except (NonFiniteInput, NotPositiveDefinite, OverflowError):
             obj2 = math.inf
-        if math.isfinite(obj2) and not (require_decrease and obj2 > cur_obj):
-            info = {"objective": obj2, "penalty": pen2, "per_env_grad": per_env2,
-                    "eta_used": eta, "stalled": False}
-            return p2, n2, info
+        if math.isfinite(obj2):
+            return p2, {"objective": obj2, "penalty": pen2, "per_env_grad": per_env2}
         eta *= 0.5
-    if require_decrease:
-        return params, noise, {"objective": cur_obj, "penalty": 0.0,
-                               "per_env_grad": (0.0, 0.0), "eta_used": 0.0, "stalled": True}
     raise TrainingAbort(
         f"objective stayed non-finite after {_MAX_HALVINGS} step halvings "
         f"(initial step {eta2:g})")
@@ -355,7 +301,8 @@ def outer_descent_step(params: KernelParams, logits: DomainLogits, state: TrainS
                        eta2: float, lam: float) -> KernelParams:
     """One parameter update on NLL + lam * penalty at fixed logits."""
     m0, m1 = env_masks(logits)
-    p2, _, _ = _descent_step(state, params, state.noise, m0, m1, eta2, lam)
+    p2, _ = _descent_step(state.kind, state.X, state.y, params, state.noise,
+                          m0, m1, eta2, lam)
     return p2
 
 
@@ -366,16 +313,16 @@ def init_logits(n: int, seed: int) -> DomainLogits:
     return DomainLogits(0.1 * rng.standard_normal(n))
 
 
-def train_dil_gp(kind: KernelKind, init_params: KernelParams, noise: NoiseSpec,
-                 X, y, cfg: TrainConfig) -> tuple[KernelParams, DomainLogits, TrainTrace]:
-    """Alternating min-max training.
+def train_dil_gp(spec: ModelSpec, X, y, seed: int
+                 ) -> tuple[KernelParams, DomainLogits, TrainTrace]:
+    """Alternating min-max training from KernelParams().
 
-    Each of the t1_outer rounds runs t2_inner ascent steps on the logits
+    Each of the spec.t1 rounds runs spec.t2 ascent steps on the logits
     (warm-started from the previous round), then one descent step on the
     kernel parameters. The trace holds one record per completed round, with
     objective, penalty and per-environment derivatives evaluated at the
     updated parameters. On abort the partial trace is attached to the raised
-    TrainingAbort. With lam = 0 and t2_inner = 0 the parameter trajectory is
+    TrainingAbort. With lam = 0 and t2 = 0 the parameter trajectory is
     bit-identical to train_vanilla_gp's.
     """
     X, y = _validate_xy(X, y)
@@ -383,71 +330,64 @@ def train_dil_gp(kind: KernelKind, init_params: KernelParams, noise: NoiseSpec,
     if n < 4:
         raise DimensionMismatch(f"need at least 4 training points to split, got {n}",
                                 (n,), None)
-    logits = init_logits(n, cfg.seed)
-    params = init_params
-    cur_noise = noise
-    trace = TrainTrace(final_noise=cur_noise)
-    for t in range(1, cfg.t1_outer + 1):
+    kind, noise = spec.kind, spec.noise
+    logits = init_logits(n, seed)
+    params = KernelParams()
+    trace = TrainTrace()
+    for t in range(1, spec.t1 + 1):
         try:
-            state = TrainState(kind, params, cur_noise, X, y, cfg.grad_mode,
-                               cfg.mean_const, cfg.optimize_noise)
-            for _ in range(cfg.t2_inner):
-                logits = inner_ascent_step(logits, state, cfg.eta1)
+            state = TrainState(kind, params, noise, X, y)
+            for _ in range(spec.t2):
+                logits = inner_ascent_step(logits, state, spec.eta1)
             m0, m1 = env_masks(logits)
-            params, cur_noise, info = _descent_step(state, params, cur_noise,
-                                                    m0, m1, cfg.eta2, cfg.lam)
+            params, info = _descent_step(kind, X, y, params, noise, m0, m1,
+                                         spec.eta2, spec.lam)
         except TrainingAbort as exc:
             trace.aborted = True
-            trace.final_noise = cur_noise
             exc.trace = trace
             raise
-        if cfg.lam != 0.0:
+        if spec.lam != 0.0:
             pen, per_env = info["penalty"], info["per_env_grad"]
         else:
-            pen, per_env = _penalty_at(state, params, cur_noise, m0, m1)
+            pen, per_env = _penalty_at(kind, X, y, params, noise, m0, m1)
         trace.records.append(TraceRecord(t, info["objective"], pen, per_env,
-                                         params, cur_noise.sigma2))
-    trace.final_noise = cur_noise
+                                         params, noise.sigma2))
     return params, logits, trace
 
 
-def _train_vanilla(kind: KernelKind, init_params: KernelParams, noise: NoiseSpec,
-                   X, y, steps: int, eta: float, grad_mode: str = "analytic_fd_hybrid",
-                   mean_const: float = 0.0, optimize_noise: bool = False,
-                   monotone: bool = False):
+def train_vanilla_gp(spec: ModelSpec, X, y) -> tuple[KernelParams, TrainTrace]:
+    """Plain maximum-likelihood training from KernelParams(): spec.t1
+    descent steps on the NLL alone at rate spec.eta2, sharing the step
+    routine with train_dil_gp."""
     X, y = _validate_xy(X, y)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    params = init_params
-    cur_noise = noise
-    trace = TrainTrace(final_noise=cur_noise)
-    for t in range(1, steps + 1):
-        state = TrainState(kind, params, cur_noise, X, y, grad_mode,
-                           mean_const, optimize_noise)
+    kind, noise = spec.kind, spec.noise
+    params = KernelParams()
+    trace = TrainTrace()
+    for t in range(1, spec.t1 + 1):
         try:
-            params, cur_noise, info = _descent_step(state, params, cur_noise, None, None,
-                                                    eta, 0.0, require_decrease=monotone)
+            params, info = _descent_step(kind, X, y, params, noise, None, None,
+                                         spec.eta2, 0.0)
         except TrainingAbort as exc:
             trace.aborted = True
-            trace.final_noise = cur_noise
             exc.trace = trace
             raise
         trace.records.append(TraceRecord(t, info["objective"], 0.0, (0.0, 0.0),
-                                         params, cur_noise.sigma2))
-    trace.final_noise = cur_noise
-    return params, cur_noise, trace
+                                         params, noise.sigma2))
+    return params, trace
 
 
-def train_vanilla_gp(kind: KernelKind, init_params: KernelParams, noise: NoiseSpec,
-                     X, y, steps: int, eta: float,
-                     grad_mode: str = "analytic_fd_hybrid", mean_const: float = 0.0,
-                     optimize_noise: bool = False, monotone: bool = False) -> KernelParams:
-    """Plain maximum-likelihood training: descent on the NLL alone.
+def fit_model(spec: ModelSpec, train: Dataset, seed: int
+              ) -> tuple[GPPosterior, Standardizer | None, TrainTrace]:
+    """Standardize (if spec.standardize), train spec.model, and factorize.
 
-    Shares the step routine with train_dil_gp. The optional monotone flag
-    backtracks within each step until the objective does not increase (a
-    stalled step keeps the current parameters).
+    The posterior lives in the units the model was trained in; the returned
+    standardizer (None without standardization) maps between those units and
+    the raw ones. seed drives the initial partition logits of dil_gp.
     """
-    params, _, _ = _train_vanilla(kind, init_params, noise, X, y, steps, eta,
-                                  grad_mode, mean_const, optimize_noise, monotone)
-    return params
+    scaler = fit_standardizer(train) if spec.standardize else None
+    ds = scaler.transform(train) if scaler is not None else train
+    if spec.model == "dil_gp":
+        params, _, trace = train_dil_gp(spec, ds.x, ds.y, seed)
+    else:
+        params, trace = train_vanilla_gp(spec, ds.x, ds.y)
+    return fit_posterior(spec.kind, params, spec.noise, ds.x, ds.y), scaler, trace

@@ -12,7 +12,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from dilgp.bo import SurrogateConfig, bo_run
+from dilgp.bo import bo_run
 from dilgp.cli import main as cli_main
 from dilgp.experiments import (QUADRATIC_OPTIMUM, QUADRATIC_SPACE,
                                compare_tuners, quadratic_objective,
@@ -23,8 +23,8 @@ from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, kernel_matrix)
 from dilgp.quad import TrajectoryKind
 from dilgp.rng import rng_for
-from dilgp.train import (DomainLogits, TrainState, env_masks, irm_penalty,
-                         outer_descent_step)
+from dilgp.train import (DomainLogits, ModelSpec, TrainState, env_masks,
+                         irm_penalty, outer_descent_step)
 
 
 def emit(line: str):
@@ -182,8 +182,7 @@ def test_criterion_05_shifted_2d_benchmark(synth_2d_runs):
 
 def test_criterion_06_streaming_info_gain_matches_batch():
     sigma2 = 0.25
-    cfg = SurrogateConfig(model="gp_gaussian", t1=0, standardize=False,
-                          noise=NoiseSpec(sigma2))
+    cfg = ModelSpec(model="gp_gaussian", t1=0, standardize=False, sigma2=sigma2)
     worst = 0.0
     for seed in range(10):
         state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, cfg, "ucb",
@@ -198,8 +197,8 @@ def test_criterion_06_streaming_info_gain_matches_batch():
 
 def test_criterion_07_bo_convergence_with_diagnostics():
     t0 = perf_counter()
-    cfg = SurrogateConfig(model="dil_gp", noise=NoiseSpec(0.1), t1=30, t2=5,
-                          eta1=0.1, eta2=0.005, lam=0.01)
+    cfg = ModelSpec(model="dil_gp", sigma2=0.1, t1=30, t2=5,
+                    eta1=0.1, eta2=0.005, lam=0.01)
     hits = 0
     dists = []
     for seed in range(5):
@@ -222,7 +221,10 @@ def test_criterion_08_pid_tuning_heldout_comparison():
     t0 = perf_counter()
     wins = {}
     for kind in TrajectoryKind:
-        wins[kind.value] = compare_tuners(kind)["dil_wins"]
+        # a one-shot iterator of seeds must still count every seed
+        result = compare_tuners(kind, experiment_seeds=(s for s in range(5)))
+        assert result["n_seeds"] == len(result["rows"]) == 5
+        wins[kind.value] = result["dil_wins"]
     elapsed = perf_counter() - t0
     fig8_ok = wins["fig8"] >= 4
     others = [wins[k] >= 4 for k in ("hover", "sin_forward", "spiral_up")]

@@ -9,15 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from dilgp.bo import (BOState, SearchSpace, Surrogate, SurrogateConfig,
+from dilgp.bo import (BOState, SearchSpace, Surrogate,
                       acquisition_ei, acquisition_ucb, beta_schedule, bo_run,
                       fit_surrogate, history_jsonl, information_gain_step,
                       propose_next, regret_bound)
 from dilgp.exceptions import (DimensionMismatch, NonFiniteInput,
                               ObjectiveFailure)
-from dilgp.gp import NoiseSpec
+from dilgp.experiments import quad_surrogate_config
 from dilgp.kernels import KernelKind, KernelParams, kernel_matrix
 from dilgp.rng import rng_for
+from dilgp.train import ModelSpec
 
 SPACE = SearchSpace(np.array([0.0]), np.array([1.0]))
 
@@ -28,8 +29,7 @@ def quadratic(x):
 
 def fixed_kernel_cfg(sigma2=0.25):
     # t1 = 0 leaves the default kernel untouched: fully deterministic posterior
-    return SurrogateConfig(model="gp_gaussian", t1=0, standardize=False,
-                           noise=NoiseSpec(sigma2))
+    return ModelSpec(model="gp_gaussian", t1=0, standardize=False, sigma2=sigma2)
 
 
 # ---------------------------------------------------------------- acquisitions
@@ -111,11 +111,11 @@ def test_search_space_validation_and_sampling():
 
 def test_surrogate_config_validation():
     with pytest.raises(ValueError):
-        SurrogateConfig(model="forest")
+        quad_surrogate_config("forest")
     with pytest.raises(ValueError):
-        SurrogateConfig(t1=-1)
-    assert SurrogateConfig(model="dil_gp").kind is KernelKind.GAUSSIAN
-    assert SurrogateConfig(model="gp_rq").kind is KernelKind.RATIONAL_QUADRATIC
+        quad_surrogate_config("gp_gaussian", t1=-1)
+    assert quad_surrogate_config("dil_gp").kind is KernelKind.GAUSSIAN
+    assert quad_surrogate_config("gp_rq").kind is KernelKind.RATIONAL_QUADRATIC
 
 
 # ---------------------------------------------------------------- proposals

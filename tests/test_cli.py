@@ -2,6 +2,7 @@
 defaults, output files, manifests, and byte-exact reproduction from a saved
 config.json."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from dilgp.cli import main
+from dilgp.cli import (FIT_EVAL_DEFAULTS, build_parser, main, spec_from_config,
+                       spec_keys)
+from dilgp.experiments import settings_for
 
 
 def run_ok(argv):
@@ -156,11 +159,47 @@ def test_fit_eval_config_round_trip_byte_identical(tmp_path):
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dataset": "synthetic_1d", "bogus": 1}))
-    code = main(["fit-eval", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "unknown keys" in capsys.readouterr().err
+    # grad_mode is a setting of older versions, gone with its finite-difference mode
+    for key, val in (("bogus", 1), ("grad_mode", "analytic_fd_hybrid")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dataset": "synthetic_1d", key: val}))
+        code = main(["fit-eval", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and key in err
+
+
+def test_config_model_keys_are_model_spec_fields(fit1d_dir):
+    cfg = read_json(fit1d_dir / "config.json")
+    keys = spec_keys("fit-eval")
+    assert len(set(keys.values())) == len(keys)       # one key per field
+    run_keys = set(FIT_EVAL_DEFAULTS) - set(keys.values())
+    assert set(cfg) - run_keys - {"command"} == set(keys.values())
+    assert spec_from_config(cfg, "fit-eval") == settings_for("synthetic_1d", "dil_gp")
+
+
+def test_model_flags_are_generated_from_spec_fields():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("fit-eval", "bo"):
+        keys = spec_keys(command).values()
+        dests = [a.dest for a in sub.choices[command]._actions if a.dest in keys]
+        assert sorted(dests) == sorted(keys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-eval", "--dataset", "synthetic_1d", "--t1", "0"],
+    ["fit-eval", "--dataset", "synthetic_1d", "--t2", "-1"],
+    ["fit-eval", "--dataset", "synthetic_1d", "--sweep", "0"],
+    ["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian", "--eta2", "-0.5"],
+    ["bo", "--t-bo", "0"],
+    ["bo", "--sigma2", "0"],
+], ids=["t1", "t2", "sweep", "eta2", "t_bo", "sigma2"])
+def test_invalid_settings_report_error(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_dataset_and_csv_are_mutually_exclusive(tmp_path, capsys):

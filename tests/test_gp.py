@@ -1,31 +1,32 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from dilgp.exceptions import NotPositiveDefinite
 from dilgp.gp import (NoiseSpec, env_log_likelihood, fit_posterior,
                       log_marginal_likelihood, predict,
                       reset_variance_clamp_count, variance_clamp_count)
-from dilgp.kernels import KernelKind, KernelParams, kernel_matrix
+from dilgp.kernels import KernelKind, KernelParams, kernel_diag, kernel_matrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _dense_oracle(kind, params, sigma2, X, y, Xs, mean_const=0.0):
+def _dense_oracle(kind, params, sigma2, X, y, Xs):
     """Textbook posterior and likelihood via explicit matrix inverse."""
     K = kernel_matrix(kind, params, X, X)
     A = K + sigma2 * np.eye(len(y))
     Ainv = np.linalg.inv(A)
-    r = y - mean_const
     Ks = kernel_matrix(kind, params, Xs, X)
     Kss = kernel_matrix(kind, params, Xs, Xs)
-    mean = mean_const + Ks @ Ainv @ r
+    mean = Ks @ Ainv @ y
     var = np.diag(Kss - Ks @ Ainv @ Ks.T)
     sign, logdet = np.linalg.slogdet(A)
     assert sign > 0
-    lml = -0.5 * r @ Ainv @ r - 0.5 * logdet - 0.5 * len(y) * LOG_2PI
+    lml = -0.5 * y @ Ainv @ y - 0.5 * logdet - 0.5 * len(y) * LOG_2PI
     return mean, var, lml
 
 
@@ -98,23 +99,32 @@ def test_prior_reversion_far_away():
     X[:, 0] = [0.0, 0.5, 1.0]
     y = np.array([1.0, 2.0, 3.0])
     p = KernelParams(log_s=np.log(2.5))
-    post = fit_posterior(KernelKind.GAUSSIAN, p, NoiseSpec(0.1), X, y, mean_const=0.7)
+    post = fit_posterior(KernelKind.GAUSSIAN, p, NoiseSpec(0.1), X, y)
     mean, var = predict(post, np.array([[1e6]]))
-    assert_allclose(mean, [0.7], atol=1e-10)
+    assert_allclose(mean, [0.0], atol=1e-10)
     assert_allclose(var, [2.5], atol=1e-10)
 
 
 def test_variance_clamped_nonnegative():
-    # near-duplicate inputs with zero noise force cancellation in the
-    # posterior variance subtraction
+    # halving the Cholesky factor quadruples the explained variance, so the
+    # raw posterior variance goes negative at the training points and the
+    # clamp must fire there
     rng = np.random.default_rng(2)
-    X = np.vstack([rng.normal(size=(1, 1))] * 40) + rng.normal(size=(40, 1)) * 1e-9
-    y = rng.normal(size=40)
-    post = fit_posterior(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.0), X, y)
+    X = rng.normal(size=(12, 1))
+    y = rng.normal(size=12)
+    kind, params = KernelKind.GAUSSIAN, KernelParams()
+    post = fit_posterior(kind, params, NoiseSpec(0.01), X, y)
+    post = dataclasses.replace(post, chol=0.5 * post.chol)
+    Xs = np.vstack([X, rng.normal(size=(8, 1)), [[50.0]]])
+    v = solve_triangular(post.chol, kernel_matrix(kind, params, X, Xs), lower=True)
+    raw = kernel_diag(kind, params, Xs) - np.einsum("ij,ij->j", v, v)
+    n_negative = int(np.count_nonzero(raw < 0.0))
+    assert n_negative >= len(X)
     reset_variance_clamp_count()
-    mean, var = predict(post, X)
+    _, var = predict(post, Xs)
+    assert variance_clamp_count() == n_negative
     assert np.all(var >= 0.0)
-    assert variance_clamp_count() >= 0  # counter readable after prediction
+    assert_allclose(var, np.maximum(raw, 0.0), rtol=1e-12, atol=1e-12)
 
 
 def test_not_positive_definite_carries_params(monkeypatch):

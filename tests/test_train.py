@@ -3,16 +3,19 @@ invariance penalty and its gradients (checked against finite-difference
 oracles computed here), the descent/ascent steps, and the full loop's
 reduction, determinism and abort behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dilgp.data import gen_synthetic_1d, standardize_fit_transform
-from dilgp.exceptions import DimensionMismatch, NonFiniteInput, TrainingAbort
+from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
+                              TrainingAbort)
 from dilgp.gp import NoiseSpec, env_log_likelihood, log_marginal_likelihood
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, kernel_matrix)
 from dilgp.rng import rng_for
-from dilgp.train import (DomainLogits, TrainConfig, TrainState, env_masks,
+from dilgp.train import (DomainLogits, ModelSpec, TrainState, env_masks,
                          inner_ascent_step, irm_penalty, outer_descent_step,
                          train_dil_gp, train_vanilla_gp)
 
@@ -71,17 +74,15 @@ def test_domain_logits_validation():
 
 # ---------------------------------------------------------------- config
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(t1_outer=0)
-    with pytest.raises(ValueError):
-        TrainConfig(t2_inner=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(eta1=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(lam=-0.5)
-    with pytest.raises(ValueError):
-        TrainConfig(grad_mode="autodiff")
+def test_model_spec_validation():
+    for bad in ({"t1": 0}, {"t2": -1}, {"eta1": 0.0}, {"lam": -0.5}, {"sigma2": 0.0},
+                {"model": "forest"}, {"model": "gp_gaussian", "eta2": -0.5},
+                {"model": "gp_gaussian", "t1": -1}, {"eta2": float("nan")},
+                {"t1": 30.0}, {"t2": True}, {"lam": "1"}, {"standardize": 1}):
+        with pytest.raises(InvalidSetting):
+            ModelSpec(**bad)
+    # a plain GP may keep the default kernel; the min-max loop needs a round
+    assert ModelSpec(model="gp_gaussian", t1=0).t1 == 0
 
 
 # ---------------------------------------------------------------- penalty
@@ -104,15 +105,14 @@ def test_penalty_matches_scale_derivative_fd():
         params = rand_params(rng)
         noise = NoiseSpec(0.2)
         m0, m1 = env_masks(logits)
-        for mode in ("analytic_fd_hybrid", "full_fd"):
-            rep = irm_penalty(GAUSS, params, noise, X, y, logits, grad_mode=mode)
-            for g, mask in zip(rep.per_env_grad, (m0, m1)):
-                lp = env_log_likelihood(GAUSS, params.scaled(1.0 + h), noise, X, y, mask)
-                lm = env_log_likelihood(GAUSS, params.scaled(1.0 - h), noise, X, y, mask)
-                want = (lp - lm) / (2.0 * h)
-                assert abs(g - want) <= 1e-4 * max(1.0, abs(want))
-            assert rep.penalty == pytest.approx(
-                rep.per_env_grad[0] ** 2 + rep.per_env_grad[1] ** 2, rel=1e-12)
+        rep = irm_penalty(GAUSS, params, noise, X, y, logits)
+        for g, mask in zip(rep.per_env_grad, (m0, m1)):
+            lp = env_log_likelihood(GAUSS, params.scaled(1.0 + h), noise, X, y, mask)
+            lm = env_log_likelihood(GAUSS, params.scaled(1.0 - h), noise, X, y, mask)
+            want = (lp - lm) / (2.0 * h)
+            assert abs(g - want) <= 1e-4 * max(1.0, abs(want))
+        assert rep.penalty == pytest.approx(
+            rep.per_env_grad[0] ** 2 + rep.per_env_grad[1] ** 2, rel=1e-12)
 
 
 def test_penalty_label_swap_exact():
@@ -130,18 +130,6 @@ def test_penalty_nonnegative_across_seeds():
         X, y, logits = toy(seed, n=6)
         rep = irm_penalty(GAUSS, rand_params(rng), NoiseSpec(0.3), X, y, logits)
         assert rep.penalty >= 0.0
-
-
-def test_penalty_modes_agree():
-    for seed in range(6):
-        rng = rng_for(seed, "pen-modes")
-        X, y, logits = toy(seed)
-        params = rand_params(rng)
-        a = irm_penalty(GAUSS, params, NoiseSpec(0.15), X, y, logits,
-                        grad_mode="analytic_fd_hybrid")
-        b = irm_penalty(GAUSS, params, NoiseSpec(0.15), X, y, logits,
-                        grad_mode="full_fd")
-        assert a.penalty == pytest.approx(b.penalty, rel=1e-6, abs=1e-10)
 
 
 # ---------------------------------------------------------------- logit ascent
@@ -190,10 +178,8 @@ def test_partition_discovery_on_shifted_clusters():
     for s in range(5):
         train, test = gen_synthetic_1d(s)
         tr, _, _ = standardize_fit_transform(train, test)
-        cfg = TrainConfig(t1_outer=100, t2_inner=10, eta1=0.1, eta2=0.005,
-                          lam=0.01, seed=s)
-        _, logits, _ = train_dil_gp(GAUSS, KernelParams(), NoiseSpec(0.4),
-                                    tr.x, tr.y, cfg)
+        spec = ModelSpec(t1=100, t2=10, eta1=0.1, eta2=0.005, lam=0.01, sigma2=0.4)
+        _, logits, _ = train_dil_gp(spec, tr.x, tr.y, s)
         m0, _ = env_masks(logits)
         tags = tr.domain_tag
         gap = abs(float(m0[tags == 1].mean()) - float(m0[tags == 0].mean()))
@@ -266,19 +252,18 @@ def test_label_swap_leaves_outer_step_unchanged():
 
 def test_lambda_zero_no_inner_reduces_to_vanilla_bitwise():
     X, y, _ = toy(7, n=12)
-    noise = NoiseSpec(0.1)
-    cfg = TrainConfig(t1_outer=25, t2_inner=0, eta1=0.1, eta2=0.02, lam=0.0, seed=3)
-    p_dil, _, trace = train_dil_gp(GAUSS, KernelParams(), noise, X, y, cfg)
-    p_van = train_vanilla_gp(GAUSS, KernelParams(), noise, X, y, 25, 0.02)
+    spec = ModelSpec(t1=25, t2=0, eta1=0.1, eta2=0.02, lam=0.0, sigma2=0.1)
+    p_dil, _, trace = train_dil_gp(spec, X, y, 3)
+    p_van, van_trace = train_vanilla_gp(replace(spec, model="gp_gaussian"), X, y)
     assert np.array_equal(p_dil.as_array(), p_van.as_array())
-    assert len(trace) == 25
+    assert len(trace) == len(van_trace) == 25
 
 
 def test_trace_length_and_determinism():
     X, y, _ = toy(8, n=10)
-    cfg = TrainConfig(t1_outer=7, t2_inner=3, eta1=0.1, eta2=0.01, lam=0.5, seed=11)
-    out1 = train_dil_gp(GAUSS, KernelParams(), NoiseSpec(0.2), X, y, cfg)
-    out2 = train_dil_gp(GAUSS, KernelParams(), NoiseSpec(0.2), X, y, cfg)
+    spec = ModelSpec(t1=7, t2=3, eta1=0.1, eta2=0.01, lam=0.5, sigma2=0.2)
+    out1 = train_dil_gp(spec, X, y, 11)
+    out2 = train_dil_gp(spec, X, y, 11)
     assert len(out1[2]) == 7
     assert np.array_equal(out1[0].as_array(), out2[0].as_array())
     assert np.array_equal(out1[1].q_tilde, out2[1].q_tilde)
@@ -289,8 +274,8 @@ def test_trace_length_and_determinism():
 def test_trace_serializes_to_jsonl():
     import json
     X, y, _ = toy(9, n=8)
-    cfg = TrainConfig(t1_outer=3, t2_inner=2, eta1=0.1, eta2=0.01, lam=0.1, seed=0)
-    _, _, trace = train_dil_gp(GAUSS, KernelParams(), NoiseSpec(0.2), X, y, cfg)
+    spec = ModelSpec(t1=3, t2=2, eta1=0.1, eta2=0.01, lam=0.1, sigma2=0.2)
+    _, _, trace = train_dil_gp(spec, X, y, 0)
     lines = trace.to_jsonl().strip().split("\n")
     assert len(lines) == 3
     rec = json.loads(lines[0])
@@ -300,9 +285,9 @@ def test_trace_serializes_to_jsonl():
 def test_too_few_points_rejected():
     X = np.zeros((3, 1))
     y = np.zeros(3)
-    cfg = TrainConfig(t1_outer=1, t2_inner=0, eta1=0.1, eta2=0.01, lam=0.0, seed=0)
+    spec = ModelSpec(t1=1, t2=0, eta1=0.1, eta2=0.01, lam=0.0, sigma2=0.1)
     with pytest.raises(DimensionMismatch):
-        train_dil_gp(GAUSS, KernelParams(), NoiseSpec(0.1), X, y, cfg)
+        train_dil_gp(spec, X, y, 0)
 
 
 def test_descent_abort_carries_partial_trace():
@@ -311,9 +296,9 @@ def test_descent_abort_carries_partial_trace():
     rng = rng_for(1, "abort-theta")
     X = rng.uniform(-1, 1, (8, 1))
     y = 1e12 * np.ones(8)
-    cfg = TrainConfig(t1_outer=10, t2_inner=0, eta1=0.1, eta2=0.5, lam=0.0, seed=0)
+    spec = ModelSpec(t1=10, t2=0, eta1=0.1, eta2=0.5, lam=0.0, sigma2=1e-6)
     with pytest.raises(TrainingAbort) as exc:
-        train_dil_gp(GAUSS, KernelParams(), NoiseSpec(1e-6), X, y, cfg)
+        train_dil_gp(spec, X, y, 0)
     assert "halvings" in str(exc.value)
     assert exc.value.trace.aborted
 
@@ -322,9 +307,9 @@ def test_descent_abort_carries_partial_trace():
 
 def test_vanilla_zero_steps_returns_init():
     X, y, _ = toy(10)
-    init = KernelParams(0.3, -0.1, 0.2, 0.0)
-    out = train_vanilla_gp(GAUSS, init, NoiseSpec(0.1), X, y, 0, 0.05)
-    assert np.array_equal(out.as_array(), init.as_array())
+    out, trace = train_vanilla_gp(ModelSpec(model="gp_gaussian", t1=0, sigma2=0.1), X, y)
+    assert np.array_equal(out.as_array(), KernelParams().as_array())
+    assert len(trace) == 0
 
 
 def test_vanilla_recovers_generating_params():
@@ -337,7 +322,8 @@ def test_vanilla_recovers_generating_params():
         X = rng.uniform(-3.0, 3.0, (40, 1))
         K = kernel_matrix(GAUSS, true, X, X)
         y = rng.multivariate_normal(np.zeros(40), K + sig2 * np.eye(40))
-        p = train_vanilla_gp(GAUSS, KernelParams(), NoiseSpec(sig2), X, y, 200, 0.05)
+        spec = ModelSpec(model="gp_gaussian", t1=200, eta2=0.05, sigma2=sig2)
+        p, _ = train_vanilla_gp(spec, X, y)
         assert abs(p.log_s - true.log_s) < 0.5
         assert abs(p.log_l - true.log_l) < 0.5
 
@@ -348,12 +334,10 @@ def test_vanilla_final_likelihood_not_worse():
         rng = rng_for(seed, "mono")
         X = rng.uniform(-2.0, 2.0, (20, 1))
         y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(20)
-        init = KernelParams()
-        l0 = log_marginal_likelihood(GAUSS, init, noise, X, y)
-        for monotone in (False, True):
-            p = train_vanilla_gp(GAUSS, init, noise, X, y, 50, 0.05,
-                                 monotone=monotone)
-            assert log_marginal_likelihood(GAUSS, p, noise, X, y) >= l0
+        l0 = log_marginal_likelihood(GAUSS, KernelParams(), noise, X, y)
+        spec = ModelSpec(model="gp_gaussian", t1=50, eta2=0.05, sigma2=noise.sigma2)
+        p, _ = train_vanilla_gp(spec, X, y)
+        assert log_marginal_likelihood(GAUSS, p, noise, X, y) >= l0
 
 
 def test_dil_beats_vanilla_on_shifted_1d():

@@ -10,8 +10,7 @@ from .bo import (BOState, RegretDiagnostics, SearchSpace,
                  acquisition_ei, acquisition_ucb, beta_schedule, bo_run,
                  information_gain_step, propose_next, regret_bound)
 from .data import (Dataset, EvalReport, Standardizer, coverage_rate,
-                   gen_synthetic_1d, gen_synthetic_2d, load_csv, rmse,
-                   standardize_fit_transform)
+                   gen_synthetic_1d, gen_synthetic_2d, load_csv, rmse)
 from .exceptions import (DilgpError, DimensionMismatch, InvalidSetting,
                          NonFiniteInput, NotPositiveDefinite, ObjectiveFailure,
                          TrainingAbort)
@@ -34,7 +33,6 @@ __all__ = [
     "information_gain_step", "propose_next", "regret_bound",
     "Dataset", "EvalReport", "Standardizer", "coverage_rate",
     "gen_synthetic_1d", "gen_synthetic_2d", "load_csv", "rmse",
-    "standardize_fit_transform",
     "DilgpError", "DimensionMismatch", "InvalidSetting", "NonFiniteInput",
     "NotPositiveDefinite",
     "ObjectiveFailure", "TrainingAbort",

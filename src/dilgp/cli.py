@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .bo import bo_run, history_jsonl
 from .data import GENERATORS, load_csv
-from .exceptions import DilgpError
+from .exceptions import DilgpError, InvalidSetting
 from .experiments import (BO_SPEC, DATASET_DEFAULTS, QUADRATIC_OPTIMUM,
                           QUADRATIC_SPACE, fit_eval, heldout_trajectory,
                           quad_bo_experiment, quadratic_objective, sweep_seeds)
@@ -265,6 +265,9 @@ def cmd_fit_eval(args) -> int:
         (outdir / "trace.jsonl").write_text(trace.to_jsonl())
         print(f"rmse={report.rmse:.4f} coverage={report.coverage_rate:.4f}")
     else:
+        if full["dataset"] is None and settings.model != "dil_gp":
+            raise InvalidSetting(f"--sweep on CSV input refits the same rows, and {settings.model} "
+                                 "never reads the seed, so every seed would give the same fit")
         config.pop("seed")
         reports, summary = sweep_seeds(lambda s: _load_dataset(full, s), settings,
                                        range(config["sweep"]))

@@ -230,12 +230,6 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     return Standardizer(x_mean, x_std, y_mean, y_std, constant_x, constant_y)
 
 
-def standardize_fit_transform(train: Dataset, test: Dataset | None = None):
-    """Fit on train, apply to both splits. Test rows never touch the statistics."""
-    sz = fit_standardizer(train)
-    return sz.transform(train), (sz.transform(test) if test is not None else None), sz
-
-
 @dataclass
 class EvalReport:
     """Held-out metrics of one fitted model."""

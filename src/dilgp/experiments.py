@@ -157,15 +157,14 @@ def heldout_trajectory(gains: PIDGains, kind: TrajectoryKind, seed: int):
     return simulate(gains, kind, WIND_DOMAIN_HELDOUT, seed)
 
 
-def compare_tuners(kind: TrajectoryKind, experiment_seeds=(0, 1, 2, 3, 4),
-                   t_bo: int = 50, n_init: int = 5) -> dict:
+def compare_tuners(kind: TrajectoryKind, experiment_seeds=(0, 1, 2, 3, 4)) -> dict:
     """Run the DIL-vs-plain-GP tuning comparison over several seeds."""
     experiment_seeds = list(experiment_seeds)
     rows = []
     wins = 0
     for s in experiment_seeds:
-        dil = quad_bo_experiment(kind, "dil_gp", s, t_bo, n_init)
-        gp = quad_bo_experiment(kind, "gp_gaussian", s, t_bo, n_init)
+        dil = quad_bo_experiment(kind, "dil_gp", s)
+        gp = quad_bo_experiment(kind, "gp_gaussian", s)
         win = dil["heldout_ace"] <= gp["heldout_ace"]
         wins += int(win)
         rows.append({"seed": s, "dil_heldout": dil["heldout_ace"],

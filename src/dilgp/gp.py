@@ -149,18 +149,18 @@ def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(neg, 0.0, var)
 
 
-def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> float:
-    """-1/2 r^T (L L^T)^-1 r - sum(log diag L) - n/2 log(2 pi)."""
+def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
+    """-1/2 r^T (L L^T)^-1 r - sum(log diag L) - n/2 log(2 pi), and (L L^T)^-1 r."""
     alpha = cho_solve((L, True), r, check_finite=False)
     n = r.shape[0]
-    return float(-0.5 * (r @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI)
+    return float(-0.5 * (r @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI), alpha
 
 
 def log_marginal_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                             X, y) -> float:
     X, y = _validate_xy(X, y)
     L, _ = _factor(kind, params, noise, X)
-    return _gaussian_quad_ll(L, y)
+    return _gaussian_quad_ll(L, y)[0]
 
 
 def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
@@ -179,25 +179,21 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     if not np.all(np.isfinite(mask)) or np.any(mask < 0.0) or np.any(mask > 1.0):
         raise NonFiniteInput("mask entries must lie in [0, 1]")
     L, _ = _factor(kind, params, noise, X)
-    return _gaussian_quad_ll(L, y * mask)
+    return _gaussian_quad_ll(L, y * mask)[0]
+
+
+def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
+    """Gradient of the log marginal likelihood from the trace identity
+    d LML / dp = 1/2 (alpha^T K_p alpha - tr(A^-1 K_p)), where grads stacks
+    the K_p, A = K + sigma^2 I and alpha = A^-1 y."""
+    return np.array([0.5 * (alpha @ Kp @ alpha - np.einsum("ij,ij->", A_inv, Kp))
+                     for Kp in grads])
 
 
 def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
-    """Log marginal likelihood and its gradient in the four log-parameters.
-
-    Uses the standard trace identity: for K depending on a parameter p,
-    d LML / dp = 1/2 (alpha^T dK/dp alpha - tr(A^-1 dK/dp)) with
-    A = K + sigma^2 I and alpha = A^-1 y.
-    """
+    """Log marginal likelihood and its gradient in the four log-parameters."""
     X, y = _validate_xy(X, y)
-    n = X.shape[0]
     L, _ = _factor(kind, params, noise, X)
-    alpha = cho_solve((L, True), y, check_finite=False)
-    val = float(-0.5 * (y @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI)
-    A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
-    grads = kernel_grads(kind, params, X)
-    g = np.zeros(4)
-    for p in range(4):
-        C = grads[p]
-        g[p] = 0.5 * (alpha @ C @ alpha - np.einsum("ij,ij->", A_inv, C))
-    return val, g
+    val, alpha = _gaussian_quad_ll(L, y)
+    A_inv = cho_solve((L, True), np.eye(X.shape[0]), check_finite=False)
+    return val, _lml_grad(kernel_grads(kind, params, X), alpha, A_inv)

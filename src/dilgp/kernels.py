@@ -155,8 +155,7 @@ def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nd
     parameters the kernel does not read are zero.
     """
     X, _ = _check_inputs(X, X)
-    n = X.shape[0]
-    out = np.zeros((4, n, n))
+    out = np.zeros((4, X.shape[0], X.shape[0]))
     K = kernel_matrix(kind, params, X, X)
     out[0] = K  # d/dlog s = K for every kernel (k is linear in s)
     if kind is KernelKind.GAUSSIAN:
@@ -169,7 +168,7 @@ def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nd
         out[1] = K * d2 / (params.l ** 2 * (1.0 + u))
         out[2] = K * a * (u / (1.0 + u) - np.log1p(u))
     elif kind is KernelKind.DOT_PRODUCT:
-        out[3] = np.full((n, n), 2.0 * params.s * params.sigma_dp ** 2)
+        out[3] = 2.0 * params.s * params.sigma_dp ** 2
     return out
 
 
@@ -179,3 +178,32 @@ def kernel_scale_direction(kind: KernelKind, params: KernelParams, X: np.ndarray
     By the chain rule this is the sum of the log-space derivative matrices.
     """
     return kernel_grads(kind, params, X).sum(axis=0)
+
+
+def kernel_scale_direction_grads(kind: KernelKind, params: KernelParams,
+                                 X: np.ndarray) -> np.ndarray:
+    """D_p = dC/dlog theta_p for C = kernel_scale_direction, shape (4, n, n)
+    ordered as PARAM_NAMES (zero for parameters the kernel does not read).
+    C is linear in s, so D_s = C for every kernel."""
+    X, _ = _check_inputs(X, X)
+    out = np.zeros((4, X.shape[0], X.shape[0]))
+    K = kernel_matrix(kind, params, X, X)
+    if kind is KernelKind.GAUSSIAN:
+        # C = K (1 + r) with r = d^2 / l^2, and dr/dlog l = -2 r.
+        r = cdist(X, X, metric="sqeuclidean") / params.l ** 2
+        out[0], out[1] = K * (1.0 + r), K * r * (r - 1.0)
+    elif kind is KernelKind.RATIONAL_QUADRATIC:
+        # C = K c with c = 1 + a (3 f - log(1 + u)) and f = u / (1 + u);
+        # dlog u = -2 dlog l - dlog a, and u dc/du = a f (2 - u) / (1 + u).
+        a = params.alpha
+        u = cdist(X, X, metric="sqeuclidean") / (2.0 * a * params.l ** 2)
+        f, lg = u / (1.0 + u), np.log1p(u)
+        c, u_dc_du = 1.0 + a * (3.0 * f - lg), a * f * (2.0 - u) / (1.0 + u)
+        out[0] = K * c
+        out[1] = K * (2.0 * a * f * c - 2.0 * u_dc_du)
+        out[2] = K * (a * (f - lg) * c + a * (3.0 * f - lg) - u_dc_du)
+    elif kind is KernelKind.DOT_PRODUCT:
+        # C = K + 2 s sigma_dp^2, whose offset grows as s sigma_dp^2.
+        offset = 2.0 * params.s * params.sigma_dp ** 2
+        out[0], out[3] = K + offset, 3.0 * offset
+    return out

@@ -13,8 +13,8 @@ the masked environment likelihood under a common rescaling of the
 exponentiated parameters. At a parameterization that fits both environments
 equally well those derivatives vanish, so the penalty rewards invariance.
 
-All gradients are closed form except the theta-derivative of the penalty,
-which is central finite differences.
+Every gradient is closed form, and each parameter point is factorized once,
+into the TrainState that all quantities of a training round read.
 
 `ModelSpec` holds every setting of one model, and `fit_model` is the single
 standardize -> train -> factorize path shared by fit-eval, BO and the CLI.
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -33,14 +34,12 @@ from scipy.special import expit
 from .data import Dataset, Standardizer, fit_standardizer
 from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                          NotPositiveDefinite, TrainingAbort)
-from .gp import (GPPosterior, NoiseSpec, _factor, _gaussian_quad_ll, _validate_xy,
-                 fit_posterior, lml_value_and_grad)
-from .kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams,
-                      kernel_scale_direction)
+from .gp import (GPPosterior, NoiseSpec, _factor, _gaussian_quad_ll, _lml_grad,
+                 _validate_xy, fit_posterior)
+from .kernels import (KernelKind, KernelParams, kernel_grads, kernel_scale_direction,
+                      kernel_scale_direction_grads)
 from .rng import rng_for
 
-# Central-difference step in the log-parameters for the penalty's theta-gradient.
-_H_THETA = 1e-4
 _MAX_HALVINGS = 8
 
 # Model names accepted across the package; gp_* are plain GPs with the named
@@ -148,16 +147,6 @@ class TraceRecord:
     params: KernelParams
     noise_sigma2: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "objective": self.objective,
-            "penalty": self.penalty,
-            "per_env_grad": list(self.per_env_grad),
-            "params": self.params.to_dict(),
-            "noise_sigma2": self.noise_sigma2,
-        }
-
 
 @dataclass
 class TrainTrace:
@@ -168,50 +157,79 @@ class TrainTrace:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in self.records)
+        return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in self.records)
 
 
 class TrainState:
-    """Data and factorizations cached at the current parameters.
+    """Everything training reads at one parameter point, from one factorization.
 
-    The parameters are fixed while the logits move, so the pieces the ascent
-    needs repeatedly are computed once here: the sandwich matrix
-    M = A^-1 C A^-1 (A = K + sigma^2 I, C = sum_p dK/dlog theta_p) and
-    tr(A^-1 C). One ascent step then costs O(n^2).
+    With A = K + sigma^2 I and C = sum_p K_p (K_p = dK/dlog theta_p), the
+    state keeps the log marginal likelihood, alpha = A^-1 y, the dense A^-1
+    and, once the penalty first needs it, C with tr(A^-1 C). K_p, dC/dlog
+    theta_p and M = A^-1 C A^-1 live only in the call that reads them; an
+    ascent step takes M v as A^-1 (C (A^-1 v)) in O(n^2).
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
         X, y = _validate_xy(X, y)
-        self.kind = kind
-        self.noise = noise
-        self.X = X
-        self.y = y
-        n = X.shape[0]
+        self.kind, self.params, self.noise, self.X, self.y = kind, params, noise, X, y
         L, _ = _factor(kind, params, noise, X)
-        A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
-        C = kernel_scale_direction(kind, params, X)
-        self.M = A_inv @ C @ A_inv
-        self.tr_AinvC = float(np.einsum("ij,ij->", A_inv, C))
+        self.lml, self.alpha = _gaussian_quad_ll(L, y)
+        self.A_inv = cho_solve((L, True), np.eye(X.shape[0]), check_finite=False)
 
-    def per_env_scale_grads(self, m0: np.ndarray, m1: np.ndarray) -> tuple[float, float]:
-        """d/dw of each environment's masked likelihood at w = 1."""
-        g0, g1 = (float(0.5 * (v @ self.M @ v) - 0.5 * self.tr_AinvC)
-                  for v in (self.y * m0, self.y * m1))
-        return g0, g1
+    @cached_property
+    def C(self) -> np.ndarray:
+        return kernel_scale_direction(self.kind, self.params, self.X)
 
-    def penalty(self, logits: DomainLogits) -> PenaltyReport:
-        m0, m1 = env_masks(logits)
-        g0, g1 = self.per_env_scale_grads(m0, m1)
+    @cached_property
+    def tr_AinvC(self) -> float:
+        return float(np.einsum("ij,ij->", self.A_inv, self.C))
+
+    def _env_terms(self, m0: np.ndarray, m1: np.ndarray):
+        """Per environment e: g_e = 1/2 a^T C a - 1/2 tr(A^-1 C), the derivative
+        at w = 1 of its masked likelihood, with a = A^-1 (y m_e) and C a."""
+        out = []
+        for m in (m0, m1):
+            a = self.A_inv @ (self.y * m)
+            Ca = self.C @ a
+            out.append((float(0.5 * (a @ Ca) - 0.5 * self.tr_AinvC), a, Ca))
+        return out
+
+    def penalty(self, m0: np.ndarray, m1: np.ndarray) -> PenaltyReport:
+        g0, g1 = (g for g, _, _ in self._env_terms(m0, m1))
         return PenaltyReport(g0 * g0 + g1 * g1, (g0, g1))
 
     def grad_q(self, logits: DomainLogits) -> np.ndarray:
         """Gradient of the penalty in the logits."""
         m0, m1 = env_masks(logits)
-        g0, g1 = self.per_env_scale_grads(m0, m1)
-        v0 = self.y * m0
-        v1 = self.y * m1
-        sig_prime = m0 * m1
-        return 2.0 * self.y * sig_prime * (g0 * (self.M @ v0) - g1 * (self.M @ v1))
+        (g0, _, Ca0), (g1, _, Ca1) = self._env_terms(m0, m1)
+        return 2.0 * self.y * (m0 * m1) * (self.A_inv @ (g0 * Ca0 - g1 * Ca1))
+
+    def objective_grad(self, masks, lam: float) -> np.ndarray:
+        """Gradient of -LML + lam * penalty in the four log-parameters at fixed
+        masks (m0, m1). With lam = 0 the masks are not read."""
+        Kp = kernel_grads(self.kind, self.params, self.X)
+        g = -_lml_grad(Kp, self.alpha, self.A_inv)
+        if lam != 0.0:
+            g = g + lam * self._penalty_theta_grad(Kp, *masks)
+        return g
+
+    def _penalty_theta_grad(self, Kp: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+        """The penalty's gradient in the log-parameters, from the trace identity
+        applied to g_e (dA/dlog theta_p = K_p, dC/dlog theta_p = D_p):
+
+            dg_e/dtheta_p = -a^T K_p A^-1 C a + 1/2 a^T D_p a
+                            + 1/2 tr(K_p M) - 1/2 tr(A^-1 D_p).
+        """
+        A_inv = self.A_inv
+        D = kernel_scale_direction_grads(self.kind, self.params, self.X)
+        shared = -0.5 * np.einsum("pij,ij->p", D, A_inv)
+        shared += 0.5 * np.einsum("pij,ij->p", Kp, A_inv @ self.C @ A_inv)
+        grad = np.zeros(4)
+        for g, a, Ca in self._env_terms(m0, m1):
+            dg = -(Kp @ (A_inv @ Ca)) @ a + 0.5 * (D @ a) @ a + shared
+            grad += 2.0 * g * dg
+        return grad
 
 
 def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
@@ -221,7 +239,7 @@ def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     g_e is the derivative, at w = 1, of the environment-masked likelihood
     when every exponentiated kernel parameter is multiplied by the scalar w.
     """
-    return TrainState(kind, params, noise, X, y).penalty(logits)
+    return TrainState(kind, params, noise, X, y).penalty(*env_masks(logits))
 
 
 def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> DomainLogits:
@@ -233,64 +251,26 @@ def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> D
     return DomainLogits(logits.q_tilde + eta1 * g)
 
 
-def _penalty_at(kind: KernelKind, X, y, params: KernelParams, noise: NoiseSpec,
-                m0: np.ndarray, m1: np.ndarray) -> tuple[float, tuple[float, float]]:
-    """Penalty for fixed masks at arbitrary parameters."""
-    n = X.shape[0]
-    L, _ = _factor(kind, params, noise, X)
-    A_inv = cho_solve((L, True), np.eye(n), check_finite=False)
-    C = kernel_scale_direction(kind, params, X)
-    tr = float(np.einsum("ij,ij->", A_inv, C))
-    gs = []
-    for m in (m0, m1):
-        am = cho_solve((L, True), y * m, check_finite=False)
-        gs.append(float(0.5 * (am @ C @ am) - 0.5 * tr))
-    g0, g1 = gs
-    return g0 * g0 + g1 * g1, (g0, g1)
-
-
-def _penalty_theta_grad(kind: KernelKind, X, y, params: KernelParams, noise: NoiseSpec,
-                        m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Central finite differences of the penalty in the log-parameters."""
-    g = np.zeros(4)
-    for p_idx, name in enumerate(PARAM_NAMES):
-        # Parameters the kernel never reads leave the penalty unchanged.
-        if name not in ACTIVE_PARAMS[kind]:
-            continue
-        pp, _ = _penalty_at(kind, X, y, params.shifted(name, _H_THETA), noise, m0, m1)
-        pm, _ = _penalty_at(kind, X, y, params.shifted(name, -_H_THETA), noise, m0, m1)
-        g[p_idx] = (pp - pm) / (2.0 * _H_THETA)
-    return g
-
-
-def _descent_step(kind: KernelKind, X, y, params: KernelParams, noise: NoiseSpec,
-                  m0, m1, eta2: float, lam: float):
-    """One descent step on NLL + lam * penalty with step-halving on failure.
-
-    A trial step whose objective is non-finite (or whose covariance cannot be
-    factorized) is rejected and the step size halved, up to _MAX_HALVINGS
-    times; after that the step aborts. With lam = 0 the masks are not read.
-    """
-    _, lml_grad = lml_value_and_grad(kind, params, noise, X, y)
-    g = -lml_grad
-    if lam != 0.0:
-        g = g + lam * _penalty_theta_grad(kind, X, y, params, noise, m0, m1)
-    theta = params.as_array()
+def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
+             g: np.ndarray, eta2: float, lam: float, masks
+             ) -> tuple[TrainState, float, PenaltyReport]:
+    """The state, objective -LML + lam * penalty and penalty at the masks
+    (zero without masks) after one step from theta along -g. A trial point
+    whose objective is non-finite (or whose covariance cannot be factorized)
+    is rejected and the step halved, up to _MAX_HALVINGS times; then the
+    step aborts."""
     eta = float(eta2)
     for _ in range(_MAX_HALVINGS + 1):
         try:
-            p2 = KernelParams.from_array(theta - eta * g)
-            L, _ = _factor(kind, p2, noise, X)
-            obj2 = -_gaussian_quad_ll(L, y)
+            state = TrainState(kind, KernelParams.from_array(theta - eta * g), noise, X, y)
+            pen = state.penalty(*masks) if masks else PenaltyReport(0.0, (0.0, 0.0))
+            obj = -state.lml
             if lam != 0.0:
-                pen2, per_env2 = _penalty_at(kind, X, y, p2, noise, m0, m1)
-                obj2 = obj2 + lam * pen2
-            else:
-                pen2, per_env2 = 0.0, (0.0, 0.0)
+                obj += lam * pen.penalty
         except (NonFiniteInput, NotPositiveDefinite, OverflowError):
-            obj2 = math.inf
-        if math.isfinite(obj2):
-            return p2, {"objective": obj2, "penalty": pen2, "per_env_grad": per_env2}
+            obj = math.inf
+        if math.isfinite(obj):
+            return state, obj, pen
         eta *= 0.5
     raise TrainingAbort(
         f"objective stayed non-finite after {_MAX_HALVINGS} step halvings "
@@ -299,11 +279,13 @@ def _descent_step(kind: KernelKind, X, y, params: KernelParams, noise: NoiseSpec
 
 def outer_descent_step(params: KernelParams, logits: DomainLogits, state: TrainState,
                        eta2: float, lam: float) -> KernelParams:
-    """One parameter update on NLL + lam * penalty at fixed logits."""
-    m0, m1 = env_masks(logits)
-    p2, _ = _descent_step(state.kind, state.X, state.y, params, state.noise,
-                          m0, m1, eta2, lam)
-    return p2
+    """One parameter update on NLL + lam * penalty at fixed logits, from the
+    state built at params."""
+    masks = env_masks(logits)
+    g = state.objective_grad(masks, lam)
+    new, _, _ = _descend(state.kind, state.noise, state.X, state.y, params.as_array(),
+                         g, eta2, lam, masks)
+    return new.params
 
 
 def init_logits(n: int, seed: int) -> DomainLogits:
@@ -311,6 +293,38 @@ def init_logits(n: int, seed: int) -> DomainLogits:
     exactly symmetric point, where the penalty gradient can vanish."""
     rng = rng_for(seed, "domain-logits")
     return DomainLogits(0.1 * rng.standard_normal(n))
+
+
+def _train(spec: ModelSpec, X, y, logits: DomainLogits | None
+           ) -> tuple[KernelParams, DomainLogits | None, TrainTrace]:
+    """The outer loop of both trainers; without logits there is no ascent
+    and no penalty. Each round reads one TrainState, and the state of the
+    accepted step becomes the next round's, so t1 rounds factorize t1 + 1
+    times (plus one per step halving)."""
+    kind, noise = spec.kind, spec.noise
+    lam = spec.lam if logits is not None else 0.0
+    params, masks = KernelParams(), None
+    trace = TrainTrace()
+    state = TrainState(kind, params, noise, X, y) if spec.t1 else None
+    for t in range(1, spec.t1 + 1):
+        try:
+            if logits is not None:
+                for _ in range(spec.t2):
+                    logits = inner_ascent_step(logits, state, spec.eta1)
+                masks = env_masks(logits)
+            g = state.objective_grad(masks, lam)
+            # Release this point's factorization before the trial one is built.
+            del state
+            state, obj, pen = _descend(kind, noise, X, y, params.as_array(), g,
+                                       spec.eta2, lam, masks)
+        except TrainingAbort as exc:
+            trace.aborted = True
+            exc.trace = trace
+            raise
+        params = state.params
+        trace.records.append(TraceRecord(t, obj, pen.penalty, pen.per_env_grad,
+                                         params, noise.sigma2))
+    return params, logits, trace
 
 
 def train_dil_gp(spec: ModelSpec, X, y, seed: int
@@ -330,49 +344,15 @@ def train_dil_gp(spec: ModelSpec, X, y, seed: int
     if n < 4:
         raise DimensionMismatch(f"need at least 4 training points to split, got {n}",
                                 (n,), None)
-    kind, noise = spec.kind, spec.noise
-    logits = init_logits(n, seed)
-    params = KernelParams()
-    trace = TrainTrace()
-    for t in range(1, spec.t1 + 1):
-        try:
-            state = TrainState(kind, params, noise, X, y)
-            for _ in range(spec.t2):
-                logits = inner_ascent_step(logits, state, spec.eta1)
-            m0, m1 = env_masks(logits)
-            params, info = _descent_step(kind, X, y, params, noise, m0, m1,
-                                         spec.eta2, spec.lam)
-        except TrainingAbort as exc:
-            trace.aborted = True
-            exc.trace = trace
-            raise
-        if spec.lam != 0.0:
-            pen, per_env = info["penalty"], info["per_env_grad"]
-        else:
-            pen, per_env = _penalty_at(kind, X, y, params, noise, m0, m1)
-        trace.records.append(TraceRecord(t, info["objective"], pen, per_env,
-                                         params, noise.sigma2))
-    return params, logits, trace
+    return _train(spec, X, y, init_logits(n, seed))
 
 
 def train_vanilla_gp(spec: ModelSpec, X, y) -> tuple[KernelParams, TrainTrace]:
     """Plain maximum-likelihood training from KernelParams(): spec.t1
-    descent steps on the NLL alone at rate spec.eta2, sharing the step
-    routine with train_dil_gp."""
+    descent steps on the NLL alone at rate spec.eta2, sharing the round
+    loop with train_dil_gp."""
     X, y = _validate_xy(X, y)
-    kind, noise = spec.kind, spec.noise
-    params = KernelParams()
-    trace = TrainTrace()
-    for t in range(1, spec.t1 + 1):
-        try:
-            params, info = _descent_step(kind, X, y, params, noise, None, None,
-                                         spec.eta2, 0.0)
-        except TrainingAbort as exc:
-            trace.aborted = True
-            exc.trace = trace
-            raise
-        trace.records.append(TraceRecord(t, info["objective"], 0.0, (0.0, 0.0),
-                                         params, noise.sigma2))
+    params, _, trace = _train(spec, X, y, None)
     return params, trace
 
 

@@ -194,7 +194,9 @@ def test_model_flags_are_generated_from_spec_fields():
     ["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian", "--eta2", "-0.5"],
     ["bo", "--t-bo", "0"],
     ["bo", "--sigma2", "0"],
-], ids=["t1", "t2", "sweep", "eta2", "t_bo", "sigma2"])
+    ["fit-eval", "--train-csv", "train.csv", "--test-csv", "test.csv",
+     "--model", "gp_gaussian", "--sweep", "3"],
+], ids=["t1", "t2", "sweep", "eta2", "t_bo", "sigma2", "csv_sweep"])
 def test_invalid_settings_report_error(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1

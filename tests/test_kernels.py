@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from dilgp.exceptions import DimensionMismatch, NonFiniteInput
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, kernel_diag, kernel_grads,
-                           kernel_matrix, kernel_scale_direction)
+                           kernel_matrix, kernel_scale_direction,
+                           kernel_scale_direction_grads)
 
 ALL_KINDS = list(KernelKind)
 
@@ -134,14 +135,13 @@ def test_kernel_diag_matches_full_matrix():
         assert_allclose(got, want, rtol=1e-12)
 
 
-def _fd_param_grad(kind, params, X, name, h=1e-6):
-    kp = params.shifted(name, h)
-    km = params.shifted(name, -h)
-    return (kernel_matrix(kind, kp, X, X) - kernel_matrix(kind, km, X, X)) / (2 * h)
+def _fd_param_grad(matrix, params, name, h=1e-6):
+    return (matrix(params.shifted(name, h)) - matrix(params.shifted(name, -h))) / (2 * h)
 
 
 def test_kernel_grads_match_finite_differences():
-    # independent FD oracle over every active log-parameter
+    # independent FD oracle over every active log-parameter, for the Gram
+    # matrix K and for the scale direction C = sum_p dK/dlog theta_p
     for seed in range(20):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(6, 2))
@@ -149,13 +149,16 @@ def test_kernel_grads_match_finite_differences():
                          log_alpha=rng.normal() * 0.3, log_sigma_dp=rng.normal() * 0.3)
         for kind in ALL_KINDS:
             grads = kernel_grads(kind, p, X)
-            assert grads.shape == (4, 6, 6)
+            D = kernel_scale_direction_grads(kind, p, X)
+            assert grads.shape == D.shape == (4, 6, 6)
             for i, name in enumerate(PARAM_NAMES):
                 if name in ACTIVE_PARAMS[kind]:
-                    fd = _fd_param_grad(kind, p, X, name)
+                    fd = _fd_param_grad(lambda q: kernel_matrix(kind, q, X, X), p, name)
                     assert_allclose(grads[i], fd, rtol=2e-5, atol=1e-8)
+                    fd = _fd_param_grad(lambda q: kernel_scale_direction(kind, q, X), p, name)
+                    assert_allclose(D[i], fd, rtol=2e-5, atol=1e-8)
                 elif name != "log_s":
-                    assert np.all(grads[i] == 0.0)
+                    assert np.all(grads[i] == 0.0) and np.all(D[i] == 0.0)
 
 
 def test_scale_direction_is_dK_dw():

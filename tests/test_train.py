@@ -3,12 +3,14 @@ invariance penalty and its gradients (checked against finite-difference
 oracles computed here), the descent/ascent steps, and the full loop's
 reduction, determinism and abort behavior."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dilgp.data import gen_synthetic_1d, standardize_fit_transform
+from dilgp import train as train_mod
+from dilgp.data import fit_standardizer, gen_synthetic_1d
 from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               TrainingAbort)
 from dilgp.gp import NoiseSpec, env_log_likelihood, log_marginal_likelihood
@@ -176,8 +178,8 @@ def test_partition_discovery_on_shifted_clusters():
     # tell the two generating clusters apart on most seeds
     hits = 0
     for s in range(5):
-        train, test = gen_synthetic_1d(s)
-        tr, _, _ = standardize_fit_transform(train, test)
+        train, _ = gen_synthetic_1d(s)
+        tr = fit_standardizer(train).transform(train)
         spec = ModelSpec(t1=100, t2=10, eta1=0.1, eta2=0.005, lam=0.01, sigma2=0.4)
         _, logits, _ = train_dil_gp(spec, tr.x, tr.y, s)
         m0, _ = env_masks(logits)
@@ -217,26 +219,26 @@ def test_combined_objective_gradient_matches_fd():
     h = 1e-4
     lam = 0.7
     eta = 1e-4
-    for seed in range(6):
+    for kind, seed in itertools.product(KernelKind, range(6)):
         rng = rng_for(seed, "outer-fd")
         X, y, logits = toy(seed)
         params = rand_params(rng)
         noise = NoiseSpec(0.25)
-        state = TrainState(GAUSS, params, noise, X, y)
+        state = TrainState(kind, params, noise, X, y)
         after = outer_descent_step(params, logits, state, eta, lam)
         implied = (params.as_array() - after.as_array()) / eta
 
         def objective(p):
-            nll = -log_marginal_likelihood(GAUSS, p, noise, X, y)
-            return nll + lam * irm_penalty(GAUSS, p, noise, X, y, logits).penalty
+            nll = -log_marginal_likelihood(kind, p, noise, X, y)
+            return nll + lam * irm_penalty(kind, p, noise, X, y, logits).penalty
 
         for idx, name in enumerate(PARAM_NAMES):
-            if name not in ACTIVE_PARAMS[GAUSS]:
+            if name not in ACTIVE_PARAMS[kind]:
                 assert implied[idx] == 0.0
                 continue
             want = (objective(params.shifted(name, h))
                     - objective(params.shifted(name, -h))) / (2.0 * h)
-            assert abs(implied[idx] - want) <= 1e-3 * max(1.0, abs(want))
+            assert abs(implied[idx] - want) <= 1e-3 * max(1.0, abs(want)), (kind, seed, name)
 
 
 def test_label_swap_leaves_outer_step_unchanged():
@@ -280,6 +282,27 @@ def test_trace_serializes_to_jsonl():
     assert len(lines) == 3
     rec = json.loads(lines[0])
     assert set(rec) >= {"step", "objective", "penalty", "per_env_grad", "params"}
+
+
+def test_one_factorization_per_round(monkeypatch):
+    # the state of each accepted step is the next round's: t1 rounds
+    # factorize t1 + 1 times when no step is halved
+    calls = []
+    real_factor = train_mod._factor
+
+    def counting_factor(*args):
+        calls.append(args[1])
+        return real_factor(*args)
+
+    monkeypatch.setattr(train_mod, "_factor", counting_factor)
+    X, y, _ = toy(8, n=10)
+    spec = ModelSpec(t1=7, t2=3, eta1=0.1, eta2=0.01, lam=0.5, sigma2=0.2)
+    params, _, trace = train_dil_gp(spec, X, y, 11)
+    assert len(trace) == 7 and len(calls) == spec.t1 + 1
+    assert calls[0] == KernelParams() and calls[-1] == params
+    calls.clear()
+    train_vanilla_gp(replace(spec, model="gp_gaussian"), X, y)
+    assert len(calls) == spec.t1 + 1
 
 
 def test_too_few_points_rejected():

@@ -30,6 +30,9 @@ from .train import ModelSpec, fit_model
 N_GLOBAL_CANDIDATES = 1024
 N_LOCAL_CANDIDATES = 64
 LOCAL_STD_FRACTION = 0.05
+# Confidence parameter delta of the beta_t schedule.
+BETA_DELTA = 0.1
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -75,18 +78,6 @@ class BOState:
     n_init: int = 0
     rng_seed: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "queried_x": self.queried_x.tolist(),
-            "queried_f": self.queried_f.tolist(),
-            "incumbent_x": self.incumbent_x.tolist(),
-            "incumbent_f": self.incumbent_f,
-            "sigma_history": list(self.sigma_history),
-            "failed_steps": list(self.failed_steps),
-            "n_init": self.n_init,
-            "rng_seed": self.rng_seed,
-        }
-
 
 @dataclass
 class RegretDiagnostics:
@@ -95,17 +86,6 @@ class RegretDiagnostics:
     regret_bound: np.ndarray
     cum_regret: np.ndarray | None = None
     sigma2_noise: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "beta": self.beta.tolist(),
-            "info_gain": self.info_gain.tolist(),
-            "regret_bound": self.regret_bound.tolist(),
-            "sigma2_noise": self.sigma2_noise,
-        }
-        if self.cum_regret is not None:
-            out["cum_regret"] = self.cum_regret.tolist()
-        return out
 
 
 def acquisition_ucb(mean, std, beta_t: float):
@@ -204,7 +184,7 @@ def _initial_info_gain(post: GPPosterior, sigma2: float) -> float:
 
 def bo_run(objective, space: SearchSpace, spec: ModelSpec,
            acq: str, t_bo: int, n_init: int = 5, seed: int = 0,
-           delta: float = 0.1, f_star: float | None = None
+           f_star: float | None = None
            ) -> tuple[BOState, RegretDiagnostics]:
     """Sequential minimization loop with per-step regret diagnostics.
 
@@ -253,7 +233,7 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
                             rng_for(seed, "surrogate", t).integers(2 ** 31).item())
         if t == 1:
             cum_gain = _initial_info_gain(sur.post, sigma2)
-        beta_t = beta_schedule(t, float(np.max(np.abs(f))), sigma, cum_gain, delta)
+        beta_t = beta_schedule(t, float(np.max(np.abs(f))), sigma, cum_gain, BETA_DELTA)
         if acq == "ucb":
             acq_fn = functools.partial(acquisition_ucb, beta_t=beta_t)
         else:

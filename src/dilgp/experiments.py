@@ -21,14 +21,13 @@ from .rng import rng_for
 from .train import ModelSpec, fit_model
 
 
-# Per-dataset defaults, selected from the sweep grids
+# Per-dataset settings, selected from the sweep grids
 # lam in {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 1.5, 2, 3} and
 # lr in {0.0001, 0.0005, 0.001, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5}.
-# sigma2 is in standardized-output units and is shared by both models;
-# the generic 0.01 default drives either model into a collapsed fit on
-# these benchmarks, so the calibrated values below override it.
+# sigma2 is in standardized-output units and is shared by both models.
+# ModelSpec() is the synthetic_1d calibration, so only the datasets whose
+# calibration differs from it are listed.
 DATASET_DEFAULTS = {
-    "synthetic_1d": {"eta1": 0.1, "eta2": 0.005, "lam": 0.01, "sigma2": 0.4},
     "synthetic_2d": {"eta1": 0.1, "eta2": 0.001, "lam": 0.01, "sigma2": 0.3},
 }
 

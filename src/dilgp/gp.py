@@ -1,9 +1,12 @@
 """Exact Gaussian-process regression via Cholesky factorization.
 
-Everything here works on a fixed kernel: fitting computes the factorization
-of K + sigma^2 I once, prediction and likelihood evaluations reuse it.
-Per-environment likelihoods mask the residual inside both quadratic-form
-factors while keeping the full-data log-determinant and normalizer.
+Everything here works on a fixed kernel. fit_posterior is the only place
+K + sigma^2 I is factorized: the posterior it returns carries the factor,
+alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood, and
+prediction, the likelihood and its gradient read them (so does training,
+through train.TrainState). Per-environment likelihoods mask the residual
+inside both quadratic-form factors while keeping the full-data
+log-determinant and normalizer.
 """
 
 from __future__ import annotations
@@ -119,19 +122,24 @@ class GPPosterior:
     chol: np.ndarray          # lower triangular L with L L^T = K + sigma^2 I (+ jitter)
     alpha_vec: np.ndarray     # (K + sigma^2 I)^-1 y
     jitter: float
+    lml: float                # log marginal likelihood of y
 
 
 def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                   X, y) -> GPPosterior:
-    """Zero-mean posterior; callers standardize y when its mean matters."""
+    """Zero-mean posterior; callers standardize y when its mean matters.
+
+    The posterior keeps a read-only view of X, so the caller's array stays
+    writeable."""
     X, y = _validate_xy(X, y)
     if X.shape[0] < 1:
         raise DimensionMismatch("need at least one training point", X.shape, None)
     L, jitter = _factor(kind, params, noise, X)
-    alpha = cho_solve((L, True), y, check_finite=False)
+    lml, alpha = _gaussian_quad_ll(L, y)
+    X = X.view()
     for a in (X, L, alpha):
         a.flags.writeable = False
-    return GPPosterior(kind, params, noise, X, L, alpha, jitter)
+    return GPPosterior(kind, params, noise, X, L, alpha, jitter, lml)
 
 
 def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +166,7 @@ def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
 
 def log_marginal_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                             X, y) -> float:
-    X, y = _validate_xy(X, y)
-    L, _ = _factor(kind, params, noise, X)
-    return _gaussian_quad_ll(L, y)[0]
+    return fit_posterior(kind, params, noise, X, y).lml
 
 
 def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
@@ -178,8 +184,8 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                                 mask.shape, y.shape)
     if not np.all(np.isfinite(mask)) or np.any(mask < 0.0) or np.any(mask > 1.0):
         raise NonFiniteInput("mask entries must lie in [0, 1]")
-    L, _ = _factor(kind, params, noise, X)
-    return _gaussian_quad_ll(L, y * mask)[0]
+    post = fit_posterior(kind, params, noise, X, y)
+    return _gaussian_quad_ll(post.chol, y * mask)[0]
 
 
 def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
@@ -192,8 +198,7 @@ def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> np.nda
 
 def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
     """Log marginal likelihood and its gradient in the four log-parameters."""
-    X, y = _validate_xy(X, y)
-    L, _ = _factor(kind, params, noise, X)
-    val, alpha = _gaussian_quad_ll(L, y)
-    A_inv = cho_solve((L, True), np.eye(X.shape[0]), check_finite=False)
-    return val, _lml_grad(kernel_grads(kind, params, X), alpha, A_inv)
+    post = fit_posterior(kind, params, noise, X, y)
+    X = post.train_x
+    A_inv = cho_solve((post.chol, True), np.eye(X.shape[0]), check_finite=False)
+    return post.lml, _lml_grad(kernel_grads(kind, params, X), post.alpha_vec, A_inv)

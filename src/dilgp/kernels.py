@@ -172,19 +172,12 @@ def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nd
     return out
 
 
-def kernel_scale_direction(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
-    """d/dw K(w * theta) at w = 1, where w multiplies the exponentiated parameters.
-
-    By the chain rule this is the sum of the log-space derivative matrices.
-    """
-    return kernel_grads(kind, params, X).sum(axis=0)
-
-
 def kernel_scale_direction_grads(kind: KernelKind, params: KernelParams,
                                  X: np.ndarray) -> np.ndarray:
-    """D_p = dC/dlog theta_p for C = kernel_scale_direction, shape (4, n, n)
-    ordered as PARAM_NAMES (zero for parameters the kernel does not read).
-    C is linear in s, so D_s = C for every kernel."""
+    """D_p = dC/dlog theta_p, shape (4, n, n) ordered as PARAM_NAMES (zero
+    for parameters the kernel does not read). C = d/dw K(w * theta) at w = 1,
+    with w multiplying every exponentiated parameter, is by the chain rule
+    kernel_grads(...).sum(0). C is linear in s, so D_s = C for every kernel."""
     X, _ = _check_inputs(X, X)
     out = np.zeros((4, X.shape[0], X.shape[0]))
     K = kernel_matrix(kind, params, X, X)

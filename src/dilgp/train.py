@@ -13,11 +13,13 @@ the masked environment likelihood under a common rescaling of the
 exponentiated parameters. At a parameterization that fits both environments
 equally well those derivatives vanish, so the penalty rewards invariance.
 
-Every gradient is closed form, and each parameter point is factorized once,
-into the TrainState that all quantities of a training round read.
+Every gradient is closed form. Each parameter point is factorized once, by
+gp.fit_posterior, into the TrainState that all quantities of a training
+round read, and the state of the last accepted step holds the posterior
+that prediction uses.
 
 `ModelSpec` holds every setting of one model, and `fit_model` is the single
-standardize -> train -> factorize path shared by fit-eval, BO and the CLI.
+standardize -> train path shared by fit-eval, BO and the CLI.
 """
 
 from __future__ import annotations
@@ -34,10 +36,8 @@ from scipy.special import expit
 from .data import Dataset, Standardizer, fit_standardizer
 from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                          NotPositiveDefinite, TrainingAbort)
-from .gp import (GPPosterior, NoiseSpec, _factor, _gaussian_quad_ll, _lml_grad,
-                 _validate_xy, fit_posterior)
-from .kernels import (KernelKind, KernelParams, kernel_grads, kernel_scale_direction,
-                      kernel_scale_direction_grads)
+from .gp import GPPosterior, NoiseSpec, _lml_grad, _validate_xy, fit_posterior
+from .kernels import KernelKind, KernelParams, kernel_grads, kernel_scale_direction_grads
 from .rng import rng_for
 
 _MAX_HALVINGS = 8
@@ -62,16 +62,17 @@ class ModelSpec:
     t2, eta1 and lam drive the partition ascent and the penalty, and only
     dil_gp reads them. sigma2 is the observation noise variance in the units
     the model is trained in (standardized units when standardize is set).
-    Training always starts from KernelParams().
+    Training always starts from KernelParams(). The defaults are the
+    synthetic_1d calibration.
     """
 
     model: str = "dil_gp"
     t1: int = 100
     t2: int = 10
     eta1: float = 0.1
-    eta2: float = 0.05
-    lam: float = 1.0
-    sigma2: float = 0.01
+    eta2: float = 0.005
+    lam: float = 0.01
+    sigma2: float = 0.4
     standardize: bool = True
 
     def __post_init__(self):
@@ -161,25 +162,32 @@ class TrainTrace:
 
 
 class TrainState:
-    """Everything training reads at one parameter point, from one factorization.
+    """Everything training reads at one parameter point, built on its posterior.
 
-    With A = K + sigma^2 I and C = sum_p K_p (K_p = dK/dlog theta_p), the
-    state keeps the log marginal likelihood, alpha = A^-1 y, the dense A^-1
-    and, once the penalty first needs it, C with tr(A^-1 C). K_p, dC/dlog
-    theta_p and M = A^-1 C A^-1 live only in the call that reads them; an
-    ascent step takes M v as A^-1 (C (A^-1 v)) in O(n^2).
+    With A = K + sigma^2 I, the posterior (the one factorization of A) holds
+    the log marginal likelihood and alpha = A^-1 y. The dense A^-1, the stack
+    K_p = dK/dlog theta_p, C = sum_p K_p and tr(A^-1 C) are formed once each,
+    on first use, so a plain-GP round never builds C. dC/dlog theta_p and
+    M = A^-1 C A^-1 live only in the call that reads them; an ascent step
+    takes M v as A^-1 (C (A^-1 v)) in O(n^2).
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
         X, y = _validate_xy(X, y)
+        self.post = fit_posterior(kind, params, noise, X, y)
         self.kind, self.params, self.noise, self.X, self.y = kind, params, noise, X, y
-        L, _ = _factor(kind, params, noise, X)
-        self.lml, self.alpha = _gaussian_quad_ll(L, y)
-        self.A_inv = cho_solve((L, True), np.eye(X.shape[0]), check_finite=False)
+
+    @cached_property
+    def A_inv(self) -> np.ndarray:
+        return cho_solve((self.post.chol, True), np.eye(self.X.shape[0]), check_finite=False)
+
+    @cached_property
+    def Kp(self) -> np.ndarray:
+        return kernel_grads(self.kind, self.params, self.X)
 
     @cached_property
     def C(self) -> np.ndarray:
-        return kernel_scale_direction(self.kind, self.params, self.X)
+        return self.Kp.sum(axis=0)
 
     @cached_property
     def tr_AinvC(self) -> float:
@@ -208,20 +216,19 @@ class TrainState:
     def objective_grad(self, masks, lam: float) -> np.ndarray:
         """Gradient of -LML + lam * penalty in the four log-parameters at fixed
         masks (m0, m1). With lam = 0 the masks are not read."""
-        Kp = kernel_grads(self.kind, self.params, self.X)
-        g = -_lml_grad(Kp, self.alpha, self.A_inv)
+        g = -_lml_grad(self.Kp, self.post.alpha_vec, self.A_inv)
         if lam != 0.0:
-            g = g + lam * self._penalty_theta_grad(Kp, *masks)
+            g = g + lam * self._penalty_theta_grad(*masks)
         return g
 
-    def _penalty_theta_grad(self, Kp: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
         """The penalty's gradient in the log-parameters, from the trace identity
         applied to g_e (dA/dlog theta_p = K_p, dC/dlog theta_p = D_p):
 
             dg_e/dtheta_p = -a^T K_p A^-1 C a + 1/2 a^T D_p a
                             + 1/2 tr(K_p M) - 1/2 tr(A^-1 D_p).
         """
-        A_inv = self.A_inv
+        A_inv, Kp = self.A_inv, self.Kp
         D = kernel_scale_direction_grads(self.kind, self.params, self.X)
         shared = -0.5 * np.einsum("pij,ij->p", D, A_inv)
         shared += 0.5 * np.einsum("pij,ij->p", Kp, A_inv @ self.C @ A_inv)
@@ -264,7 +271,7 @@ def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
         try:
             state = TrainState(kind, KernelParams.from_array(theta - eta * g), noise, X, y)
             pen = state.penalty(*masks) if masks else PenaltyReport(0.0, (0.0, 0.0))
-            obj = -state.lml
+            obj = -state.post.lml
             if lam != 0.0:
                 obj += lam * pen.penalty
         except (NonFiniteInput, NotPositiveDefinite, OverflowError):
@@ -295,17 +302,28 @@ def init_logits(n: int, seed: int) -> DomainLogits:
     return DomainLogits(0.1 * rng.standard_normal(n))
 
 
-def _train(spec: ModelSpec, X, y, logits: DomainLogits | None
-           ) -> tuple[KernelParams, DomainLogits | None, TrainTrace]:
-    """The outer loop of both trainers; without logits there is no ascent
-    and no penalty. Each round reads one TrainState, and the state of the
-    accepted step becomes the next round's, so t1 rounds factorize t1 + 1
-    times (plus one per step halving)."""
+def _train(spec: ModelSpec, X, y, seed: int | None
+           ) -> tuple[TrainState, DomainLogits | None, TrainTrace]:
+    """The outer loop of both trainers, from KernelParams(). With a seed the
+    logits start from init_logits and each round first ascends on them;
+    without one there is no ascent and no penalty (a plain GP). Each round
+    reads one TrainState, and the state of the accepted step becomes the
+    next round's, so t1 rounds factorize t1 + 1 times (plus one per step
+    halving). Returns the last state, whose posterior is the fitted model,
+    with the logits and the trace."""
+    X, y = _validate_xy(X, y)
+    logits = None
+    if seed is not None:
+        n = X.shape[0]
+        if n < 4:
+            raise DimensionMismatch(f"need at least 4 training points to split, got {n}",
+                                    (n,), None)
+        logits = init_logits(n, seed)
     kind, noise = spec.kind, spec.noise
     lam = spec.lam if logits is not None else 0.0
-    params, masks = KernelParams(), None
+    masks = None
     trace = TrainTrace()
-    state = TrainState(kind, params, noise, X, y) if spec.t1 else None
+    state = TrainState(kind, KernelParams(), noise, X, y)
     for t in range(1, spec.t1 + 1):
         try:
             if logits is not None:
@@ -313,18 +331,17 @@ def _train(spec: ModelSpec, X, y, logits: DomainLogits | None
                     logits = inner_ascent_step(logits, state, spec.eta1)
                 masks = env_masks(logits)
             g = state.objective_grad(masks, lam)
-            # Release this point's factorization before the trial one is built.
+            theta = state.params.as_array()
+            # Release this point's state before the trial one is built.
             del state
-            state, obj, pen = _descend(kind, noise, X, y, params.as_array(), g,
-                                       spec.eta2, lam, masks)
+            state, obj, pen = _descend(kind, noise, X, y, theta, g, spec.eta2, lam, masks)
         except TrainingAbort as exc:
             trace.aborted = True
             exc.trace = trace
             raise
-        params = state.params
         trace.records.append(TraceRecord(t, obj, pen.penalty, pen.per_env_grad,
-                                         params, noise.sigma2))
-    return params, logits, trace
+                                         state.params, noise.sigma2))
+    return state, logits, trace
 
 
 def train_dil_gp(spec: ModelSpec, X, y, seed: int
@@ -339,26 +356,23 @@ def train_dil_gp(spec: ModelSpec, X, y, seed: int
     TrainingAbort. With lam = 0 and t2 = 0 the parameter trajectory is
     bit-identical to train_vanilla_gp's.
     """
-    X, y = _validate_xy(X, y)
-    n = X.shape[0]
-    if n < 4:
-        raise DimensionMismatch(f"need at least 4 training points to split, got {n}",
-                                (n,), None)
-    return _train(spec, X, y, init_logits(n, seed))
+    state, logits, trace = _train(spec, X, y, seed)
+    return state.params, logits, trace
 
 
 def train_vanilla_gp(spec: ModelSpec, X, y) -> tuple[KernelParams, TrainTrace]:
     """Plain maximum-likelihood training from KernelParams(): spec.t1
     descent steps on the NLL alone at rate spec.eta2, sharing the round
     loop with train_dil_gp."""
-    X, y = _validate_xy(X, y)
-    params, _, trace = _train(spec, X, y, None)
-    return params, trace
+    state, _, trace = _train(spec, X, y, None)
+    return state.params, trace
 
 
 def fit_model(spec: ModelSpec, train: Dataset, seed: int
               ) -> tuple[GPPosterior, Standardizer | None, TrainTrace]:
-    """Standardize (if spec.standardize), train spec.model, and factorize.
+    """Standardize (if spec.standardize) and train spec.model; the posterior
+    is that of the last training state, so nothing is factorized after
+    training.
 
     The posterior lives in the units the model was trained in; the returned
     standardizer (None without standardization) maps between those units and
@@ -366,8 +380,5 @@ def fit_model(spec: ModelSpec, train: Dataset, seed: int
     """
     scaler = fit_standardizer(train) if spec.standardize else None
     ds = scaler.transform(train) if scaler is not None else train
-    if spec.model == "dil_gp":
-        params, _, trace = train_dil_gp(spec, ds.x, ds.y, seed)
-    else:
-        params, trace = train_vanilla_gp(spec, ds.x, ds.y)
-    return fit_posterior(spec.kind, params, spec.noise, ds.x, ds.y), scaler, trace
+    state, _, trace = _train(spec, ds.x, ds.y, seed if spec.model == "dil_gp" else None)
+    return state.post, scaler, trace

@@ -92,7 +92,7 @@ def test_fit_eval_report_and_trace(fit1d_dir):
 
 
 def test_fit_eval_dataset_defaults_recorded(fit1d_dir):
-    # the 1-D problem carries calibrated settings distinct from the generic ones
+    # the 1-D calibration, which is also ModelSpec()'s default
     cfg = read_json(fit1d_dir / "config.json")
     assert cfg["sigma2"] == 0.4
     assert cfg["lambda"] == 0.01
@@ -142,6 +142,16 @@ def test_fit_eval_from_csv_with_domain_column(gen_dir, tmp_path):
     report = read_json(out / "report.json")
     assert "per_domain_rmse" in report
     assert "1" in report["per_domain_rmse"]
+
+
+def test_fit_eval_from_csv_with_default_settings(gen_dir, tmp_path):
+    # no model flags: the ModelSpec() defaults must train dil_gp on the
+    # package's own generated data
+    out = tmp_path / "csvdefault"
+    run_ok(["fit-eval", "--train-csv", str(gen_dir / "train.csv"),
+            "--test-csv", str(gen_dir / "test.csv"), "--out", str(out)])
+    assert read_json(out / "config.json")["model"] == "dil_gp"
+    assert np.isfinite(read_json(out / "report.json")["rmse"])
 
 
 def test_fit_eval_config_round_trip_byte_identical(tmp_path):

@@ -9,16 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dilgp import train as train_mod
+from dilgp import gp as gp_mod
 from dilgp.data import fit_standardizer, gen_synthetic_1d
 from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               TrainingAbort)
-from dilgp.gp import NoiseSpec, env_log_likelihood, log_marginal_likelihood
+from dilgp.gp import (NoiseSpec, env_log_likelihood, fit_posterior,
+                      log_marginal_likelihood)
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, kernel_matrix)
 from dilgp.rng import rng_for
-from dilgp.train import (DomainLogits, ModelSpec, TrainState, env_masks,
-                         inner_ascent_step, irm_penalty, outer_descent_step,
+from dilgp.train import (MODEL_KINDS, DomainLogits, ModelSpec, TrainState, env_masks,
+                         fit_model, inner_ascent_step, irm_penalty, outer_descent_step,
                          train_dil_gp, train_vanilla_gp)
 
 GAUSS = KernelKind.GAUSSIAN
@@ -165,12 +166,14 @@ def test_inner_ascent_zero_rate_is_identity():
 
 
 def test_inner_ascent_nonfinite_gradient_aborts_with_coordinate():
+    # the 1e200 targets overflow on purpose
     X = rng_for(0, "abort-q").uniform(-1, 1, (8, 1))
     y = np.full(8, 1e200)
-    state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
     logits = DomainLogits(0.1 * rng_for(0, "abort-q2").standard_normal(8))
-    with pytest.raises(TrainingAbort, match="coordinate"):
-        inner_ascent_step(logits, state, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
+        with pytest.raises(TrainingAbort, match="coordinate"):
+            inner_ascent_step(logits, state, 0.1)
 
 
 def test_partition_discovery_on_shifted_clusters():
@@ -285,24 +288,36 @@ def test_trace_serializes_to_jsonl():
 
 
 def test_one_factorization_per_round(monkeypatch):
-    # the state of each accepted step is the next round's: t1 rounds
-    # factorize t1 + 1 times when no step is halved
+    # the state of each accepted step is the next round's, and the last one
+    # holds the posterior: a whole fit factorizes t1 + 1 times when no step
+    # is halved
     calls = []
-    real_factor = train_mod._factor
+    real_factor = gp_mod._factor
 
     def counting_factor(*args):
         calls.append(args[1])
         return real_factor(*args)
 
-    monkeypatch.setattr(train_mod, "_factor", counting_factor)
-    X, y, _ = toy(8, n=10)
-    spec = ModelSpec(t1=7, t2=3, eta1=0.1, eta2=0.01, lam=0.5, sigma2=0.2)
-    params, _, trace = train_dil_gp(spec, X, y, 11)
-    assert len(trace) == 7 and len(calls) == spec.t1 + 1
-    assert calls[0] == KernelParams() and calls[-1] == params
-    calls.clear()
-    train_vanilla_gp(replace(spec, model="gp_gaussian"), X, y)
-    assert len(calls) == spec.t1 + 1
+    monkeypatch.setattr(gp_mod, "_factor", counting_factor)
+    train, _ = gen_synthetic_1d(0)
+    for model in ("dil_gp", "gp_gaussian"):
+        calls.clear()
+        spec = ModelSpec(model=model, t1=7, t2=3, eta2=0.005, lam=0.01, sigma2=0.4)
+        post, _, trace = fit_model(spec, train, seed=11)
+        assert len(trace) == 7 and len(calls) == spec.t1 + 1
+        assert calls[0] == KernelParams() and calls[-1] == post.params
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_KINDS))
+def test_fit_model_posterior_is_fit_posterior_at_trained_params(model):
+    train, _ = gen_synthetic_1d(1)
+    spec = ModelSpec(model=model, t1=6, t2=2)
+    post, scaler, _ = fit_model(spec, train, seed=3)
+    ds = scaler.transform(train)
+    want = fit_posterior(spec.kind, post.params, spec.noise, ds.x, ds.y)
+    assert np.array_equal(post.chol, want.chol)
+    assert np.array_equal(post.alpha_vec, want.alpha_vec)
+    assert post.jitter == want.jitter and post.lml == want.lml
 
 
 def test_too_few_points_rejected():

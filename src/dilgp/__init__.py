@@ -15,8 +15,7 @@ from .exceptions import (DilgpError, DimensionMismatch, InvalidSetting,
                          NonFiniteInput, NotPositiveDefinite, ObjectiveFailure,
                          TrainingAbort)
 from .gp import (GPPosterior, NoiseSpec, env_log_likelihood, fit_posterior,
-                 log_marginal_likelihood, predict, reset_variance_clamp_count,
-                 variance_clamp_count)
+                 log_marginal_likelihood, predict)
 from .kernels import KernelKind, KernelParams, kernel_matrix
 from .quad import (PIDGains, SimResult, TrajectoryKind, WindDomainSpec,
                    dryden_wind, pid_objective, reference_trajectory, simulate)
@@ -37,8 +36,7 @@ __all__ = [
     "NotPositiveDefinite",
     "ObjectiveFailure", "TrainingAbort",
     "GPPosterior", "NoiseSpec", "env_log_likelihood", "fit_posterior",
-    "log_marginal_likelihood", "predict", "reset_variance_clamp_count",
-    "variance_clamp_count",
+    "log_marginal_likelihood", "predict",
     "KernelKind", "KernelParams", "kernel_matrix",
     "PIDGains", "SimResult", "TrajectoryKind", "WindDomainSpec",
     "dryden_wind", "pid_objective", "reference_trajectory", "simulate",

@@ -69,14 +69,30 @@ class SearchSpace:
 
 @dataclass
 class BOState:
+    """Everything queried so far, in query order: the n_init initial points,
+    then one row per surrogate-driven step, whose pre-query predictive std
+    is in sigma_history. The incumbent is derived from the rows."""
+
     queried_x: np.ndarray
     queried_f: np.ndarray
-    incumbent_x: np.ndarray
-    incumbent_f: float
+    n_init: int = 0
     sigma_history: list[float] = field(default_factory=list)
     failed_steps: list[int] = field(default_factory=list)
-    n_init: int = 0
-    rng_seed: int = 0
+
+    @property
+    def incumbent_x(self) -> np.ndarray:
+        """The row with the lowest value (the first such row); empty if none."""
+        if not self.queried_f.size:
+            return np.array([])
+        return self.queried_x[int(np.argmin(self.queried_f))]
+
+    @property
+    def incumbent_f(self) -> float:
+        return float(np.min(self.queried_f)) if self.queried_f.size else math.inf
+
+    def add(self, x: np.ndarray, f: float):
+        self.queried_x = np.vstack([self.queried_x, x])
+        self.queried_f = np.append(self.queried_f, f)
 
 
 @dataclass
@@ -85,7 +101,6 @@ class RegretDiagnostics:
     info_gain: np.ndarray        # cumulative, includes the initial design's gain
     regret_bound: np.ndarray
     cum_regret: np.ndarray | None = None
-    sigma2_noise: float = 0.0
 
 
 def acquisition_ucb(mean, std, beta_t: float):
@@ -134,32 +149,23 @@ def regret_bound(beta_t: float, gamma_t: float, t: int, sigma2_noise: float) -> 
 
 
 class Surrogate:
-    """Fitted model over raw inputs; predictions are in standardized-y units."""
+    """Fitted model over raw inputs; predictions are in the units the model
+    was trained in (standardized y unless the spec turns that off)."""
 
-    def __init__(self, post: GPPosterior, scaler: Standardizer | None,
-                 incumbent_x: np.ndarray):
+    def __init__(self, post: GPPosterior, scaler: Standardizer, incumbent_x: np.ndarray):
         self.post = post
         self.scaler = scaler
         self.incumbent_x = incumbent_x
 
     def predict(self, X_raw) -> tuple[np.ndarray, np.ndarray]:
-        X = np.asarray(X_raw, dtype=float)
-        if self.scaler is not None:
-            X = self.scaler.transform_x(X)
-        mean, var = predict(self.post, X)
+        mean, var = predict(self.post, self.scaler.transform_x(X_raw))
         return mean, np.sqrt(var)
 
-    def to_std_units(self, f_raw: float) -> float:
-        if self.scaler is None:
-            return f_raw
-        return (f_raw - self.scaler.y_mean) / self.scaler.y_std
 
-
-def fit_surrogate(spec: ModelSpec, X: np.ndarray, f: np.ndarray,
-                  refit_seed: int) -> Surrogate:
+def fit_surrogate(spec: ModelSpec, state: BOState, refit_seed: int) -> Surrogate:
     """Fit spec's model on everything queried so far (see fit_model)."""
-    post, scaler, _ = fit_model(spec, Dataset(X, f), refit_seed)
-    return Surrogate(post, scaler, X[int(np.argmin(f))])
+    post, scaler, _ = fit_model(spec, Dataset(state.queried_x, state.queried_f), refit_seed)
+    return Surrogate(post, scaler, state.incumbent_x)
 
 
 def propose_next(surrogate: Surrogate, space: SearchSpace, acq, rng) -> np.ndarray:
@@ -182,6 +188,23 @@ def _initial_info_gain(post: GPPosterior, sigma2: float) -> float:
     return float(np.sum(np.log(np.diag(post.chol))) - 0.5 * n * math.log(sigma2))
 
 
+def _query(objective, x: np.ndarray, redraw, state: BOState, where: str,
+           step: int | None = None) -> tuple[np.ndarray, float]:
+    """The objective at x. A non-finite value marks the step (if any) failed
+    in state and retries once at redraw(); a second non-finite value raises
+    ObjectiveFailure carrying state."""
+    val = float(objective(x))
+    if not math.isfinite(val):
+        if step is not None:
+            state.failed_steps.append(step)
+        x = redraw()
+        val = float(objective(x))
+        if not math.isfinite(val):
+            raise ObjectiveFailure(f"objective non-finite twice in a row at {where}",
+                                   state=state)
+    return x, val
+
+
 def bo_run(objective, space: SearchSpace, spec: ModelSpec,
            acq: str, t_bo: int, n_init: int = 5, seed: int = 0,
            f_star: float | None = None
@@ -189,11 +212,12 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
     """Sequential minimization loop with per-step regret diagnostics.
 
     Samples n_init uniform points, then for t = 1..t_bo refits the surrogate
-    on everything queried, proposes the acquisition minimizer, records the
-    pre-query predictive std, and evaluates the objective. A non-finite
-    objective value marks the step failed and re-proposes once with a fresh
-    candidate batch; a second consecutive failure raises ObjectiveFailure
-    carrying the partial state.
+    on everything queried, proposes the acquisition minimizer, evaluates the
+    objective and records the predictive std at the queried point. A
+    non-finite objective value is retried once: an initial point is redrawn
+    uniformly, and a step is marked failed and re-proposed with a fresh
+    candidate batch. A second consecutive failure raises ObjectiveFailure
+    carrying the state so far.
 
     The cumulative information gain starts from the batch gain of the initial
     design (computed at the step-1 surrogate), so that with a fixed kernel
@@ -206,58 +230,35 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
     rng_init = rng_for(seed, "bo-init")
     rng_cand = rng_for(seed, "bo-candidates")
 
-    X = space.uniform(rng_init, n_init)
-    f = []
-    failed_steps: list[int] = []
-    for i in range(n_init):
-        val = float(objective(X[i]))
-        if not math.isfinite(val):
-            # Initial points are not surrogate proposals; redraw once.
-            X[i] = space.uniform(rng_init, 1)[0]
-            val = float(objective(X[i]))
-            if not math.isfinite(val):
-                state = _snapshot(X[:i], np.array(f), [], [], n_init, seed)
-                raise ObjectiveFailure(
-                    f"objective non-finite twice at initial point {i}", state=state)
-        f.append(val)
+    state = BOState(np.empty((0, space.k)), np.empty(0), n_init)
+    for i, x in enumerate(space.uniform(rng_init, n_init)):
+        state.add(*_query(objective, x, lambda: space.uniform(rng_init, 1)[0], state,
+                          f"initial point {i}"))
 
     sigma2 = spec.sigma2
     sigma = math.sqrt(sigma2)
-    sigma_history: list[float] = []
     betas, gains, bounds, cregs = [], [], [], []
     cum_gain = 0.0
     cum_regret = 0.0
 
     for t in range(1, t_bo + 1):
-        sur = fit_surrogate(spec, np.asarray(X), np.asarray(f),
-                            rng_for(seed, "surrogate", t).integers(2 ** 31).item())
+        sur = fit_surrogate(spec, state, rng_for(seed, "surrogate", t).integers(2 ** 31).item())
         if t == 1:
             cum_gain = _initial_info_gain(sur.post, sigma2)
-        beta_t = beta_schedule(t, float(np.max(np.abs(f))), sigma, cum_gain, BETA_DELTA)
+        beta_t = beta_schedule(t, float(np.max(np.abs(state.queried_f))), sigma, cum_gain,
+                               BETA_DELTA)
         if acq == "ucb":
             acq_fn = functools.partial(acquisition_ucb, beta_t=beta_t)
         else:
             acq_fn = functools.partial(acquisition_ei,
-                                       best_f=sur.to_std_units(float(np.min(f))))
-
-        x_t = propose_next(sur, space, acq_fn, rng_cand)
+                                       best_f=sur.scaler.transform_y(state.incumbent_f))
+        propose = functools.partial(propose_next, sur, space, acq_fn, rng_cand)
+        x_t, val = _query(objective, propose(), propose, state, f"step {t}", step=t)
         _, std_t = sur.predict(x_t[None, :])
-        val = float(objective(x_t))
-        if not math.isfinite(val):
-            failed_steps.append(t)
-            x_t = propose_next(sur, space, acq_fn, rng_cand)
-            _, std_t = sur.predict(x_t[None, :])
-            val = float(objective(x_t))
-            if not math.isfinite(val):
-                state = _snapshot(np.asarray(X), np.asarray(f), sigma_history,
-                                  failed_steps, n_init, seed)
-                raise ObjectiveFailure(
-                    f"objective non-finite twice in a row at step {t}", state=state)
         sigma_t = float(std_t[0])
 
-        X = np.vstack([X, x_t])
-        f.append(val)
-        sigma_history.append(sigma_t)
+        state.add(x_t, val)
+        state.sigma_history.append(sigma_t)
         cum_gain += information_gain_step(sigma2, sigma_t)
         betas.append(beta_t)
         gains.append(cum_gain)
@@ -266,24 +267,9 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
             cum_regret += val - f_star
             cregs.append(cum_regret)
 
-    state = _snapshot(np.asarray(X), np.asarray(f), sigma_history,
-                      failed_steps, n_init, seed)
     diag = RegretDiagnostics(np.array(betas), np.array(gains), np.array(bounds),
-                             np.array(cregs) if f_star is not None else None,
-                             sigma2)
+                             np.array(cregs) if f_star is not None else None)
     return state, diag
-
-
-def _snapshot(X, f, sigma_history, failed_steps, n_init, seed) -> BOState:
-    X = np.asarray(X, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.size:
-        i = int(np.argmin(f))
-        inc_x, inc_f = X[i].copy(), float(f[i])
-    else:
-        inc_x, inc_f = np.array([]), math.inf
-    return BOState(X, f, inc_x, inc_f, list(sigma_history), list(failed_steps),
-                   n_init, seed)
 
 
 def history_jsonl(state: BOState, diag: RegretDiagnostics) -> str:

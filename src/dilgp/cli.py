@@ -25,9 +25,9 @@ from . import __version__
 from .bo import bo_run, history_jsonl
 from .data import GENERATORS, load_csv
 from .exceptions import DilgpError, InvalidSetting
-from .experiments import (BO_SPEC, DATASET_DEFAULTS, QUADRATIC_OPTIMUM,
-                          QUADRATIC_SPACE, fit_eval, heldout_trajectory,
-                          quad_bo_experiment, quadratic_objective, sweep_seeds)
+from .experiments import (BO_SPEC, QUADRATIC_OPTIMUM, QUADRATIC_SPACE, fit_eval,
+                          heldout_trajectory, quad_bo_experiment, quadratic_objective,
+                          settings_for, sweep_seeds)
 from .quad import PIDGains, TrajectoryKind
 from .train import DIL_ONLY_FIELDS, MODEL_KINDS, ModelSpec
 
@@ -163,8 +163,14 @@ def _explicit(defaults: dict, args: argparse.Namespace) -> dict:
     """The settings given by the config file and the flags (flags win)."""
     given = {}
     if args.config:
-        with open(args.config) as fh:
-            given = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                given = json.load(fh)
+        except (OSError, ValueError) as exc:   # unreadable file, or not JSON
+            raise DilgpError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(given, dict):
+            raise DilgpError(f"{args.config}: config must be a JSON object, "
+                             f"got {type(given).__name__}")
         given.pop("command", None)
         unknown = sorted(set(given) - set(defaults))
         if unknown:
@@ -240,13 +246,12 @@ def _prune_model_keys(config: dict, command: str):
 def cmd_fit_eval(args) -> int:
     t0 = time.time()
     explicit = _explicit(FIT_EVAL_DEFAULTS, args)
+    full = {**FIT_EVAL_DEFAULTS, **explicit}
     # Calibrated per-dataset settings sit under whatever the user set.
-    keys = spec_keys("fit-eval")
-    overlay = {keys[name]: val
-               for name, val in DATASET_DEFAULTS.get(explicit.get("dataset"), {}).items()}
-    full = {**FIT_EVAL_DEFAULTS, **overlay, **explicit}
-    settings = spec_from_config(full, "fit-eval")
-    config = dict(full, command="fit-eval")
+    given = {name: explicit[key] for name, key in spec_keys("fit-eval").items()
+             if key in explicit and name != "model"}
+    settings = settings_for(full["dataset"], full["model"], **given)
+    config = {**full, **spec_config(settings, "fit-eval"), "command": "fit-eval"}
     if config["dataset"] is not None:
         for key in ("train_csv", "test_csv", "target_column", "feature_columns",
                     "domain_column"):

@@ -152,10 +152,14 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None,
     """Read a dataset from CSV with a header row.
 
     Rows with unparseable numeric cells are dropped and counted in
-    Dataset.dropped_rows. Unknown column names raise an error listing the
-    columns that are present.
+    Dataset.dropped_rows. A file that cannot be opened, or unknown column
+    names, raise an error (the latter listing the columns that are present).
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DilgpError(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if not header:
@@ -176,7 +180,7 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None,
                 fx = [float(row[c]) for c in feature_columns]
                 fy = float(row[target_column])
                 tag = int(float(row[domain_column])) if domain_column else None
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):   # int(inf) overflows
                 dropped += 1
                 continue
             if not all(math.isfinite(v) for v in fx + [fy]):
@@ -194,20 +198,27 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None,
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Column statistics fitted on training data only."""
+    """Column statistics fitted on training data only, or the identity."""
 
     x_mean: np.ndarray
     x_std: np.ndarray
     y_mean: float
     y_std: float
-    constant_x: np.ndarray   # columns whose std was zero (left unscaled)
-    constant_y: bool
+
+    @classmethod
+    def identity(cls, d: int) -> "Standardizer":
+        """Zero means and unit stds: (v - 0) / 1 and 0 + 1 * v are exact, so
+        every map leaves its input's values unchanged."""
+        return cls(np.zeros(d), np.ones(d), 0.0, 1.0)
 
     def transform_x(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.x_mean) / self.x_std
 
+    def transform_y(self, y):
+        return (np.asarray(y, dtype=float) - self.y_mean) / self.y_std
+
     def transform(self, ds: Dataset) -> Dataset:
-        return replace(ds, x=self.transform_x(ds.x), y=(ds.y - self.y_mean) / self.y_std)
+        return replace(ds, x=self.transform_x(ds.x), y=self.transform_y(ds.y))
 
     def inverse_y(self, y_std_units: np.ndarray) -> np.ndarray:
         return self.y_mean + self.y_std * np.asarray(y_std_units, dtype=float)
@@ -218,16 +229,12 @@ class Standardizer:
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:
-    x_mean = train.x.mean(axis=0)
+    """Train means and stds; a zero std (a constant column or target) is
+    replaced by 1, so that column is centered but not rescaled."""
     x_std = train.x.std(axis=0)
-    constant_x = x_std == 0.0
-    x_std = np.where(constant_x, 1.0, x_std)
-    y_mean = float(train.y.mean())
     y_std = float(train.y.std())
-    constant_y = y_std == 0.0
-    if constant_y:
-        y_std = 1.0
-    return Standardizer(x_mean, x_std, y_mean, y_std, constant_x, constant_y)
+    return Standardizer(train.x.mean(axis=0), np.where(x_std == 0.0, 1.0, x_std),
+                        float(train.y.mean()), y_std if y_std != 0.0 else 1.0)
 
 
 @dataclass

@@ -44,14 +44,9 @@ def fit_eval(train: Dataset, test: Dataset, settings: ModelSpec, seed: int = 0):
     mapped back to raw units. Returns (EvalReport, TrainTrace).
     """
     post, scaler, trace = fit_model(settings, train, seed)
-    test_x = scaler.transform_x(test.x) if scaler is not None else test.x
-    mean_s, var_s = predict(post, test_x)
-    std_obs = np.sqrt(var_s + settings.sigma2)
-    if scaler is not None:
-        mean = scaler.inverse_y(mean_s)
-        std = scaler.scale_y(std_obs)
-    else:
-        mean, std = mean_s, std_obs
+    mean_s, var_s = predict(post, scaler.transform_x(test.x))
+    mean = scaler.inverse_y(mean_s)
+    std = scaler.scale_y(np.sqrt(var_s + settings.sigma2))
     report = EvalReport(rmse=rmse(mean, test.y), n_test=test.n,
                         coverage_rate=coverage_rate(mean, std, test.y))
     if test.domain_tag is not None:

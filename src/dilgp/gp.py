@@ -12,7 +12,6 @@ log-determinant and normalizer.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,37 +36,6 @@ class NoiseSpec:
     def __post_init__(self):
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
             raise NonFiniteInput(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
-
-
-class _ClampCounter:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def add(self, k: int):
-        if k:
-            with self._lock:
-                self._count += k
-
-    def value(self) -> int:
-        with self._lock:
-            return self._count
-
-    def reset(self):
-        with self._lock:
-            self._count = 0
-
-
-_CLAMPS = _ClampCounter()
-
-
-def variance_clamp_count() -> int:
-    """Number of predictive variances clamped to zero so far (process-wide)."""
-    return _CLAMPS.value()
-
-
-def reset_variance_clamp_count():
-    _CLAMPS.reset()
 
 
 def _validate_xy(X, y):
@@ -145,16 +113,13 @@ def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
 def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at query points.
 
-    Negative variances produced by round-off are clamped to zero; each clamp
-    increments a process-wide counter readable via variance_clamp_count().
+    Negative variances produced by round-off are clamped to zero.
     """
     Kxs = kernel_matrix(post.kind, post.params, post.train_x, Xs)
     mean = Kxs.T @ post.alpha_vec
     v = solve_triangular(post.chol, Kxs, lower=True, check_finite=False)
     var = kernel_diag(post.kind, post.params, np.asarray(Xs, dtype=float)) - np.einsum("ij,ij->j", v, v)
-    neg = var < 0.0
-    _CLAMPS.add(int(np.count_nonzero(neg)))
-    return mean, np.where(neg, 0.0, var)
+    return mean, np.where(var < 0.0, 0.0, var)
 
 
 def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:

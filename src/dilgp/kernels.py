@@ -96,13 +96,6 @@ class KernelParams:
     def shifted(self, name: str, delta: float) -> "KernelParams":
         return replace(self, **{name: getattr(self, name) + delta})
 
-    def to_dict(self) -> dict:
-        return {n: getattr(self, n) for n in PARAM_NAMES}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelParams":
-        return cls(**{n: float(d[n]) for n in PARAM_NAMES})
-
 
 def _check_inputs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)

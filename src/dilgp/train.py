@@ -369,16 +369,16 @@ def train_vanilla_gp(spec: ModelSpec, X, y) -> tuple[KernelParams, TrainTrace]:
 
 
 def fit_model(spec: ModelSpec, train: Dataset, seed: int
-              ) -> tuple[GPPosterior, Standardizer | None, TrainTrace]:
-    """Standardize (if spec.standardize) and train spec.model; the posterior
-    is that of the last training state, so nothing is factorized after
-    training.
+              ) -> tuple[GPPosterior, Standardizer, TrainTrace]:
+    """Standardize and train spec.model; the posterior is that of the last
+    training state, so nothing is factorized after training.
 
     The posterior lives in the units the model was trained in; the returned
-    standardizer (None without standardization) maps between those units and
-    the raw ones. seed drives the initial partition logits of dil_gp.
+    standardizer maps between those units and the raw ones. It holds the
+    training statistics, or is Standardizer.identity when spec.standardize
+    is off. seed drives the initial partition logits of dil_gp.
     """
-    scaler = fit_standardizer(train) if spec.standardize else None
-    ds = scaler.transform(train) if scaler is not None else train
+    scaler = fit_standardizer(train) if spec.standardize else Standardizer.identity(train.d)
+    ds = scaler.transform(train)
     state, _, trace = _train(spec, ds.x, ds.y, seed if spec.model == "dil_gp" else None)
     return state.post, scaler, trace

@@ -124,7 +124,7 @@ def _toy_surrogate():
     rng = rng_for(0, "sur-toy")
     X = rng.uniform(0.0, 1.0, (6, 1))
     fvals = np.array([quadratic(x) for x in X])
-    return fit_surrogate(fixed_kernel_cfg(), X, fvals, refit_seed=0)
+    return fit_surrogate(fixed_kernel_cfg(), BOState(X, fvals), refit_seed=0)
 
 
 def test_propose_next_deterministic():
@@ -165,14 +165,13 @@ def test_bo_run_shapes_and_bookkeeping():
     assert state.queried_f.shape == (10,)
     assert state.queried_x.shape == (10, 1)
     assert len(state.sigma_history) == 6
-    assert state.n_init == 4 and state.rng_seed == 1
+    assert state.n_init == 4
     assert len(diag.beta) == len(diag.info_gain) == len(diag.regret_bound) == 6
     assert state.incumbent_f == np.min(state.queried_f)
     i = int(np.argmin(state.queried_f))
     assert np.array_equal(state.incumbent_x, state.queried_x[i])
     assert np.all(np.diff(diag.info_gain) >= 0)
     assert np.all(diag.regret_bound >= 0)
-    assert diag.sigma2_noise == 0.25
 
 
 def test_bo_run_deterministic():
@@ -226,9 +225,13 @@ def test_bo_run_double_failure_raises_with_state():
 
     with pytest.raises(ObjectiveFailure) as exc:
         bo_run(broken, SPACE, fixed_kernel_cfg(), "ucb", t_bo=2, n_init=3, seed=2)
-    assert isinstance(exc.value.state, BOState)
-    assert exc.value.state.queried_f.shape == (3,)
-    assert exc.value.state.failed_steps == [1]
+    state = exc.value.state
+    assert isinstance(state, BOState)
+    assert state.queried_f.shape == (3,)
+    assert state.failed_steps == [1]
+    i = int(np.argmin(state.queried_f))
+    assert state.incumbent_f == state.queried_f[i]
+    assert np.array_equal(state.incumbent_x, state.queried_x[i])
 
 
 def test_bo_run_initial_point_redraw_and_failure():
@@ -243,9 +246,14 @@ def test_bo_run_initial_point_redraw_and_failure():
     assert np.all(np.isfinite(state.queried_f))
     assert state.failed_steps == []
 
-    with pytest.raises(ObjectiveFailure):
+    # failing at the first initial point carries an empty state
+    with pytest.raises(ObjectiveFailure) as exc:
         bo_run(lambda x: math.nan, SPACE, fixed_kernel_cfg(), "ucb",
                t_bo=1, n_init=2, seed=3)
+    state = exc.value.state
+    assert state.queried_x.shape == (0, 1) and state.queried_f.shape == (0,)
+    assert state.incumbent_f == math.inf and state.incumbent_x.size == 0
+    assert state.failed_steps == []
 
 
 def test_streaming_gain_matches_batch_logdet():

@@ -214,6 +214,31 @@ def test_invalid_settings_report_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["missing_config", "list_config", "malformed_config",
+                                  "missing_train_csv", "inf_domain_tags"])
+def test_bad_input_files_report_error(case, gen_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    test_csv = str(gen_dir / "test.csv")
+    argv = {
+        "missing_config": ["fit-eval", "--config", str(bad)],
+        "list_config": ["fit-eval", "--config", str(bad)],
+        "malformed_config": ["bo", "--config", str(bad)],
+        "missing_train_csv": ["fit-eval", "--train-csv", str(bad), "--test-csv", test_csv],
+        # every row dropped: int(float("inf")) overflows
+        "inf_domain_tags": ["fit-eval", "--train-csv", str(bad), "--test-csv", test_csv,
+                            "--domain-column", "domain"],
+    }[case]
+    contents = {"list_config": "[1, 2]", "malformed_config": "{\"seed\": ",
+                "inf_domain_tags": "x0,y,domain\n1.0,2.0,inf\n3.0,4.0,-inf\n"}
+    if case in contents:
+        bad.write_text(contents[case])
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not out.exists()
+
+
 def test_dataset_and_csv_are_mutually_exclusive(tmp_path, capsys):
     code = main(["fit-eval", "--dataset", "synthetic_1d", "--train-csv", "t.csv",
                  "--test-csv", "t.csv", "--out", str(tmp_path / "o")])

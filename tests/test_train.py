@@ -14,7 +14,7 @@ from dilgp.data import fit_standardizer, gen_synthetic_1d
 from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               TrainingAbort)
 from dilgp.gp import (NoiseSpec, env_log_likelihood, fit_posterior,
-                      log_marginal_likelihood)
+                      log_marginal_likelihood, predict)
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, kernel_matrix)
 from dilgp.rng import rng_for
@@ -308,16 +308,25 @@ def test_one_factorization_per_round(monkeypatch):
         assert calls[0] == KernelParams() and calls[-1] == post.params
 
 
-@pytest.mark.parametrize("model", sorted(MODEL_KINDS))
-def test_fit_model_posterior_is_fit_posterior_at_trained_params(model):
-    train, _ = gen_synthetic_1d(1)
-    spec = ModelSpec(model=model, t1=6, t2=2)
+@pytest.mark.parametrize("model,standardize", [
+    pytest.param(m, s, id=m if s else f"{m}-identity")
+    for m in sorted(MODEL_KINDS) for s in (True, False)])
+def test_fit_model_posterior_is_fit_posterior_at_trained_params(model, standardize):
+    train, test = gen_synthetic_1d(1)
+    spec = ModelSpec(model=model, t1=6, t2=2, standardize=standardize)
     post, scaler, _ = fit_model(spec, train, seed=3)
     ds = scaler.transform(train)
     want = fit_posterior(spec.kind, post.params, spec.noise, ds.x, ds.y)
     assert np.array_equal(post.chol, want.chol)
     assert np.array_equal(post.alpha_vec, want.alpha_vec)
     assert post.jitter == want.jitter and post.lml == want.lml
+    if not standardize:
+        # the identity standardizer maps x, y and predictions bit for bit
+        mean, var = predict(post, test.x)
+        assert np.array_equal(ds.x, train.x) and np.array_equal(ds.y, train.y)
+        assert np.array_equal(scaler.transform_x(test.x), test.x)
+        assert np.array_equal(scaler.inverse_y(mean), mean)
+        assert np.array_equal(scaler.scale_y(np.sqrt(var)), np.sqrt(var))
 
 
 def test_too_few_points_rejected():

@@ -4,11 +4,17 @@ Three subcommands: `generate` writes a synthetic dataset to CSV, `fit-eval`
 trains a model and reports held-out metrics, `bo` runs the Bayesian
 optimization loop on a built-in objective or the PID-tuning simulator.
 
-Every run writes a fully resolved config.json next to its outputs plus a
-manifest.json with per-file checksums; re-running with `--config config.json`
-reproduces the output files byte for byte. The output directory is given
-only on the command line (never stored in config.json) so reproductions can
-target a fresh directory. Environment variables are never consulted.
+Each command declares its settings once, as a frozen dataclass of
+`train.setting` fields; the fields of its nested `ModelSpec` are settings
+too. The flags and the keys `--config` accepts come from that declaration,
+and its `__post_init__` checks every value, from a flag or a file alike, for
+exact type, choices and range. Precedence: defaults <- per-dataset
+calibration <- config file <- flags. config.json is the validated config
+less the keys the run never reads, next to a manifest.json of per-file
+checksums; re-running with `--config config.json` reproduces the output
+files byte for byte. The output directory is given only on the command line
+so reproductions can target a fresh directory. Environment variables are
+never consulted.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .bo import bo_run, history_jsonl
@@ -29,71 +38,108 @@ from .experiments import (BO_SPEC, QUADRATIC_OPTIMUM, QUADRATIC_SPACE, fit_eval,
                           heldout_trajectory, quad_bo_experiment, quadratic_objective,
                           settings_for, sweep_seeds)
 from .quad import PIDGains, TrajectoryKind
-from .train import DIL_ONLY_FIELDS, MODEL_KINDS, ModelSpec
-
-TRAJECTORIES = {k.value: k for k in TrajectoryKind}
-
-# config.json key (and flag destination) of each ModelSpec field, per
-# command, where it differs from the field name: "lambda" for lam, and the
-# bo model is its "surrogate".
-SPEC_KEY_ALIASES = {
-    "fit-eval": {"lam": "lambda"},
-    "bo": {"lam": "lambda", "model": "surrogate"},
-}
-
-SPEC_FLAG_HELP = {
-    "t1": "outer training steps",
-    "t2": "inner partition-ascent steps",
-    "eta1": "partition learning rate",
-    "eta2": "parameter learning rate",
-    "lam": "invariance penalty coefficient",
-    "sigma2": "observation noise variance",
-}
+from .train import ModelSpec, check_fields, setting
 
 
-def spec_keys(command: str) -> dict[str, str]:
-    """ModelSpec field name -> config.json key for one command."""
-    aliases = SPEC_KEY_ALIASES[command]
-    return {f.name: aliases.get(f.name, f.name) for f in fields(ModelSpec)}
+def _from_csv(run) -> bool:
+    return run.dataset is None
 
 
-def spec_config(spec: ModelSpec, command: str) -> dict:
-    """The config.json entries of a spec."""
-    return {key: getattr(spec, name) for name, key in spec_keys(command).items()}
+@dataclass(frozen=True)
+class GenerateConfig:
+    generator: str = setting("synthetic_1d", choices=GENERATORS)
+    seed: int = 0
+    noise_as_std: bool = setting(False, "read noise levels as std instead of variance")
+
+    def __post_init__(self):
+        check_fields(self)
 
 
-def spec_from_config(config: dict, command: str) -> ModelSpec:
-    return ModelSpec(**{name: config[key] for name, key in spec_keys(command).items()})
+@dataclass(frozen=True)
+class FitEvalConfig:
+    """Settings of fit-eval: a built-in dataset or a pair of CSV files, and
+    one seed or a sweep over seeds 0..sweep-1."""
+
+    dataset: str | None = setting(
+        None, "built-in generator (alternative to --train-csv/--test-csv)", choices=GENERATORS)
+    train_csv: str | None = setting(None, when=_from_csv)
+    test_csv: str | None = setting(None, when=_from_csv)
+    target_column: str = setting("y", when=_from_csv)
+    feature_columns: list[str] | None = setting(
+        None, "comma-separated names; default: all non-target columns", when=_from_csv)
+    domain_column: str | None = setting(
+        None, "tag column for per-domain RMSE reporting", when=_from_csv)
+    noise_as_std: bool = setting(False, "read noise levels as std instead of variance",
+                                 when=lambda run: run.dataset is not None)
+    seed: int = setting(0, when=lambda run: run.sweep is None)
+    sweep: int | None = setting(None, "run seeds 0..N-1 and report mean with max deviation",
+                                minimum=1, when=lambda run: run.sweep is not None)
+    spec: ModelSpec = ModelSpec()
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.dataset is not None and (self.train_csv or self.test_csv):
+            raise InvalidSetting("give either --dataset or --train-csv/--test-csv, not both")
+        if self.dataset is None and not (self.train_csv and self.test_csv):
+            raise InvalidSetting("need --dataset, or both --train-csv and --test-csv")
+        if self.dataset is None and self.sweep is not None and self.spec.model != "dil_gp":
+            raise InvalidSetting(f"--sweep on CSV input refits the same rows, and "
+                                 f"{self.spec.model} never reads the seed, so every seed "
+                                 "would give the same fit")
+
+    def spec_with(self, given: dict) -> ModelSpec:
+        """The dataset's calibrated spec under the given model settings."""
+        return settings_for(self.dataset, **{"model": self.spec.model, **given})
 
 
-GENERATE_DEFAULTS = {
-    "generator": "synthetic_1d",
-    "seed": 0,
-    "noise_as_std": False,
-}
+@dataclass(frozen=True)
+class BoConfig:
+    objective: str = setting("quadratic", choices=("quadratic", "quad_pid"))
+    trajectory: str = setting("fig8", choices=[k.value for k in TrajectoryKind],
+                              when=lambda run: run.objective == "quad_pid")
+    acq: str = setting("ucb", choices=("ucb", "ei"))
+    t_bo: int = setting(100, minimum=1)
+    n_init: int = setting(5, minimum=1)
+    seed: int = 0
+    spec: ModelSpec = BO_SPEC
 
-FIT_EVAL_DEFAULTS = {
-    "dataset": None,
-    "train_csv": None,
-    "test_csv": None,
-    "target_column": "y",
-    "feature_columns": None,
-    "domain_column": None,
-    "noise_as_std": False,
-    "seed": 0,
-    "sweep": None,
-    **spec_config(ModelSpec(), "fit-eval"),
-}
+    def __post_init__(self):
+        check_fields(self)
 
-BO_DEFAULTS = {
-    "objective": "quadratic",
-    "trajectory": "fig8",
-    "acq": "ucb",
-    "t_bo": 100,
-    "n_init": 5,
-    "seed": 0,
-    **spec_config(BO_SPEC, "bo"),
-}
+    def spec_with(self, given: dict) -> ModelSpec:
+        return replace(self.spec, **given)
+
+
+def declared(cls):
+    """(field, annotated type) of every setting of a command: its own fields,
+    with the fields of a nested settings dataclass in place of that field."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        want = hints[f.name]
+        if is_dataclass(want):
+            yield from declared(want)
+        else:
+            yield f, want
+
+
+def _names(text: str) -> list[str]:
+    return [c.strip() for c in text.split(",") if c.strip()]
+
+
+def _add_flags(p, cls):
+    """One flag per declared setting; a bool setting is a switch away from its default."""
+    for f, want in declared(cls):
+        if get_origin(want) is UnionType:       # X | None: the None default means unset
+            want = get_args(want)[0]
+        meta, flag = f.metadata, f.name.replace("_", "-")
+        kwargs = {"dest": f.name, "default": argparse.SUPPRESS, "help": meta.get("help")}
+        if want is bool:
+            p.add_argument(f"--no-{flag}" if f.default else f"--{flag}",
+                           action="store_false" if f.default else "store_true", **kwargs)
+        else:
+            choices = meta.get("choices")
+            p.add_argument(f"--{flag}", type=_names if get_origin(want) is list else want,
+                           choices=sorted(choices) if choices else None, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,66 +147,28 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Domain-invariant GP regression and BO runner")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sup = argparse.SUPPRESS
-
-    gen = sub.add_parser("generate", help="write a synthetic dataset as train/test CSV")
-    gen.add_argument("--generator", choices=sorted(GENERATORS), default=sup)
-    gen.add_argument("--seed", type=int, default=sup)
-    gen.add_argument("--noise-as-std", action="store_true", default=sup,
-                     help="read noise levels as std instead of variance")
-
-    fit = sub.add_parser("fit-eval", help="train a model and report held-out metrics")
-    fit.add_argument("--dataset", choices=sorted(GENERATORS), default=sup,
-                     help="built-in generator (alternative to --train-csv/--test-csv)")
-    fit.add_argument("--train-csv", default=sup)
-    fit.add_argument("--test-csv", default=sup)
-    fit.add_argument("--target-column", default=sup)
-    fit.add_argument("--feature-columns", default=sup,
-                     help="comma-separated names; default: all non-target columns")
-    fit.add_argument("--domain-column", default=sup,
-                     help="tag column for per-domain RMSE reporting")
-    fit.add_argument("--noise-as-std", action="store_true", default=sup)
-    fit.add_argument("--seed", type=int, default=sup)
-    fit.add_argument("--sweep", type=int, default=sup,
-                     help="run seeds 0..N-1 and report mean with max deviation")
-    _add_spec_flags(fit, "fit-eval", sup)
-
-    bo = sub.add_parser("bo", help="run Bayesian optimization")
-    bo.add_argument("--objective", choices=["quadratic", "quad_pid"], default=sup)
-    bo.add_argument("--trajectory", choices=sorted(TRAJECTORIES), default=sup)
-    bo.add_argument("--acq", choices=["ucb", "ei"], default=sup)
-    bo.add_argument("--t-bo", type=int, default=sup)
-    bo.add_argument("--n-init", type=int, default=sup)
-    bo.add_argument("--seed", type=int, default=sup)
-    _add_spec_flags(bo, "bo", sup)
-
-    for p in (gen, fit, bo):
+    for name, (cls, _, about) in COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        _add_flags(p, cls)
         p.add_argument("--config", default=None,
                        help="JSON config from a previous run's config.json")
         p.add_argument("--out", required=True, help="output directory")
     return parser
 
 
-def _add_spec_flags(p, command: str, sup):
-    """One flag per ModelSpec field, storing under the field's config key.
-
-    Flags are named after the field, except the model flag, which is named
-    after its key (--model, or --surrogate for bo); a boolean field becomes
-    a --no-<field> switch.
-    """
-    for f in fields(ModelSpec):
-        key = spec_keys(command)[f.name]
-        if f.name == "model":
-            p.add_argument(f"--{key}", dest=key, choices=sorted(MODEL_KINDS), default=sup)
-        elif isinstance(f.default, bool):
-            p.add_argument(f"--no-{f.name}", dest=key, action="store_false", default=sup)
-        else:
-            p.add_argument(f"--{f.name}", dest=key, type=type(f.default), default=sup,
-                           help=SPEC_FLAG_HELP.get(f.name))
+def build_config(cls, given: dict):
+    """The validated config of the given settings over the command's defaults
+    and, for the model settings, the per-dataset calibration."""
+    own = {f.name for f in fields(cls)}
+    run = cls(**{key: val for key, val in given.items() if key in own})
+    if "spec" not in own:
+        return run
+    return replace(run, spec=run.spec_with({k: v for k, v in given.items() if k not in own}))
 
 
-def _explicit(defaults: dict, args: argparse.Namespace) -> dict:
-    """The settings given by the config file and the flags (flags win)."""
+def load_config(cls, args: argparse.Namespace):
+    """The config of the --config file and the flags (flags win)."""
+    keys = {f.name for f, _ in declared(cls)}
     given = {}
     if args.config:
         try:
@@ -172,16 +180,23 @@ def _explicit(defaults: dict, args: argparse.Namespace) -> dict:
             raise DilgpError(f"{args.config}: config must be a JSON object, "
                              f"got {type(given).__name__}")
         given.pop("command", None)
-        unknown = sorted(set(given) - set(defaults))
+        unknown = sorted(set(given) - keys)
         if unknown:
             raise DilgpError(f"config has unknown keys for this command: {unknown}")
-    given.update((key, val) for key, val in vars(args).items() if key in defaults)
-    return given
+    given.update((key, val) for key, val in vars(args).items() if key in keys)
+    return build_config(cls, given)
 
 
-def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, in increasing precedence."""
-    return {**defaults, **_explicit(defaults, args)}
+def config_json(run) -> dict:
+    """The settings of a config that its run reads, as config.json holds them."""
+    out = {}
+    for f in fields(run):
+        value, when = getattr(run, f.name), f.metadata.get("when")
+        if is_dataclass(value):
+            out.update(config_json(value))
+        elif when is None or when(run):
+            out[f.name] = value
+    return out
 
 
 def _write_outputs(outdir: Path, config: dict, t0: float):
@@ -203,101 +218,47 @@ def _write_outputs(outdir: Path, config: dict, t0: float):
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_generate(args) -> int:
-    t0 = time.time()
-    config = _resolve(GENERATE_DEFAULTS, args)
-    config["command"] = "generate"
-    train, test = GENERATORS[config["generator"]](config["seed"],
-                                                  noise_as_std=config["noise_as_std"])
-    outdir = Path(args.out)
+def cmd_generate(run: GenerateConfig, outdir: Path):
+    train, test = GENERATORS[run.generator](run.seed, noise_as_std=run.noise_as_std)
     outdir.mkdir(parents=True, exist_ok=True)
     train.to_csv(outdir / "train.csv")
     test.to_csv(outdir / "test.csv")
-    _write_outputs(outdir, config, t0)
     print(f"wrote {train.n} train rows and {test.n} test rows to {outdir}")
-    return 0
 
 
-def _load_dataset(config: dict, seed: int):
-    if config["dataset"] is not None:
-        if config["train_csv"] or config["test_csv"]:
-            raise DilgpError("give either --dataset or --train-csv/--test-csv, not both")
-        return GENERATORS[config["dataset"]](seed, noise_as_std=config["noise_as_std"])
-    if not (config["train_csv"] and config["test_csv"]):
-        raise DilgpError("need --dataset, or both --train-csv and --test-csv")
-    cols = config["feature_columns"]
-    if isinstance(cols, str):
-        cols = [c.strip() for c in cols.split(",") if c.strip()]
-    train = load_csv(config["train_csv"], config["target_column"], cols,
-                     config["domain_column"])
-    test = load_csv(config["test_csv"], config["target_column"], cols,
-                    config["domain_column"])
-    return train, test
-
-
-def _prune_model_keys(config: dict, command: str):
-    """Drop the settings the chosen model never reads."""
-    keys = spec_keys(command)
-    if config[keys["model"]] != "dil_gp":
-        for name in DIL_ONLY_FIELDS:
-            config.pop(keys[name])
-
-
-def cmd_fit_eval(args) -> int:
-    t0 = time.time()
-    explicit = _explicit(FIT_EVAL_DEFAULTS, args)
-    full = {**FIT_EVAL_DEFAULTS, **explicit}
-    # Calibrated per-dataset settings sit under whatever the user set.
-    given = {name: explicit[key] for name, key in spec_keys("fit-eval").items()
-             if key in explicit and name != "model"}
-    settings = settings_for(full["dataset"], full["model"], **given)
-    config = {**full, **spec_config(settings, "fit-eval"), "command": "fit-eval"}
-    if config["dataset"] is not None:
-        for key in ("train_csv", "test_csv", "target_column", "feature_columns",
-                    "domain_column"):
-            config.pop(key)
+def cmd_fit_eval(run: FitEvalConfig, outdir: Path):
+    if run.dataset is None:
+        # CSV rows do not depend on the seed, so a sweep refits this one pair
+        pair = tuple(load_csv(path, run.target_column, run.feature_columns, run.domain_column)
+                     for path in (run.train_csv, run.test_csv))
+        load = lambda seed: pair
     else:
-        config.pop("noise_as_std")
-    _prune_model_keys(config, "fit-eval")
-    outdir = Path(args.out)
-    if config["sweep"] is None:
-        config.pop("sweep")
-        train, test = _load_dataset(full, config["seed"])
-        report, trace = fit_eval(train, test, settings, seed=config["seed"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-        (outdir / "trace.jsonl").write_text(trace.to_jsonl())
+        load = partial(GENERATORS[run.dataset], noise_as_std=run.noise_as_std)
+    if run.sweep is None:
+        report, trace = fit_eval(*load(run.seed), run.spec, seed=run.seed)
+        payload = report.to_json_dict()
         print(f"rmse={report.rmse:.4f} coverage={report.coverage_rate:.4f}")
     else:
-        if full["dataset"] is None and settings.model != "dil_gp":
-            raise InvalidSetting(f"--sweep on CSV input refits the same rows, and {settings.model} "
-                                 "never reads the seed, so every seed would give the same fit")
-        config.pop("seed")
-        reports, summary = sweep_seeds(lambda s: _load_dataset(full, s), settings,
-                                       range(config["sweep"]))
+        reports, summary = sweep_seeds(load, run.spec, range(run.sweep))
         payload = {"per_seed": [r.to_json_dict() for r in reports], "summary": summary}
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"rmse mean={summary['rmse_mean']:.4f} "
               f"± {summary['rmse_max_dev']:.4f} (max dev, {len(reports)} seeds)")
-    _write_outputs(outdir, config, t0)
-    return 0
+    if run.dataset is None:
+        dropped = payload["dropped_rows"] = {"train": pair[0].dropped_rows,
+                                             "test": pair[1].dropped_rows}
+        if any(dropped.values()):
+            print(f"dropped {dropped['train']} train and {dropped['test']} test rows "
+                  "with an unparseable or non-finite cell")
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if run.sweep is None:
+        (outdir / "trace.jsonl").write_text(trace.to_jsonl())
 
 
-def cmd_bo(args) -> int:
-    t0 = time.time()
-    full = _resolve(BO_DEFAULTS, args)
-    surrogate = spec_from_config(full, "bo")
-    config = dict(full, command="bo")
-    if config["objective"] != "quad_pid":
-        config.pop("trajectory")
-    _prune_model_keys(config, "bo")
-    outdir = Path(args.out)
-    if config["objective"] == "quadratic":
-        state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, surrogate,
-                             config["acq"], config["t_bo"], config["n_init"],
-                             config["seed"], f_star=0.0)
+def cmd_bo(run: BoConfig, outdir: Path):
+    if run.objective == "quadratic":
+        state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, run.spec, run.acq,
+                             run.t_bo, run.n_init, run.seed, f_star=0.0)
         outdir.mkdir(parents=True, exist_ok=True)
         summary = {
             "objective": "quadratic",
@@ -309,10 +270,9 @@ def cmd_bo(args) -> int:
             "final_cum_regret": float(diag.cum_regret[-1]),
         }
     else:
-        kind = TRAJECTORIES[config["trajectory"]]
-        result = quad_bo_experiment(kind, config["surrogate"], config["seed"],
-                                    t_bo=config["t_bo"], n_init=config["n_init"],
-                                    acq=config["acq"], surrogate=surrogate)
+        kind = TrajectoryKind(run.trajectory)
+        result = quad_bo_experiment(kind, run.spec.model, run.seed, t_bo=run.t_bo,
+                                    n_init=run.n_init, acq=run.acq, surrogate=run.spec)
         state, diag = result["state"], result["diagnostics"]
         gains = PIDGains(**result["gains"])
         flight = heldout_trajectory(gains, kind, result["heldout_seeds"][0])
@@ -320,7 +280,7 @@ def cmd_bo(args) -> int:
         flight.export_csv(outdir / "trajectory.csv")
         summary = {
             "objective": "quad_pid",
-            "trajectory": config["trajectory"],
+            "trajectory": run.trajectory,
             "gains": result["gains"],
             "train_ace": result["train_ace"],
             "heldout_ace": result["heldout_ace"],
@@ -329,26 +289,29 @@ def cmd_bo(args) -> int:
         }
     (outdir / "history.jsonl").write_text(history_jsonl(state, diag))
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_outputs(outdir, config, t0)
-    print(f"incumbent f={state.incumbent_f:.6g} after {config['t_bo']} steps")
-    return 0
+    print(f"incumbent f={state.incumbent_f:.6g} after {run.t_bo} steps")
+
+
+COMMANDS = {
+    "generate": (GenerateConfig, cmd_generate, "write a synthetic dataset as train/test CSV"),
+    "fit-eval": (FitEvalConfig, cmd_fit_eval, "train a model and report held-out metrics"),
+    "bo": (BoConfig, cmd_bo, "run Bayesian optimization"),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    t0 = time.time()
+    args = build_parser().parse_args(argv)
+    cls, command, _ = COMMANDS[args.command]
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "fit-eval":
-            return cmd_fit_eval(args)
-        if args.command == "bo":
-            return cmd_bo(args)
-        parser.error(f"unknown command {args.command!r}")
+        run = load_config(cls, args)
+        outdir = Path(args.out)
+        command(run, outdir)
+        _write_outputs(outdir, {"command": args.command, **config_json(run)}, t0)
     except DilgpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
+    return 0
 
 
 if __name__ == "__main__":

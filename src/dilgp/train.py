@@ -27,7 +27,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -50,8 +52,46 @@ MODEL_KINDS = {
     "gp_rq": KernelKind.RATIONAL_QUADRATIC,
     "gp_dp": KernelKind.DOT_PRODUCT,
 }
-# ModelSpec fields that only the invariance-trained model reads.
-DIL_ONLY_FIELDS = ("t2", "eta1", "lam")
+
+
+def setting(default, help=None, *, choices=None, minimum=None, when=None):
+    """A dataclass field declaring one setting: the help of its flag, the
+    bounds check_fields applies, and when(owner), true if a run reads it."""
+    return field(default=default, metadata={"help": help, "choices": choices,
+                                            "min": minimum, "when": when})
+
+
+def check_fields(obj) -> None:
+    """Raise InvalidSetting unless every field of the dataclass obj holds its
+    annotated type, one of its choices and no less than its minimum. Nothing
+    is converted: a str is not a bool, a bool or a float is not an int."""
+    for f in fields(obj):
+        value, want = getattr(obj, f.name), _field_types(type(obj))[f.name]
+        if not _has_type(value, want):
+            raise InvalidSetting(f"{f.name} must be of type "
+                                 f"{getattr(want, '__name__', want)}, got {value!r}")
+        choices, minimum = f.metadata.get("choices"), f.metadata.get("min")
+        if value is not None and choices is not None and value not in choices:
+            raise InvalidSetting(f"{f.name} must be one of {sorted(choices)}, got {value!r}")
+        if value is not None and minimum is not None and value < minimum:
+            raise InvalidSetting(f"{f.name} must be >= {minimum}, got {value!r}")
+
+
+_field_types = cache(get_type_hints)
+
+
+def _has_type(value, want) -> bool:
+    if get_origin(want) is UnionType:
+        return any(_has_type(value, t) for t in get_args(want))
+    if get_origin(want) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(want)[0]) for v in value)
+    if isinstance(value, bool):
+        return want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _reads_partition(spec: ModelSpec) -> bool:
+    return spec.model == "dil_gp"
 
 
 @dataclass(frozen=True)
@@ -66,29 +106,20 @@ class ModelSpec:
     synthetic_1d calibration.
     """
 
-    model: str = "dil_gp"
-    t1: int = 100
-    t2: int = 10
-    eta1: float = 0.1
-    eta2: float = 0.005
-    lam: float = 0.01
-    sigma2: float = 0.4
+    model: str = setting("dil_gp", choices=MODEL_KINDS)
+    t1: int = setting(100, "outer training steps")
+    t2: int = setting(10, "inner partition-ascent steps", minimum=0, when=_reads_partition)
+    eta1: float = setting(0.1, "partition learning rate", when=_reads_partition)
+    eta2: float = setting(0.005, "parameter learning rate")
+    lam: float = setting(0.01, "invariance penalty coefficient", when=_reads_partition)
+    sigma2: float = setting(0.4, "observation noise variance")
     standardize: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value, want = getattr(self, f.name), type(f.default)
-            ok = isinstance(value, (int, float) if want is float else want)
-            if not ok or (isinstance(value, bool) and want is not bool):
-                raise InvalidSetting(f"{f.name} must be of type {want.__name__}, got {value!r}")
-        if self.model not in MODEL_KINDS:
-            raise InvalidSetting(
-                f"model must be one of {sorted(MODEL_KINDS)}, got {self.model!r}")
+        check_fields(self)
         min_t1 = 1 if self.model == "dil_gp" else 0
         if self.t1 < min_t1:
             raise InvalidSetting(f"t1 must be >= {min_t1} for {self.model}, got {self.t1}")
-        if self.t2 < 0:
-            raise InvalidSetting(f"t2 must be >= 0, got {self.t2}")
         for name in ("eta1", "eta2", "sigma2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

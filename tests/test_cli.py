@@ -7,13 +7,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dilgp.cli import (FIT_EVAL_DEFAULTS, build_parser, main, spec_from_config,
-                       spec_keys)
+from dilgp.cli import (COMMANDS, FitEvalConfig, build_parser, declared, load_config,
+                       main)
 from dilgp.experiments import settings_for
+from dilgp.train import ModelSpec
 
 
 def run_ok(argv):
@@ -95,7 +97,7 @@ def test_fit_eval_dataset_defaults_recorded(fit1d_dir):
     # the 1-D calibration, which is also ModelSpec()'s default
     cfg = read_json(fit1d_dir / "config.json")
     assert cfg["sigma2"] == 0.4
-    assert cfg["lambda"] == 0.01
+    assert cfg["lam"] == 0.01
     assert cfg["eta2"] == 0.005
     assert cfg["model"] == "dil_gp"
 
@@ -112,7 +114,7 @@ def test_fit_eval_prunes_partition_keys_for_plain_gp(tmp_path):
     run_ok(["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian",
             "--t1", "10", "--out", str(out)])
     cfg = read_json(out / "config.json")
-    for key in ("t2", "eta1", "lambda"):
+    for key in ("t2", "eta1", "lam"):
         assert key not in cfg
     assert cfg["sigma2"] == 0.4       # dataset default still applies
 
@@ -133,15 +135,20 @@ def test_fit_eval_sweep_summary(tmp_path):
         max(abs(r - np.mean(rmses)) for r in rmses))
 
 
-def test_fit_eval_from_csv_with_domain_column(gen_dir, tmp_path):
+def test_fit_eval_from_csv_with_domain_column(gen_dir, tmp_path, capsys):
+    # one unparseable row, which is dropped and reported
+    train_csv = tmp_path / "train.csv"
+    train_csv.write_text((gen_dir / "train.csv").read_text() + "1.0,oops,0\n")
     out = tmp_path / "csvfit"
-    run_ok(["fit-eval", "--train-csv", str(gen_dir / "train.csv"),
+    run_ok(["fit-eval", "--train-csv", str(train_csv),
             "--test-csv", str(gen_dir / "test.csv"), "--domain-column", "domain",
             "--model", "gp_gaussian", "--t1", "20", "--sigma2", "0.4",
             "--out", str(out)])
     report = read_json(out / "report.json")
     assert "per_domain_rmse" in report
     assert "1" in report["per_domain_rmse"]
+    assert report["dropped_rows"] == {"train": 1, "test": 0}
+    assert "dropped 1 train and 0 test rows" in capsys.readouterr().out
 
 
 def test_fit_eval_from_csv_with_default_settings(gen_dir, tmp_path):
@@ -179,38 +186,76 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
         assert "unknown keys" in err and key in err
 
 
-def test_config_model_keys_are_model_spec_fields(fit1d_dir):
+def test_config_model_keys_are_model_spec_fields(gen_dir, fit1d_dir, tmp_path):
     cfg = read_json(fit1d_dir / "config.json")
-    keys = spec_keys("fit-eval")
-    assert len(set(keys.values())) == len(keys)       # one key per field
-    run_keys = set(FIT_EVAL_DEFAULTS) - set(keys.values())
-    assert set(cfg) - run_keys - {"command"} == set(keys.values())
-    assert spec_from_config(cfg, "fit-eval") == settings_for("synthetic_1d", "dil_gp")
+    spec_keys = {f.name for f in fields(ModelSpec)}
+    run_keys = {f.name for f in fields(FitEvalConfig)} - {"spec"}
+    assert set(cfg) - run_keys - {"command"} == spec_keys
+    # every command reproduces its run config from its own config.json
+    bo_dir = tmp_path / "bo"
+    run_ok(["bo", "--t-bo", "2", "--out", str(bo_dir)])
+    runs = {"generate": (["--generator", "synthetic_1d", "--seed", "0"], gen_dir),
+            "fit-eval": (["--dataset", "synthetic_1d", "--seed", "0"], fit1d_dir),
+            "bo": (["--t-bo", "2"], bo_dir)}
+    parser = build_parser()
+    for command, (argv, out) in runs.items():
+        cls = COMMANDS[command][0]
+        flags = parser.parse_args([command, *argv, "--out", str(out)])
+        again = parser.parse_args([command, "--config", str(out / "config.json"),
+                                   "--out", str(out)])
+        assert load_config(cls, again) == load_config(cls, flags)
+    saved = parser.parse_args(["fit-eval", "--config", str(fit1d_dir / "config.json"),
+                               "--out", str(fit1d_dir)])
+    assert load_config(FitEvalConfig, saved).spec == settings_for("synthetic_1d", "dil_gp")
 
 
 def test_model_flags_are_generated_from_spec_fields():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for command in ("fit-eval", "bo"):
-        keys = spec_keys(command).values()
-        dests = [a.dest for a in sub.choices[command]._actions if a.dest in keys]
-        assert sorted(dests) == sorted(keys)
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, (cls, _, _) in COMMANDS.items():
+        keys = [f.name for f, _ in declared(cls)]
+        if command != "generate":
+            assert {f.name for f in fields(ModelSpec)} <= set(keys)
+        dests = [a.dest for a in sub.choices[command]._actions]
+        assert sorted(set(dests) - {"help", "config", "out"}) == sorted(keys)
+        assert all(dests.count(key) == 1 for key in keys)
 
 
-@pytest.mark.parametrize("argv", [
-    ["fit-eval", "--dataset", "synthetic_1d", "--t1", "0"],
-    ["fit-eval", "--dataset", "synthetic_1d", "--t2", "-1"],
-    ["fit-eval", "--dataset", "synthetic_1d", "--sweep", "0"],
-    ["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian", "--eta2", "-0.5"],
-    ["bo", "--t-bo", "0"],
-    ["bo", "--sigma2", "0"],
-    ["fit-eval", "--train-csv", "train.csv", "--test-csv", "test.csv",
-     "--model", "gp_gaussian", "--sweep", "3"],
-], ids=["t1", "t2", "sweep", "eta2", "t_bo", "sigma2", "csv_sweep"])
-def test_invalid_settings_report_error(argv, tmp_path, capsys):
+@pytest.mark.parametrize("key, argv, config", [
+    pytest.param("t1", ["fit-eval", "--dataset", "synthetic_1d", "--t1", "0"], None, id="t1"),
+    pytest.param("t2", ["fit-eval", "--dataset", "synthetic_1d", "--t2", "-1"], None, id="t2"),
+    pytest.param("sweep", ["fit-eval", "--dataset", "synthetic_1d", "--sweep", "0"], None,
+                 id="sweep"),
+    pytest.param("eta2", ["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian",
+                          "--eta2", "-0.5"], None, id="eta2"),
+    pytest.param("t_bo", ["bo", "--t-bo", "0"], None, id="t_bo"),
+    pytest.param("sigma2", ["bo", "--sigma2", "0"], None, id="sigma2"),
+    pytest.param("sweep", ["fit-eval", "--train-csv", "train.csv", "--test-csv", "test.csv",
+                           "--model", "gp_gaussian", "--sweep", "3"], None, id="csv_sweep"),
+    # values from a --config file are checked like flags: no conversion, no truthiness
+    pytest.param("seed", ["fit-eval"], {"dataset": "synthetic_1d", "seed": "a"}, id="seed_str"),
+    pytest.param("seed", ["fit-eval"], {"dataset": "synthetic_1d", "seed": 1.5},
+                 id="seed_float"),
+    pytest.param("dataset", ["fit-eval"], {"dataset": ["synthetic_1d"]}, id="dataset_list"),
+    pytest.param("dataset", ["fit-eval"], {"dataset": "synthetic_9d"}, id="dataset_unknown"),
+    pytest.param("generator", ["generate"], {"generator": "synthetic_9d"},
+                 id="generator_unknown"),
+    pytest.param("noise_as_std", ["fit-eval"], {"dataset": "synthetic_1d", "noise_as_std": "no"},
+                 id="noise_as_std_str"),
+    pytest.param("trajectory", ["bo"], {"objective": "quad_pid", "trajectory": "loop"},
+                 id="trajectory_unknown"),
+    pytest.param("objective", ["bo"], {"objective": "nope"}, id="objective_unknown"),
+    pytest.param("t_bo", ["bo"], {"t_bo": "2"}, id="t_bo_str"),
+])
+def test_invalid_settings_report_error(key, argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ and its `__post_init__` checks every value, from a flag or a file alike, for
 exact type, choices and range. Precedence: defaults <- per-dataset
 calibration <- config file <- flags. config.json is the validated config
 less the keys the run never reads, next to a manifest.json of per-file
-checksums; re-running with `--config config.json` reproduces the output
+checksums and the numpy/scipy/OpenBLAS environment; re-running with `--config config.json` reproduces the output
 files byte for byte. The output directory is given only on the command line
 so reproductions can target a fresh directory. Environment variables are
 never consulted.
@@ -30,7 +30,10 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from . import __version__
+import numpy
+import scipy
+
+from . import __version__, blas
 from .bo import bo_run, history_jsonl
 from .data import GENERATORS, load_csv
 from .exceptions import DilgpError, InvalidSetting
@@ -78,6 +81,8 @@ class FitEvalConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.feature_columns == []:
+            raise InvalidSetting("feature_columns must name at least one column")
         if self.dataset is not None and (self.train_csv or self.test_csv):
             raise InvalidSetting("give either --dataset or --train-csv/--test-csv, not both")
         if self.dataset is None and not (self.train_csv and self.test_csv):
@@ -200,7 +205,8 @@ def config_json(run) -> dict:
 
 
 def _write_outputs(outdir: Path, config: dict, t0: float):
-    """Write config.json, checksum every output file, write manifest.json."""
+    """Write config.json, checksum every output file, write manifest.json
+    with the library versions and the BLAS thread count of the fits."""
     cfg_text = json.dumps(config, indent=2, sort_keys=True) + "\n"
     (outdir / "config.json").write_text(cfg_text)
     checksums = {}
@@ -214,6 +220,9 @@ def _write_outputs(outdir: Path, config: dict, t0: float):
         "version": __version__,
         "wall_clock_s": round(time.time() - t0, 3),
         "outputs": checksums,
+        "environment": {"numpy": numpy.__version__, "scipy": scipy.__version__,
+                        "openblas": [lib.name for lib in blas.LIBRARIES],
+                        "blas_threads": 1 if blas.LIBRARIES else None},
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

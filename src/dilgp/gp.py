@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
+from .blas import one_thread
 from .exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from .kernels import KernelKind, KernelParams, kernel_diag, kernel_grads, kernel_matrix
 
@@ -110,8 +112,9 @@ def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     return GPPosterior(kind, params, noise, X, L, alpha, jitter, lml)
 
 
+@one_thread()
 def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at query points.
+    """Posterior mean and variance at query points, at one BLAS thread.
 
     Negative variances produced by round-off are clamped to zero.
     """
@@ -120,6 +123,19 @@ def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     v = solve_triangular(post.chol, Kxs, lower=True, check_finite=False)
     var = kernel_diag(post.kind, post.params, np.asarray(Xs, dtype=float)) - np.einsum("ij,ij->j", v, v)
     return mean, np.where(var < 0.0, 0.0, var)
+
+
+def cho_inverse(L: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 from the lower Cholesky factor L, by LAPACK potri, made
+    exactly symmetric from its lower triangle. potri writes only that
+    triangle and L is zero above its diagonal, so the copy's upper triangle
+    is zero and adding the transpose mirrors the lower one."""
+    inv, info = dpotri(L, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"potri could not invert the factor (info={info})")
+    out = inv + inv.T
+    np.fill_diagonal(out, inv.diagonal())
+    return out
 
 
 def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
@@ -164,6 +180,5 @@ def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> np.nda
 def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
     """Log marginal likelihood and its gradient in the four log-parameters."""
     post = fit_posterior(kind, params, noise, X, y)
-    X = post.train_x
-    A_inv = cho_solve((post.chol, True), np.eye(X.shape[0]), check_finite=False)
-    return post.lml, _lml_grad(kernel_grads(kind, params, X), post.alpha_vec, A_inv)
+    return post.lml, _lml_grad(kernel_grads(kind, params, post.train_x), post.alpha_vec,
+                               cho_inverse(post.chol))

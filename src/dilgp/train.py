@@ -32,13 +32,14 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import expit
 
 from .data import Dataset, Standardizer, fit_standardizer
 from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                          NotPositiveDefinite, TrainingAbort)
-from .gp import GPPosterior, NoiseSpec, _lml_grad, _validate_xy, fit_posterior
+from .blas import one_thread
+from .gp import (GPPosterior, NoiseSpec, _lml_grad, _validate_xy, cho_inverse,
+                 fit_posterior)
 from .kernels import KernelKind, KernelParams, kernel_grads, kernel_scale_direction_grads
 from .rng import rng_for
 
@@ -210,7 +211,7 @@ class TrainState:
 
     @cached_property
     def A_inv(self) -> np.ndarray:
-        return cho_solve((self.post.chol, True), np.eye(self.X.shape[0]), check_finite=False)
+        return cho_inverse(self.post.chol)
 
     @cached_property
     def Kp(self) -> np.ndarray:
@@ -399,10 +400,11 @@ def train_vanilla_gp(spec: ModelSpec, X, y) -> tuple[KernelParams, TrainTrace]:
     return state.params, trace
 
 
+@one_thread()
 def fit_model(spec: ModelSpec, train: Dataset, seed: int
               ) -> tuple[GPPosterior, Standardizer, TrainTrace]:
-    """Standardize and train spec.model; the posterior is that of the last
-    training state, so nothing is factorized after training.
+    """Standardize and train spec.model at one BLAS thread; the posterior is
+    that of the last training state, so nothing is factorized after training.
 
     The posterior lives in the units the model was trained in; the returned
     standardizer maps between those units and the raw ones. It holds the

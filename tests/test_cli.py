@@ -12,6 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from dilgp import blas
 from dilgp.cli import (COMMANDS, FitEvalConfig, build_parser, declared, load_config,
                        main)
 from dilgp.experiments import settings_for
@@ -53,6 +54,10 @@ def test_generate_manifest_checksums(gen_dir):
     assert manifest["outputs"]["train.csv"] == sha(gen_dir / "train.csv")
     assert manifest["outputs"]["config.json"] == sha(gen_dir / "config.json")
     assert manifest["seed"] == 0
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["openblas"] == [lib.name for lib in blas.LIBRARIES]
+    assert env["blas_threads"] == (1 if blas.LIBRARIES else None)
     cfg = read_json(gen_dir / "config.json")
     assert cfg["command"] == "generate"
     assert "out" not in cfg
@@ -246,6 +251,13 @@ def test_model_flags_are_generated_from_spec_fields():
                  id="trajectory_unknown"),
     pytest.param("objective", ["bo"], {"objective": "nope"}, id="objective_unknown"),
     pytest.param("t_bo", ["bo"], {"t_bo": "2"}, id="t_bo_str"),
+    pytest.param("feature_columns", ["fit-eval", "--train-csv", "train.csv", "--test-csv",
+                                     "test.csv", "--feature-columns", ","], None,
+                 id="feature_columns_flag_empty"),
+    pytest.param("feature_columns", ["fit-eval"], {"train_csv": "train.csv",
+                                                   "test_csv": "test.csv",
+                                                   "feature_columns": []},
+                 id="feature_columns_config_empty"),
 ])
 def test_invalid_settings_report_error(key, argv, config, tmp_path, capsys):
     if config is not None:

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from dilgp.exceptions import NotPositiveDefinite
-from dilgp.gp import (NoiseSpec, env_log_likelihood, fit_posterior,
+from dilgp.gp import (NoiseSpec, cho_inverse, env_log_likelihood, fit_posterior,
                       log_marginal_likelihood, predict)
 from dilgp.kernels import KernelKind, KernelParams, kernel_diag, kernel_matrix
 
@@ -207,3 +207,23 @@ def test_posterior_arrays_immutable():
                          np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         post.alpha_vec[0] = 5.0
+
+
+@pytest.mark.parametrize("n", [5, 115, 300])
+def test_cho_inverse_matches_solve_and_dense_inverse(n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2))
+    noise = NoiseSpec(0.3)
+    post = fit_posterior(KernelKind.GAUSSIAN, KernelParams(), noise, X, rng.normal(size=n))
+    A_inv = cho_inverse(post.chol)
+    assert np.array_equal(A_inv, A_inv.T)
+    A = kernel_matrix(KernelKind.GAUSSIAN, KernelParams(), X, X) + noise.sigma2 * np.eye(n)
+    for want in (cho_solve((post.chol, True), np.eye(n)), np.linalg.inv(A)):
+        assert np.max(np.abs(A_inv - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cho_inverse_singular_factor_raises():
+    L = np.eye(3)
+    L[1, 1] = 0.0
+    with pytest.raises(NotPositiveDefinite):
+        cho_inverse(L)

@@ -43,8 +43,7 @@ class SearchSpace:
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch(f"bounds shapes differ: {lo.shape} vs {hi.shape}",
-                                    lo.shape, hi.shape)
+            raise DimensionMismatch(f"bounds shapes differ: {lo.shape} vs {hi.shape}")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise NonFiniteInput("bounds contain NaN or infinity")
         if not np.all(lo < hi):

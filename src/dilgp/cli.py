@@ -38,10 +38,9 @@ from .bo import bo_run, history_jsonl
 from .data import GENERATORS, load_csv
 from .exceptions import DilgpError, InvalidSetting
 from .experiments import (BO_SPEC, QUADRATIC_OPTIMUM, QUADRATIC_SPACE, fit_eval,
-                          heldout_trajectory, quad_bo_experiment, quadratic_objective,
-                          settings_for, sweep_seeds)
-from .quad import PIDGains, TrajectoryKind
-from .train import ModelSpec, check_fields, setting
+                          quad_bo_experiment, quadratic_objective, settings_for, sweep_seeds)
+from .quad import WIND_DOMAIN_HELDOUT, PIDGains, TrajectoryKind, simulate
+from .train import ModelSpec, check_fields, learns_partition, setting
 
 
 def _from_csv(run) -> bool:
@@ -87,7 +86,7 @@ class FitEvalConfig:
             raise InvalidSetting("give either --dataset or --train-csv/--test-csv, not both")
         if self.dataset is None and not (self.train_csv and self.test_csv):
             raise InvalidSetting("need --dataset, or both --train-csv and --test-csv")
-        if self.dataset is None and self.sweep is not None and self.spec.model != "dil_gp":
+        if self.dataset is None and self.sweep is not None and not learns_partition(self.spec):
             raise InvalidSetting(f"--sweep on CSV input refits the same rows, and "
                                  f"{self.spec.model} never reads the seed, so every seed "
                                  "would give the same fit")
@@ -227,9 +226,18 @@ def _write_outputs(outdir: Path, config: dict, t0: float):
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _make_outdir(outdir: Path):
+    """Create the output directory once the inputs are read, so that a bad
+    input writes nothing; an unusable path is a DilgpError naming it."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DilgpError(f"cannot create output directory {outdir}: {exc.strerror}") from None
+
+
 def cmd_generate(run: GenerateConfig, outdir: Path):
     train, test = GENERATORS[run.generator](run.seed, noise_as_std=run.noise_as_std)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     train.to_csv(outdir / "train.csv")
     test.to_csv(outdir / "test.csv")
     print(f"wrote {train.n} train rows and {test.n} test rows to {outdir}")
@@ -258,7 +266,7 @@ def cmd_fit_eval(run: FitEvalConfig, outdir: Path):
         if any(dropped.values()):
             print(f"dropped {dropped['train']} train and {dropped['test']} test rows "
                   "with an unparseable or non-finite cell")
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if run.sweep is None:
         (outdir / "trace.jsonl").write_text(trace.to_jsonl())
@@ -268,7 +276,7 @@ def cmd_bo(run: BoConfig, outdir: Path):
     if run.objective == "quadratic":
         state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, run.spec, run.acq,
                              run.t_bo, run.n_init, run.seed, f_star=0.0)
-        outdir.mkdir(parents=True, exist_ok=True)
+        _make_outdir(outdir)
         summary = {
             "objective": "quadratic",
             "incumbent_x": state.incumbent_x.tolist(),
@@ -284,8 +292,8 @@ def cmd_bo(run: BoConfig, outdir: Path):
                                     n_init=run.n_init, acq=run.acq, surrogate=run.spec)
         state, diag = result["state"], result["diagnostics"]
         gains = PIDGains(**result["gains"])
-        flight = heldout_trajectory(gains, kind, result["heldout_seeds"][0])
-        outdir.mkdir(parents=True, exist_ok=True)
+        flight = simulate(gains, kind, WIND_DOMAIN_HELDOUT, result["heldout_seeds"][0])
+        _make_outdir(outdir)
         flight.export_csv(outdir / "trajectory.csv")
         summary = {
             "objective": "quad_pid",

@@ -36,19 +36,16 @@ class Dataset:
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         if self.x.ndim != 2:
-            raise DimensionMismatch(f"x must be 2-D, got shape {self.x.shape}", self.x.shape, None)
+            raise DimensionMismatch(f"x must be 2-D, got shape {self.x.shape}")
         if self.y.shape != (self.x.shape[0],):
-            raise DimensionMismatch(
-                f"y must have shape ({self.x.shape[0]},), got {self.y.shape}",
-                self.y.shape, (self.x.shape[0],))
+            raise DimensionMismatch(f"y must have shape ({self.x.shape[0]},), got {self.y.shape}")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise NonFiniteInput("dataset contains NaN or infinity")
         if self.domain_tag is not None:
             self.domain_tag = np.asarray(self.domain_tag, dtype=int)
             if self.domain_tag.shape != self.y.shape:
                 raise DimensionMismatch(
-                    f"domain_tag must have shape {self.y.shape}, got {self.domain_tag.shape}",
-                    self.domain_tag.shape, self.y.shape)
+                    f"domain_tag must have shape {self.y.shape}, got {self.domain_tag.shape}")
 
     @property
     def n(self) -> int:
@@ -91,7 +88,7 @@ def synthetic_2d_mean(X: np.ndarray, cluster: int) -> np.ndarray:
     """Noise-free target of the 2-D problem for the given cluster."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
-        raise DimensionMismatch(f"expected shape (n, 2), got {X.shape}", X.shape, None)
+        raise DimensionMismatch(f"expected shape (n, 2), got {X.shape}")
     if cluster == 0:
         return 1.5 * np.sin(30.0 * X[:, 0] + 20.0) + 1.5 * np.sin(30.0 * X[:, 1] + 20.0)
     if cluster == 1:
@@ -259,8 +256,7 @@ def rmse(pred, truth) -> float:
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape or pred.ndim != 1 or pred.shape[0] < 1:
-        raise DimensionMismatch(f"shape mismatch {pred.shape} vs {truth.shape}",
-                                pred.shape, truth.shape)
+        raise DimensionMismatch(f"shape mismatch {pred.shape} vs {truth.shape}")
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
@@ -271,8 +267,7 @@ def coverage_rate(pred_mean, pred_std, truth) -> float:
     truth = np.asarray(truth, dtype=float)
     if not (truth.shape == pred_mean.shape == pred_std.shape):
         raise DimensionMismatch(
-            f"shape mismatch {pred_mean.shape} vs {pred_std.shape} vs {truth.shape}",
-            pred_mean.shape, truth.shape)
+            f"shape mismatch {pred_mean.shape} vs {pred_std.shape} vs {truth.shape}")
     if np.any(pred_std < 0):
         raise NonFiniteInput("predictive std must be >= 0")
     return float(np.mean(np.abs(truth - pred_mean) <= pred_std))

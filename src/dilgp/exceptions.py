@@ -10,11 +10,6 @@ class DilgpError(Exception):
 class DimensionMismatch(DilgpError, ValueError):
     """Two arrays that must share a dimension do not."""
 
-    def __init__(self, message: str, shape_a=None, shape_b=None):
-        super().__init__(message)
-        self.shape_a = shape_a
-        self.shape_b = shape_b
-
 
 class NonFiniteInput(DilgpError, ValueError):
     """An input array contains NaN or infinity."""

@@ -16,7 +16,7 @@ from .data import Dataset, EvalReport, GENERATORS, coverage_rate, rmse
 from .exceptions import InvalidSetting
 from .gp import predict
 from .quad import (TrajectoryKind, WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN,
-                   PIDGains, pid_objective, simulate)
+                   PIDGains, pid_objective)
 from .rng import rng_for
 from .train import ModelSpec, fit_model
 
@@ -144,11 +144,6 @@ def quad_bo_experiment(kind: TrajectoryKind, model: str, experiment_seed: int,
         "state": state,
         "diagnostics": diag,
     }
-
-
-def heldout_trajectory(gains: PIDGains, kind: TrajectoryKind, seed: int):
-    """One held-out-regime flight for CSV export."""
-    return simulate(gains, kind, WIND_DOMAIN_HELDOUT, seed)
 
 
 def compare_tuners(kind: TrajectoryKind, experiment_seeds=(0, 1, 2, 3, 4)) -> dict:

@@ -44,10 +44,9 @@ def _validate_xy(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
-        raise DimensionMismatch(f"X must be 2-D, got shape {X.shape}", X.shape, None)
+        raise DimensionMismatch(f"X must be 2-D, got shape {X.shape}")
     if y.shape != (X.shape[0],):
-        raise DimensionMismatch(
-            f"y must have shape ({X.shape[0]},), got {y.shape}", y.shape, (X.shape[0],))
+        raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NonFiniteInput("targets contain NaN or infinity")
     return X, y
@@ -103,7 +102,7 @@ def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     writeable."""
     X, y = _validate_xy(X, y)
     if X.shape[0] < 1:
-        raise DimensionMismatch("need at least one training point", X.shape, None)
+        raise DimensionMismatch("need at least one training point")
     L, jitter = _factor(kind, params, noise, X)
     lml, alpha = _gaussian_quad_ll(L, y)
     X = X.view()
@@ -161,8 +160,7 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     X, y = _validate_xy(X, y)
     mask = np.asarray(mask, dtype=float)
     if mask.shape != y.shape:
-        raise DimensionMismatch(f"mask shape {mask.shape} != y shape {y.shape}",
-                                mask.shape, y.shape)
+        raise DimensionMismatch(f"mask shape {mask.shape} != y shape {y.shape}")
     if not np.all(np.isfinite(mask)) or np.any(mask < 0.0) or np.any(mask > 1.0):
         raise NonFiniteInput("mask entries must lie in [0, 1]")
     post = fit_posterior(kind, params, noise, X, y)

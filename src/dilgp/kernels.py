@@ -84,7 +84,7 @@ class KernelParams:
     def from_array(cls, v) -> "KernelParams":
         v = np.asarray(v, dtype=float)
         if v.shape != (4,):
-            raise DimensionMismatch(f"expected 4 log-parameters, got shape {v.shape}", v.shape, (4,))
+            raise DimensionMismatch(f"expected 4 log-parameters, got shape {v.shape}")
         return cls(*(float(x) for x in v))
 
     def scaled(self, w: float) -> "KernelParams":
@@ -102,12 +102,10 @@ def _check_inputs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2:
         raise DimensionMismatch(
-            f"inputs must be 2-D (n, d) matrices, got shapes {X.shape} and {Y.shape}",
-            X.shape, Y.shape)
+            f"inputs must be 2-D (n, d) matrices, got shapes {X.shape} and {Y.shape}")
     if X.shape[1] != Y.shape[1] or X.shape[1] < 1:
         raise DimensionMismatch(
-            f"column counts differ or are empty: X has shape {X.shape}, Y has shape {Y.shape}",
-            X.shape, Y.shape)
+            f"column counts differ or are empty: X has shape {X.shape}, Y has shape {Y.shape}")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
         raise NonFiniteInput("kernel inputs contain NaN or infinity")
     return X, Y

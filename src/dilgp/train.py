@@ -91,7 +91,9 @@ def _has_type(value, want) -> bool:
     return isinstance(value, (int, float) if want is float else want)
 
 
-def _reads_partition(spec: ModelSpec) -> bool:
+def learns_partition(spec: ModelSpec) -> bool:
+    """Whether the model infers a partition (only dil_gp does); only such a
+    model reads the seed, t2, eta1 and lam."""
     return spec.model == "dil_gp"
 
 
@@ -100,25 +102,25 @@ class ModelSpec:
     """Every setting of one model fit.
 
     t1 is the number of outer descent steps (kernel parameters, rate eta2);
-    t2, eta1 and lam drive the partition ascent and the penalty, and only
-    dil_gp reads them. sigma2 is the observation noise variance in the units
-    the model is trained in (standardized units when standardize is set).
-    Training always starts from KernelParams(). The defaults are the
-    synthetic_1d calibration.
+    t2, eta1 and lam drive the partition ascent and the penalty, and only a
+    model that learns_partition reads them. sigma2 is the observation noise
+    variance in the units the model is trained in (standardized units when
+    standardize is set). Training always starts from KernelParams(). The
+    defaults are the synthetic_1d calibration.
     """
 
     model: str = setting("dil_gp", choices=MODEL_KINDS)
     t1: int = setting(100, "outer training steps")
-    t2: int = setting(10, "inner partition-ascent steps", minimum=0, when=_reads_partition)
-    eta1: float = setting(0.1, "partition learning rate", when=_reads_partition)
+    t2: int = setting(10, "inner partition-ascent steps", minimum=0, when=learns_partition)
+    eta1: float = setting(0.1, "partition learning rate", when=learns_partition)
     eta2: float = setting(0.005, "parameter learning rate")
-    lam: float = setting(0.01, "invariance penalty coefficient", when=_reads_partition)
+    lam: float = setting(0.01, "invariance penalty coefficient", when=learns_partition)
     sigma2: float = setting(0.4, "observation noise variance")
     standardize: bool = True
 
     def __post_init__(self):
         check_fields(self)
-        min_t1 = 1 if self.model == "dil_gp" else 0
+        min_t1 = 1 if learns_partition(self) else 0
         if self.t1 < min_t1:
             raise InvalidSetting(f"t1 must be >= {min_t1} for {self.model}, got {self.t1}")
         for name in ("eta1", "eta2", "sigma2"):
@@ -146,7 +148,7 @@ class DomainLogits:
     def __post_init__(self):
         q = np.asarray(self.q_tilde, dtype=float)
         if q.ndim != 1:
-            raise DimensionMismatch(f"logits must be 1-D, got shape {q.shape}", q.shape, None)
+            raise DimensionMismatch(f"logits must be 1-D, got shape {q.shape}")
         if not np.all(np.isfinite(q)):
             raise NonFiniteInput("logits contain NaN or infinity")
         self.q_tilde = q
@@ -184,7 +186,6 @@ class TraceRecord:
 @dataclass
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
-    aborted: bool = False
 
     def __len__(self):
         return len(self.records)
@@ -334,31 +335,29 @@ def init_logits(n: int, seed: int) -> DomainLogits:
     return DomainLogits(0.1 * rng.standard_normal(n))
 
 
-def _train(spec: ModelSpec, X, y, seed: int | None
+def _train(spec: ModelSpec, X, y, seed: int
            ) -> tuple[TrainState, DomainLogits | None, TrainTrace]:
-    """The outer loop of both trainers, from KernelParams(). With a seed the
-    logits start from init_logits and each round first ascends on them;
-    without one there is no ascent and no penalty (a plain GP). Each round
-    reads one TrainState, and the state of the accepted step becomes the
-    next round's, so t1 rounds factorize t1 + 1 times (plus one per step
-    halving). Returns the last state, whose posterior is the fitted model,
-    with the logits and the trace."""
+    """spec.t1 training rounds from KernelParams(). When the spec learns a
+    partition, the logits start from init_logits(seed) and each round first
+    ascends on them spec.t2 times; a plain GP ignores the seed and descends
+    on the -LML alone. Each round reads one TrainState, and the state of the
+    accepted step becomes the next round's, so t1 rounds factorize t1 + 1
+    times (plus one per step halving). Returns the last state, whose
+    posterior is the fitted model, the logits (None for a plain GP) and the
+    trace of completed rounds, which on abort rides on the TrainingAbort."""
     X, y = _validate_xy(X, y)
-    logits = None
-    if seed is not None:
-        n = X.shape[0]
-        if n < 4:
-            raise DimensionMismatch(f"need at least 4 training points to split, got {n}",
-                                    (n,), None)
-        logits = init_logits(n, seed)
+    n, partition = X.shape[0], learns_partition(spec)
+    if partition and n < 4:
+        raise DimensionMismatch(f"need at least 4 training points to split, got {n}")
+    logits = init_logits(n, seed) if partition else None
     kind, noise = spec.kind, spec.noise
-    lam = spec.lam if logits is not None else 0.0
+    lam = spec.lam if partition else 0.0
     masks = None
     trace = TrainTrace()
     state = TrainState(kind, KernelParams(), noise, X, y)
     for t in range(1, spec.t1 + 1):
         try:
-            if logits is not None:
+            if partition:
                 for _ in range(spec.t2):
                     logits = inner_ascent_step(logits, state, spec.eta1)
                 masks = env_masks(logits)
@@ -368,36 +367,11 @@ def _train(spec: ModelSpec, X, y, seed: int | None
             del state
             state, obj, pen = _descend(kind, noise, X, y, theta, g, spec.eta2, lam, masks)
         except TrainingAbort as exc:
-            trace.aborted = True
             exc.trace = trace
             raise
         trace.records.append(TraceRecord(t, obj, pen.penalty, pen.per_env_grad,
                                          state.params, noise.sigma2))
     return state, logits, trace
-
-
-def train_dil_gp(spec: ModelSpec, X, y, seed: int
-                 ) -> tuple[KernelParams, DomainLogits, TrainTrace]:
-    """Alternating min-max training from KernelParams().
-
-    Each of the spec.t1 rounds runs spec.t2 ascent steps on the logits
-    (warm-started from the previous round), then one descent step on the
-    kernel parameters. The trace holds one record per completed round, with
-    objective, penalty and per-environment derivatives evaluated at the
-    updated parameters. On abort the partial trace is attached to the raised
-    TrainingAbort. With lam = 0 and t2 = 0 the parameter trajectory is
-    bit-identical to train_vanilla_gp's.
-    """
-    state, logits, trace = _train(spec, X, y, seed)
-    return state.params, logits, trace
-
-
-def train_vanilla_gp(spec: ModelSpec, X, y) -> tuple[KernelParams, TrainTrace]:
-    """Plain maximum-likelihood training from KernelParams(): spec.t1
-    descent steps on the NLL alone at rate spec.eta2, sharing the round
-    loop with train_dil_gp."""
-    state, _, trace = _train(spec, X, y, None)
-    return state.params, trace
 
 
 @one_thread()
@@ -409,9 +383,10 @@ def fit_model(spec: ModelSpec, train: Dataset, seed: int
     The posterior lives in the units the model was trained in; the returned
     standardizer maps between those units and the raw ones. It holds the
     training statistics, or is Standardizer.identity when spec.standardize
-    is off. seed drives the initial partition logits of dil_gp.
+    is off. seed drives the initial partition logits of a model that learns
+    one; a plain GP does not read it.
     """
     scaler = fit_standardizer(train) if spec.standardize else Standardizer.identity(train.d)
     ds = scaler.transform(train)
-    state, _, trace = _train(spec, ds.x, ds.y, seed if spec.model == "dil_gp" else None)
+    state, _, trace = _train(spec, ds.x, ds.y, seed)
     return state.post, scaler, trace

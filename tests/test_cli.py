@@ -296,6 +296,18 @@ def test_bad_input_files_report_error(case, gen_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["generate"], "file"),
+    (["fit-eval", "--dataset", "synthetic_1d", "--t1", "2"], "file/sub"),
+], ids=["generate-out-is-a-file", "fit-eval-out-under-a-file"])
+def test_unusable_out_reports_error(argv, out, tmp_path, capsys):
+    (tmp_path / "file").write_text("kept\n")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / out) in err
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_dataset_and_csv_are_mutually_exclusive(tmp_path, capsys):
     code = main(["fit-eval", "--dataset", "synthetic_1d", "--train-csv", "t.csv",
                  "--test-csv", "t.csv", "--out", str(tmp_path / "o")])

@@ -18,9 +18,9 @@ from dilgp.gp import (NoiseSpec, env_log_likelihood, fit_posterior,
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, kernel_matrix)
 from dilgp.rng import rng_for
-from dilgp.train import (MODEL_KINDS, DomainLogits, ModelSpec, TrainState, env_masks,
-                         fit_model, inner_ascent_step, irm_penalty, outer_descent_step,
-                         train_dil_gp, train_vanilla_gp)
+from dilgp.train import (MODEL_KINDS, DomainLogits, ModelSpec, TrainState, _train,
+                         env_masks, fit_model, inner_ascent_step, irm_penalty,
+                         outer_descent_step)
 
 GAUSS = KernelKind.GAUSSIAN
 
@@ -184,7 +184,7 @@ def test_partition_discovery_on_shifted_clusters():
         train, _ = gen_synthetic_1d(s)
         tr = fit_standardizer(train).transform(train)
         spec = ModelSpec(t1=100, t2=10, eta1=0.1, eta2=0.005, lam=0.01, sigma2=0.4)
-        _, logits, _ = train_dil_gp(spec, tr.x, tr.y, s)
+        _, logits, _ = _train(spec, tr.x, tr.y, s)
         m0, _ = env_masks(logits)
         tags = tr.domain_tag
         gap = abs(float(m0[tags == 1].mean()) - float(m0[tags == 0].mean()))
@@ -258,19 +258,19 @@ def test_label_swap_leaves_outer_step_unchanged():
 def test_lambda_zero_no_inner_reduces_to_vanilla_bitwise():
     X, y, _ = toy(7, n=12)
     spec = ModelSpec(t1=25, t2=0, eta1=0.1, eta2=0.02, lam=0.0, sigma2=0.1)
-    p_dil, _, trace = train_dil_gp(spec, X, y, 3)
-    p_van, van_trace = train_vanilla_gp(replace(spec, model="gp_gaussian"), X, y)
-    assert np.array_equal(p_dil.as_array(), p_van.as_array())
+    dil, _, trace = _train(spec, X, y, 3)
+    van, _, van_trace = _train(replace(spec, model="gp_gaussian"), X, y, 3)
+    assert np.array_equal(dil.params.as_array(), van.params.as_array())
     assert len(trace) == len(van_trace) == 25
 
 
 def test_trace_length_and_determinism():
     X, y, _ = toy(8, n=10)
     spec = ModelSpec(t1=7, t2=3, eta1=0.1, eta2=0.01, lam=0.5, sigma2=0.2)
-    out1 = train_dil_gp(spec, X, y, 11)
-    out2 = train_dil_gp(spec, X, y, 11)
+    out1 = _train(spec, X, y, 11)
+    out2 = _train(spec, X, y, 11)
     assert len(out1[2]) == 7
-    assert np.array_equal(out1[0].as_array(), out2[0].as_array())
+    assert np.array_equal(out1[0].params.as_array(), out2[0].params.as_array())
     assert np.array_equal(out1[1].q_tilde, out2[1].q_tilde)
     for a, b in zip(out1[2].records, out2[2].records):
         assert a.objective == b.objective and a.penalty == b.penalty
@@ -280,7 +280,7 @@ def test_trace_serializes_to_jsonl():
     import json
     X, y, _ = toy(9, n=8)
     spec = ModelSpec(t1=3, t2=2, eta1=0.1, eta2=0.01, lam=0.1, sigma2=0.2)
-    _, _, trace = train_dil_gp(spec, X, y, 0)
+    _, _, trace = _train(spec, X, y, 0)
     lines = trace.to_jsonl().strip().split("\n")
     assert len(lines) == 3
     rec = json.loads(lines[0])
@@ -334,7 +334,7 @@ def test_too_few_points_rejected():
     y = np.zeros(3)
     spec = ModelSpec(t1=1, t2=0, eta1=0.1, eta2=0.01, lam=0.0, sigma2=0.1)
     with pytest.raises(DimensionMismatch):
-        train_dil_gp(spec, X, y, 0)
+        _train(spec, X, y, 0)
 
 
 def test_descent_abort_carries_partial_trace():
@@ -345,18 +345,33 @@ def test_descent_abort_carries_partial_trace():
     y = 1e12 * np.ones(8)
     spec = ModelSpec(t1=10, t2=0, eta1=0.1, eta2=0.5, lam=0.0, sigma2=1e-6)
     with pytest.raises(TrainingAbort) as exc:
-        train_dil_gp(spec, X, y, 0)
+        _train(spec, X, y, 0)
     assert "halvings" in str(exc.value)
-    assert exc.value.trace.aborted
+    assert len(exc.value.trace) < spec.t1
 
 
 # ---------------------------------------------------------------- vanilla
 
 def test_vanilla_zero_steps_returns_init():
     X, y, _ = toy(10)
-    out, trace = train_vanilla_gp(ModelSpec(model="gp_gaussian", t1=0, sigma2=0.1), X, y)
-    assert np.array_equal(out.as_array(), KernelParams().as_array())
+    state, _, trace = _train(ModelSpec(model="gp_gaussian", t1=0, sigma2=0.1), X, y, 0)
+    assert np.array_equal(state.params.as_array(), KernelParams().as_array())
     assert len(trace) == 0
+
+
+def test_plain_gp_ignores_the_seed():
+    # only a model that learns a partition reads the seed: a plain GP has no
+    # logits, and any two seeds give the same trained model bit for bit
+    X, y, _ = toy(11, n=12)
+    spec = ModelSpec(model="gp_gaussian", t1=10, eta2=0.02, sigma2=0.1)
+    (s0, q0, tr0), (s1, q1, tr1) = (_train(spec, X, y, seed) for seed in (0, 1))
+    assert q0 is None and q1 is None
+    assert np.array_equal(s0.params.as_array(), s1.params.as_array())
+    assert len(tr0) == 10 and tr0.to_jsonl() == tr1.to_jsonl()
+    train, _ = gen_synthetic_1d(0)
+    p0, p1 = (fit_model(replace(spec, t1=5), train, seed)[0] for seed in (0, 1))
+    assert np.array_equal(p0.chol, p1.chol)
+    assert np.array_equal(p0.alpha_vec, p1.alpha_vec)
 
 
 def test_vanilla_recovers_generating_params():
@@ -370,7 +385,7 @@ def test_vanilla_recovers_generating_params():
         K = kernel_matrix(GAUSS, true, X, X)
         y = rng.multivariate_normal(np.zeros(40), K + sig2 * np.eye(40))
         spec = ModelSpec(model="gp_gaussian", t1=200, eta2=0.05, sigma2=sig2)
-        p, _ = train_vanilla_gp(spec, X, y)
+        p = _train(spec, X, y, 0)[0].params
         assert abs(p.log_s - true.log_s) < 0.5
         assert abs(p.log_l - true.log_l) < 0.5
 
@@ -383,7 +398,7 @@ def test_vanilla_final_likelihood_not_worse():
         y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(20)
         l0 = log_marginal_likelihood(GAUSS, KernelParams(), noise, X, y)
         spec = ModelSpec(model="gp_gaussian", t1=50, eta2=0.05, sigma2=noise.sigma2)
-        p, _ = train_vanilla_gp(spec, X, y)
+        p = _train(spec, X, y, 0)[0].params
         assert log_marginal_likelihood(GAUSS, p, noise, X, y) >= l0
 
 

@@ -203,16 +203,14 @@ def config_json(run) -> dict:
     return out
 
 
-def _write_outputs(outdir: Path, config: dict, t0: float):
-    """Write config.json, checksum every output file, write manifest.json
-    with the library versions and the BLAS thread count of the fits."""
+def _write_outputs(outdir: Path, config: dict, written: list[str], t0: float):
+    """Write config.json, checksum it and the files this run wrote (other
+    files in outdir are not this run's), write manifest.json with the
+    library versions and the BLAS thread count of the fits."""
     cfg_text = json.dumps(config, indent=2, sort_keys=True) + "\n"
     (outdir / "config.json").write_text(cfg_text)
-    checksums = {}
-    for p in sorted(outdir.iterdir()):
-        if p.name == "manifest.json" or p.is_dir():
-            continue
-        checksums[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+    checksums = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                 for name in sorted([*written, "config.json"])}
     manifest = {
         "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
         "seed": config.get("seed"),
@@ -235,15 +233,16 @@ def _make_outdir(outdir: Path):
         raise DilgpError(f"cannot create output directory {outdir}: {exc.strerror}") from None
 
 
-def cmd_generate(run: GenerateConfig, outdir: Path):
+def cmd_generate(run: GenerateConfig, outdir: Path) -> list[str]:
     train, test = GENERATORS[run.generator](run.seed, noise_as_std=run.noise_as_std)
     _make_outdir(outdir)
     train.to_csv(outdir / "train.csv")
     test.to_csv(outdir / "test.csv")
     print(f"wrote {train.n} train rows and {test.n} test rows to {outdir}")
+    return ["train.csv", "test.csv"]
 
 
-def cmd_fit_eval(run: FitEvalConfig, outdir: Path):
+def cmd_fit_eval(run: FitEvalConfig, outdir: Path) -> list[str]:
     if run.dataset is None:
         # CSV rows do not depend on the seed, so a sweep refits this one pair
         pair = tuple(load_csv(path, run.target_column, run.feature_columns, run.domain_column)
@@ -268,15 +267,19 @@ def cmd_fit_eval(run: FitEvalConfig, outdir: Path):
                   "with an unparseable or non-finite cell")
     _make_outdir(outdir)
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    written = ["report.json"]
     if run.sweep is None:
         (outdir / "trace.jsonl").write_text(trace.to_jsonl())
+        written.append("trace.jsonl")
+    return written
 
 
-def cmd_bo(run: BoConfig, outdir: Path):
+def cmd_bo(run: BoConfig, outdir: Path) -> list[str]:
     if run.objective == "quadratic":
         state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, run.spec, run.acq,
                              run.t_bo, run.n_init, run.seed, f_star=0.0)
         _make_outdir(outdir)
+        written = []
         summary = {
             "objective": "quadratic",
             "incumbent_x": state.incumbent_x.tolist(),
@@ -295,6 +298,7 @@ def cmd_bo(run: BoConfig, outdir: Path):
         flight = simulate(gains, kind, WIND_DOMAIN_HELDOUT, result["heldout_seeds"][0])
         _make_outdir(outdir)
         flight.export_csv(outdir / "trajectory.csv")
+        written = ["trajectory.csv"]
         summary = {
             "objective": "quad_pid",
             "trajectory": run.trajectory,
@@ -307,8 +311,11 @@ def cmd_bo(run: BoConfig, outdir: Path):
     (outdir / "history.jsonl").write_text(history_jsonl(state, diag))
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"incumbent f={state.incumbent_f:.6g} after {run.t_bo} steps")
+    return [*written, "history.jsonl", "summary.json"]
 
 
+# name -> (config type, command, help); a command returns the names of the
+# files it wrote into the output directory.
 COMMANDS = {
     "generate": (GenerateConfig, cmd_generate, "write a synthetic dataset as train/test CSV"),
     "fit-eval": (FitEvalConfig, cmd_fit_eval, "train a model and report held-out metrics"),
@@ -323,8 +330,8 @@ def main(argv=None) -> int:
     try:
         run = load_config(cls, args)
         outdir = Path(args.out)
-        command(run, outdir)
-        _write_outputs(outdir, {"command": args.command, **config_json(run)}, t0)
+        written = command(run, outdir)
+        _write_outputs(outdir, {"command": args.command, **config_json(run)}, written, t0)
     except DilgpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,14 @@
 """Exact Gaussian-process regression via Cholesky factorization.
 
-Everything here works on a fixed kernel. fit_posterior is the only place
-K + sigma^2 I is factorized: the posterior it returns carries the factor,
+Everything here works on a fixed kernel. gram_posterior is the only place
+K + sigma^2 I is factorized, from a Gram matrix K its caller built:
+fit_posterior builds K from X, while lml_value_and_grad and
+train.TrainState pass the log s slice of their K_p stack, so each parameter
+point evaluates its kernel once. The posterior carries the factor,
 alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood, and
-prediction, the likelihood and its gradient read them (so does training,
-through train.TrainState). Per-environment likelihoods mask the residual
-inside both quadratic-form factors while keeping the full-data
-log-determinant and normalizer.
+prediction, the likelihood and its gradient read them. Per-environment
+likelihoods mask the residual inside both quadratic-form factors while
+keeping the full-data log-determinant and normalizer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from scipy.linalg.lapack import dpotri
 
 from .blas import one_thread
 from .exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from .kernels import KernelKind, KernelParams, kernel_diag, kernel_grads, kernel_matrix
+from .kernels import (KernelKind, KernelParams, base_matrix, grad_stack, kernel_diag,
+                      kernel_matrix)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -47,37 +50,40 @@ def _validate_xy(X, y):
         raise DimensionMismatch(f"X must be 2-D, got shape {X.shape}")
     if y.shape != (X.shape[0],):
         raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
+    if X.shape[0] < 1:
+        raise DimensionMismatch("need at least one training point")
     if not np.all(np.isfinite(y)):
         raise NonFiniteInput("targets contain NaN or infinity")
     return X, y
 
 
-def _factor(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-            X: np.ndarray) -> tuple[np.ndarray, float]:
+def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + sigma^2 I, with adaptive diagonal jitter.
 
-    Returns (L, jitter). Jitter starts at 1e-10 * mean diagonal and grows
-    tenfold until the factorization succeeds or 1e-4 * mean diagonal is
-    exceeded, at which point NotPositiveDefinite is raised.
+    sigma^2 and any jitter go on the diagonal of one copy of the Gram matrix
+    K, which is never written. Returns (L, jitter). Jitter starts at
+    1e-10 * mean diagonal and grows tenfold until the factorization succeeds
+    or 1e-4 * mean diagonal is exceeded, at which point NotPositiveDefinite
+    is raised with the kernel params.
     """
-    K = kernel_matrix(kind, params, X, X)
-    n = X.shape[0]
-    A = K + noise.sigma2 * np.eye(n)
+    n = K.shape[0]
+    A = K.copy()
+    A.flat[::n + 1] += noise.sigma2
     if not np.all(np.isfinite(A)):
         raise NonFiniteInput("kernel matrix contains non-finite entries")
+    diag = A.diagonal().copy()
     scale = max(np.trace(A) / n, np.finfo(float).tiny)
     jitter = 0.0
     while True:
         try:
-            L = cholesky(A + jitter * np.eye(n) if jitter else A,
-                         lower=True, check_finite=False)
-            return L, jitter
+            return cholesky(A, lower=True, check_finite=False), jitter
         except LinAlgError:
             jitter = _JITTER_START * scale if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_STOP * scale:
                 raise NotPositiveDefinite(
                     f"covariance not positive definite after jitter up to "
                     f"{_JITTER_STOP * scale:g}", params=params) from None
+            np.fill_diagonal(A, diag + jitter)
 
 
 @dataclass(frozen=True)
@@ -96,14 +102,19 @@ class GPPosterior:
 
 def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                   X, y) -> GPPosterior:
-    """Zero-mean posterior; callers standardize y when its mean matters.
+    """Zero-mean posterior; callers standardize y when its mean matters."""
+    X, y = _validate_xy(X, y)
+    return gram_posterior(kind, params, noise, X, y, kernel_matrix(kind, params, X, X))
+
+
+def gram_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
+                   X: np.ndarray, y: np.ndarray, K: np.ndarray) -> GPPosterior:
+    """fit_posterior from the Gram matrix K = kernel_matrix(kind, params, X, X)
+    of X and y as _validate_xy returns them. K is read, never written.
 
     The posterior keeps a read-only view of X, so the caller's array stays
     writeable."""
-    X, y = _validate_xy(X, y)
-    if X.shape[0] < 1:
-        raise DimensionMismatch("need at least one training point")
-    L, jitter = _factor(kind, params, noise, X)
+    L, jitter = _factor(K, noise, params)
     lml, alpha = _gaussian_quad_ll(L, y)
     X = X.view()
     for a in (X, L, alpha):
@@ -176,7 +187,9 @@ def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> np.nda
 
 
 def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
-    """Log marginal likelihood and its gradient in the four log-parameters."""
-    post = fit_posterior(kind, params, noise, X, y)
-    return post.lml, _lml_grad(kernel_grads(kind, params, post.train_x), post.alpha_vec,
-                               cho_inverse(post.chol))
+    """Log marginal likelihood and its gradient in the log-parameters the
+    kernel reads, ordered as ACTIVE_PARAMS[kind]."""
+    X, y = _validate_xy(X, y)
+    Kp = grad_stack(kind, params, base_matrix(kind, X, X))
+    post = gram_posterior(kind, params, noise, X, y, Kp[0])
+    return post.lml, _lml_grad(Kp, post.alpha_vec, cho_inverse(post.chol))

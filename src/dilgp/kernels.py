@@ -8,6 +8,12 @@ Three stationary/linear kernels are supported:
 
 All hyperparameters are stored in log-space so unconstrained gradient steps
 keep the exponentiated values strictly positive.
+
+Each kernel reads its inputs through one base_matrix: squared distances for
+the stationary kernels, X Y^T for the dot product. The kernel matrix and its
+derivative stacks are elementwise in it, so a caller that needs several of
+them builds the base once. The derivative stacks hold only the parameters
+the kernel reads (ACTIVE_PARAMS).
 """
 
 from __future__ import annotations
@@ -111,22 +117,34 @@ def _check_inputs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return X, Y
 
 
+def base_matrix(kind: KernelKind, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The one O(n m d) product of a kernel evaluation: squared distances
+    ||X[i] - Y[j]||^2 for the stationary kernels, X Y^T for the dot product.
+    Everything else here is elementwise in it."""
+    X, Y = _check_inputs(X, Y)
+    if kind is KernelKind.DOT_PRODUCT:
+        return X @ Y.T
+    return cdist(X, Y, metric="sqeuclidean")
+
+
+def gram(kind: KernelKind, params: KernelParams, base: np.ndarray) -> np.ndarray:
+    """The kernel matrix from its base_matrix."""
+    s = params.s
+    if kind is KernelKind.GAUSSIAN:
+        return s * np.exp(-base / (2.0 * params.l ** 2))
+    if kind is KernelKind.RATIONAL_QUADRATIC:
+        a = params.alpha
+        u = base / (2.0 * a * params.l ** 2)
+        return s * np.exp(-a * np.log1p(u))
+    if kind is KernelKind.DOT_PRODUCT:
+        return s * (base + params.sigma_dp ** 2)
+    raise ValueError(f"unknown kernel kind {kind!r}")
+
+
 def kernel_matrix(kind: KernelKind, params: KernelParams,
                   X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix K[i, j] = k(X[i], Y[j])."""
-    X, Y = _check_inputs(X, Y)
-    s = params.s
-    if kind is KernelKind.GAUSSIAN:
-        d2 = cdist(X, Y, metric="sqeuclidean")
-        return s * np.exp(-d2 / (2.0 * params.l ** 2))
-    if kind is KernelKind.RATIONAL_QUADRATIC:
-        d2 = cdist(X, Y, metric="sqeuclidean")
-        a = params.alpha
-        u = d2 / (2.0 * a * params.l ** 2)
-        return s * np.exp(-a * np.log1p(u))
-    if kind is KernelKind.DOT_PRODUCT:
-        return s * (X @ Y.T + params.sigma_dp ** 2)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    return gram(kind, params, base_matrix(kind, X, Y))
 
 
 def kernel_diag(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
@@ -139,55 +157,62 @@ def kernel_diag(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nda
     return np.full(n, params.s)
 
 
-def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
-    """Derivatives of the Gram matrix with respect to each log-parameter.
-
-    Returns an array of shape (4, n, n) ordered as PARAM_NAMES; entries for
-    parameters the kernel does not read are zero.
-    """
-    X, _ = _check_inputs(X, X)
-    out = np.zeros((4, X.shape[0], X.shape[0]))
-    K = kernel_matrix(kind, params, X, X)
-    out[0] = K  # d/dlog s = K for every kernel (k is linear in s)
+def grad_stack(kind: KernelKind, params: KernelParams, base: np.ndarray) -> np.ndarray:
+    """K_p = dK/dlog theta_p from the Gram matrix's base_matrix, shape
+    (len(ACTIVE_PARAMS[kind]), n, n) ordered as ACTIVE_PARAMS[kind]. Slice 0
+    is K itself: dK/dlog s = K for every kernel, as k is linear in s."""
+    out = np.empty((len(ACTIVE_PARAMS[kind]),) + base.shape)
+    out[0] = K = gram(kind, params, base)
     if kind is KernelKind.GAUSSIAN:
-        d2 = cdist(X, X, metric="sqeuclidean")
-        out[1] = K * d2 / params.l ** 2
+        out[1] = K * base / params.l ** 2
     elif kind is KernelKind.RATIONAL_QUADRATIC:
-        d2 = cdist(X, X, metric="sqeuclidean")
         a = params.alpha
-        u = d2 / (2.0 * a * params.l ** 2)
-        out[1] = K * d2 / (params.l ** 2 * (1.0 + u))
+        u = base / (2.0 * a * params.l ** 2)
+        out[1] = K * base / (params.l ** 2 * (1.0 + u))
         out[2] = K * a * (u / (1.0 + u) - np.log1p(u))
-    elif kind is KernelKind.DOT_PRODUCT:
-        out[3] = 2.0 * params.s * params.sigma_dp ** 2
+    else:
+        out[1] = 2.0 * params.s * params.sigma_dp ** 2
+    return out
+
+
+def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
+    """grad_stack of the Gram matrix of X."""
+    return grad_stack(kind, params, base_matrix(kind, X, X))
+
+
+def scale_direction_stack(kind: KernelKind, params: KernelParams, base: np.ndarray,
+                          Kp: np.ndarray) -> np.ndarray:
+    """D_p = dC/dlog theta_p from the grad_stack Kp and its base_matrix, for
+    the active parameters after log s, in ACTIVE_PARAMS[kind] order.
+    C = d/dw K(w * theta) at w = 1, with w multiplying every exponentiated
+    parameter, is by the chain rule Kp.sum(0); C is linear in s, so
+    D_s = C for every kernel and needs no row here."""
+    K = Kp[0]
+    out = np.empty((len(ACTIVE_PARAMS[kind]) - 1,) + base.shape)
+    if kind is KernelKind.GAUSSIAN:
+        # C = K (1 + r) with r = d^2 / l^2, K_l = K r and dr/dlog l = -2 r,
+        # so D_l = K_l (r - 1).
+        out[0] = Kp[1] * (base / params.l ** 2 - 1.0)
+    elif kind is KernelKind.RATIONAL_QUADRATIC:
+        # C = K c with c = 1 + a (3 f - log(1 + u)) and f = u / (1 + u);
+        # dlog u = -2 dlog l - dlog a, and u dc/du = a f (2 - u) / (1 + u).
+        a = params.alpha
+        u = base / (2.0 * a * params.l ** 2)
+        f, lg = u / (1.0 + u), np.log1p(u)
+        c, u_dc_du = 1.0 + a * (3.0 * f - lg), a * f * (2.0 - u) / (1.0 + u)
+        out[0] = K * (2.0 * a * f * c - 2.0 * u_dc_du)
+        out[1] = K * (a * (f - lg) * c + a * (3.0 * f - lg) - u_dc_du)
+    else:
+        # C = K + 2 s sigma_dp^2, whose offset grows as s sigma_dp^2.
+        out[0] = 3.0 * (2.0 * params.s * params.sigma_dp ** 2)
     return out
 
 
 def kernel_scale_direction_grads(kind: KernelKind, params: KernelParams,
                                  X: np.ndarray) -> np.ndarray:
-    """D_p = dC/dlog theta_p, shape (4, n, n) ordered as PARAM_NAMES (zero
-    for parameters the kernel does not read). C = d/dw K(w * theta) at w = 1,
-    with w multiplying every exponentiated parameter, is by the chain rule
-    kernel_grads(...).sum(0). C is linear in s, so D_s = C for every kernel."""
-    X, _ = _check_inputs(X, X)
-    out = np.zeros((4, X.shape[0], X.shape[0]))
-    K = kernel_matrix(kind, params, X, X)
-    if kind is KernelKind.GAUSSIAN:
-        # C = K (1 + r) with r = d^2 / l^2, and dr/dlog l = -2 r.
-        r = cdist(X, X, metric="sqeuclidean") / params.l ** 2
-        out[0], out[1] = K * (1.0 + r), K * r * (r - 1.0)
-    elif kind is KernelKind.RATIONAL_QUADRATIC:
-        # C = K c with c = 1 + a (3 f - log(1 + u)) and f = u / (1 + u);
-        # dlog u = -2 dlog l - dlog a, and u dc/du = a f (2 - u) / (1 + u).
-        a = params.alpha
-        u = cdist(X, X, metric="sqeuclidean") / (2.0 * a * params.l ** 2)
-        f, lg = u / (1.0 + u), np.log1p(u)
-        c, u_dc_du = 1.0 + a * (3.0 * f - lg), a * f * (2.0 - u) / (1.0 + u)
-        out[0] = K * c
-        out[1] = K * (2.0 * a * f * c - 2.0 * u_dc_du)
-        out[2] = K * (a * (f - lg) * c + a * (3.0 * f - lg) - u_dc_du)
-    elif kind is KernelKind.DOT_PRODUCT:
-        # C = K + 2 s sigma_dp^2, whose offset grows as s sigma_dp^2.
-        offset = 2.0 * params.s * params.sigma_dp ** 2
-        out[0], out[3] = K + offset, 3.0 * offset
-    return out
+    """D_p = dC/dlog theta_p over ACTIVE_PARAMS[kind] for the Gram matrix of
+    X: C itself, then the scale_direction_stack."""
+    base = base_matrix(kind, X, X)
+    Kp = grad_stack(kind, params, base)
+    return np.concatenate((Kp.sum(0, keepdims=True),
+                           scale_direction_stack(kind, params, base, Kp)))

@@ -13,10 +13,10 @@ the masked environment likelihood under a common rescaling of the
 exponentiated parameters. At a parameterization that fits both environments
 equally well those derivatives vanish, so the penalty rewards invariance.
 
-Every gradient is closed form. Each parameter point is factorized once, by
-gp.fit_posterior, into the TrainState that all quantities of a training
-round read, and the state of the last accepted step holds the posterior
-that prediction uses.
+Every gradient is closed form. Each parameter point evaluates its kernel
+once and is factorized once, by gp.gram_posterior, into the TrainState that
+all quantities of a training round read, and the state of the last accepted
+step holds the posterior that prediction uses.
 
 `ModelSpec` holds every setting of one model, and `fit_model` is the single
 standardize -> train path shared by fit-eval, BO and the CLI.
@@ -39,8 +39,9 @@ from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                          NotPositiveDefinite, TrainingAbort)
 from .blas import one_thread
 from .gp import (GPPosterior, NoiseSpec, _lml_grad, _validate_xy, cho_inverse,
-                 fit_posterior)
-from .kernels import KernelKind, KernelParams, kernel_grads, kernel_scale_direction_grads
+                 gram_posterior)
+from .kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams, base_matrix,
+                      grad_stack, scale_direction_stack)
 from .rng import rng_for
 
 _MAX_HALVINGS = 8
@@ -195,28 +196,30 @@ class TrainTrace:
 
 
 class TrainState:
-    """Everything training reads at one parameter point, built on its posterior.
+    """Everything training reads at one parameter point, from one kernel
+    evaluation and one factorization.
 
-    With A = K + sigma^2 I, the posterior (the one factorization of A) holds
-    the log marginal likelihood and alpha = A^-1 y. The dense A^-1, the stack
-    K_p = dK/dlog theta_p, C = sum_p K_p and tr(A^-1 C) are formed once each,
-    on first use, so a plain-GP round never builds C. dC/dlog theta_p and
-    M = A^-1 C A^-1 live only in the call that reads them; an ascent step
-    takes M v as A^-1 (C (A^-1 v)) in O(n^2).
+    The point's base_matrix is built once. The stack K_p = dK/dlog theta_p
+    over the kernel's active parameters is formed from it, and its log s
+    slice, K itself, is what gp.gram_posterior factorizes into A = K + tau I
+    (tau is sigma^2 plus the factor's jitter); the posterior holds the log
+    marginal likelihood and alpha = A^-1 y. The dense A^-1, C = sum_p K_p and
+    tr(A^-1 C) are formed once each, on first use, so a plain-GP round never
+    builds C. D_p = dC/dlog theta_p and B = A^-1 C live only in the call
+    that reads them; an ascent step takes M v, M = A^-1 C A^-1, as
+    A^-1 (C (A^-1 v)) in O(n^2).
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
         X, y = _validate_xy(X, y)
-        self.post = fit_posterior(kind, params, noise, X, y)
+        self.base = base_matrix(kind, X, X)
+        self.Kp = grad_stack(kind, params, self.base)
+        self.post = gram_posterior(kind, params, noise, X, y, self.Kp[0])
         self.kind, self.params, self.noise, self.X, self.y = kind, params, noise, X, y
 
     @cached_property
     def A_inv(self) -> np.ndarray:
         return cho_inverse(self.post.chol)
-
-    @cached_property
-    def Kp(self) -> np.ndarray:
-        return kernel_grads(self.kind, self.params, self.X)
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -248,28 +251,51 @@ class TrainState:
 
     def objective_grad(self, masks, lam: float) -> np.ndarray:
         """Gradient of -LML + lam * penalty in the four log-parameters at fixed
-        masks (m0, m1). With lam = 0 the masks are not read."""
+        masks (m0, m1), zero for those the kernel does not read. With lam = 0
+        the masks are not read."""
         g = -_lml_grad(self.Kp, self.post.alpha_vec, self.A_inv)
         if lam != 0.0:
             g = g + lam * self._penalty_theta_grad(*masks)
-        return g
+        out = np.zeros(len(PARAM_NAMES))
+        out[[PARAM_NAMES.index(name) for name in ACTIVE_PARAMS[self.kind]]] = g
+        return out
 
     def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-        """The penalty's gradient in the log-parameters, from the trace identity
-        applied to g_e (dA/dlog theta_p = K_p, dC/dlog theta_p = D_p):
+        """The penalty's gradient in the active log-parameters, from the trace
+        identity applied to g_e (dA/dlog theta_p = K_p, dC/dlog theta_p = D_p):
 
             dg_e/dtheta_p = -a^T K_p A^-1 C a + 1/2 a^T D_p a
                             + 1/2 tr(K_p M) - 1/2 tr(A^-1 D_p).
+
+        D_s = C, so for log s the D_p terms add up to g_e itself.
         """
         A_inv, Kp = self.A_inv, self.Kp
-        D = kernel_scale_direction_grads(self.kind, self.params, self.X)
-        shared = -0.5 * np.einsum("pij,ij->p", D, A_inv)
-        shared += 0.5 * np.einsum("pij,ij->p", Kp, A_inv @ self.C @ A_inv)
-        grad = np.zeros(4)
+        D = scale_direction_stack(self.kind, self.params, self.base, Kp)
+        shared = 0.5 * self.trace_Kp_M()
+        shared[1:] -= 0.5 * np.einsum("pij,ij->p", D, A_inv)
+        grad = np.zeros(len(Kp))
         for g, a, Ca in self._env_terms(m0, m1):
-            dg = -(Kp @ (A_inv @ Ca)) @ a + 0.5 * (D @ a) @ a + shared
+            dg = -(Kp @ (A_inv @ Ca)) @ a + shared
+            dg[0] += g
+            dg[1:] += 0.5 * (D @ a) @ a
             grad += 2.0 * g * dg
         return grad
+
+    def trace_Kp_M(self) -> np.ndarray:
+        """tr(K_p M) for each K_p, from the one dense product B = A^-1 C.
+
+        A^-1 K = I - tau A^-1, so tr(K M) = tr(B) - tau tr(A^-1 B). A middle
+        parameter (the rational-quadratic kernel's log l) takes
+        tr(A^-1 K_p B). The sum over p is tr(C M) = tr(B B), which leaves the
+        last parameter's. A^-1 is symmetric, so tr(A^-1 B) = <A^-1, B>.
+        """
+        A_inv = self.A_inv
+        B = A_inv @ self.C
+        tau = self.noise.sigma2 + self.post.jitter
+        tr = [np.trace(B) - tau * np.einsum("ij,ij->", A_inv, B)]
+        tr += [np.einsum("ij,ji->", A_inv @ Kp, B) for Kp in self.Kp[1:-1]]
+        tr.append(np.einsum("ij,ji->", B, B) - sum(tr))
+        return np.array(tr)
 
 
 def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,

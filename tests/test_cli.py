@@ -166,6 +166,23 @@ def test_fit_eval_from_csv_with_default_settings(gen_dir, tmp_path):
     assert np.isfinite(read_json(out / "report.json")["rmse"])
 
 
+def test_manifest_lists_only_this_runs_outputs(tmp_path):
+    # a reused --out directory keeps the files of earlier runs; the manifest
+    # checksums only what the current run wrote
+    d = tmp_path / "d"
+    run_ok(["fit-eval", "--dataset", "synthetic_1d", "--t1", "2", "--out", str(d)])
+    run_ok(["fit-eval", "--dataset", "synthetic_1d", "--t1", "2", "--sweep", "2",
+            "--out", str(d)])
+    assert (d / "trace.jsonl").exists()
+    assert set(read_json(d / "manifest.json")["outputs"]) == {"config.json", "report.json"}
+    e = tmp_path / "e"
+    run_ok(["generate", "--generator", "synthetic_1d", "--out", str(e)])
+    run_ok(["fit-eval", "--dataset", "synthetic_1d", "--t1", "2", "--out", str(e)])
+    outputs = read_json(e / "manifest.json")["outputs"]
+    assert set(outputs) == {"config.json", "report.json", "trace.jsonl"}
+    assert outputs["report.json"] == sha(e / "report.json")
+
+
 def test_fit_eval_config_round_trip_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

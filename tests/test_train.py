@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dilgp import gp as gp_mod
+from dilgp import kernels as kernels_mod
 from dilgp.data import fit_standardizer, gen_synthetic_1d
 from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               TrainingAbort)
@@ -244,6 +245,31 @@ def test_combined_objective_gradient_matches_fd():
             assert abs(implied[idx] - want) <= 1e-3 * max(1.0, abs(want)), (kind, seed, name)
 
 
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+def test_trace_from_one_product_matches_dense_oracle(kind, monkeypatch):
+    # tr(K_p M) from B = A^-1 C alone, against the explicit M = A^-1 C A^-1
+    params = KernelParams(0.2, -0.3, 0.1, -0.2)
+
+    def check(X, y, sigma2):
+        state = TrainState(kind, params, NoiseSpec(sigma2), X, y)
+        want = np.einsum("pij,ij->p", state.Kp, state.A_inv @ state.C @ state.A_inv)
+        np.testing.assert_allclose(state.trace_Kp_M(), want, rtol=1e-10, atol=0)
+        return state
+
+    for n in (5, 115):
+        X, y, _ = toy(n, n=n, d=2)
+        check(X, y, 0.3)
+    # A triplicated row at sigma2 = 0 makes the factor add jitter, so tau is
+    # the jitter alone. The ladder starts at 1e-3 of the mean diagonal here:
+    # its default first rung, 1e-10, leaves A with a condition number near
+    # 1e10, at which both sides carry rounding errors near 1e-6 relative.
+    monkeypatch.setattr(gp_mod, "_JITTER_START", 1e-3)
+    monkeypatch.setattr(gp_mod, "_JITTER_STOP", 1e-1)
+    X, y, _ = toy(0, n=5)
+    X[1] = X[2] = X[0]
+    assert check(X, y, 0.0).post.jitter > 0.0
+
+
 def test_label_swap_leaves_outer_step_unchanged():
     X, y, logits = toy(5)
     params = rand_params(rng_for(5, "swap-outer"))
@@ -294,9 +320,9 @@ def test_one_factorization_per_round(monkeypatch):
     calls = []
     real_factor = gp_mod._factor
 
-    def counting_factor(*args):
-        calls.append(args[1])
-        return real_factor(*args)
+    def counting_factor(K, noise, params):
+        calls.append(params)
+        return real_factor(K, noise, params)
 
     monkeypatch.setattr(gp_mod, "_factor", counting_factor)
     train, _ = gen_synthetic_1d(0)
@@ -306,6 +332,25 @@ def test_one_factorization_per_round(monkeypatch):
         post, _, trace = fit_model(spec, train, seed=11)
         assert len(trace) == 7 and len(calls) == spec.t1 + 1
         assert calls[0] == KernelParams() and calls[-1] == post.params
+
+
+def test_one_kernel_evaluation_per_point(monkeypatch):
+    # K, the K_p stack, the penalty's D_p stack and its trace term all come
+    # from one squared-distance matrix per parameter point
+    calls = []
+    real_cdist = kernels_mod.cdist
+
+    def counting_cdist(*args, **kwargs):
+        calls.append(args)
+        return real_cdist(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_mod, "cdist", counting_cdist)
+    train, _ = gen_synthetic_1d(0)
+    for model in ("dil_gp", "gp_gaussian"):
+        calls.clear()
+        spec = ModelSpec(model=model, t1=7, t2=3, eta2=0.005, lam=0.01, sigma2=0.4)
+        _, _, trace = fit_model(spec, train, seed=11)
+        assert len(trace) == 7 and len(calls) == spec.t1 + 1, model
 
 
 @pytest.mark.parametrize("model,standardize", [

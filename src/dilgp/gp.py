@@ -4,7 +4,8 @@ Everything here works on a fixed kernel. gram_posterior is the only place
 K + sigma^2 I is factorized, from a Gram matrix K its caller built:
 fit_posterior builds K from X, while lml_value_and_grad and
 train.TrainState pass the log s slice of their K_p stack, so each parameter
-point evaluates its kernel once. The posterior carries the factor,
+point evaluates its kernel once; the factor and the dense inverse may be
+formed in buffers the caller owns. The posterior carries the factor,
 alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood, and
 prediction, the likelihood and its gradient read them. Per-environment
 likelihoods mask the residual inside both quadratic-form factors while
@@ -57,17 +58,22 @@ def _validate_xy(X, y):
     return X, y
 
 
-def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams) -> tuple[np.ndarray, float]:
+def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + sigma^2 I, with adaptive diagonal jitter.
 
-    sigma^2 and any jitter go on the diagonal of one copy of the Gram matrix
-    K, which is never written. Returns (L, jitter). Jitter starts at
+    sigma^2 and any jitter go on the diagonal of a copy of the Gram matrix K
+    in out (allocated when None), which potrf factorizes in place; K is
+    never written. potrf reads out.T, the column-major view of the symmetric
+    copy, and returns L as that view. Returns (L, jitter). Jitter starts at
     1e-10 * mean diagonal and grows tenfold until the factorization succeeds
     or 1e-4 * mean diagonal is exceeded, at which point NotPositiveDefinite
-    is raised with the kernel params.
+    is raised with the kernel params. A failed potrf leaves out partly
+    factorized, so each rung copies K again.
     """
     n = K.shape[0]
-    A = K.copy()
+    A = np.empty_like(K) if out is None else out
+    np.copyto(A, K)
     A.flat[::n + 1] += noise.sigma2
     if not np.all(np.isfinite(A)):
         raise NonFiniteInput("kernel matrix contains non-finite entries")
@@ -76,13 +82,14 @@ def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams) -> tuple[np.n
     jitter = 0.0
     while True:
         try:
-            return cholesky(A, lower=True, check_finite=False), jitter
+            return cholesky(A.T, lower=True, overwrite_a=True, check_finite=False), jitter
         except LinAlgError:
             jitter = _JITTER_START * scale if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_STOP * scale:
                 raise NotPositiveDefinite(
                     f"covariance not positive definite after jitter up to "
                     f"{_JITTER_STOP * scale:g}", params=params) from None
+            np.copyto(A, K)
             np.fill_diagonal(A, diag + jitter)
 
 
@@ -108,13 +115,15 @@ def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
 
 
 def gram_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                   X: np.ndarray, y: np.ndarray, K: np.ndarray) -> GPPosterior:
+                   X: np.ndarray, y: np.ndarray, K: np.ndarray,
+                   out: np.ndarray | None = None) -> GPPosterior:
     """fit_posterior from the Gram matrix K = kernel_matrix(kind, params, X, X)
-    of X and y as _validate_xy returns them. K is read, never written.
+    of X and y as _validate_xy returns them. K is read, never written; the
+    factor is formed in out (allocated when None).
 
-    The posterior keeps a read-only view of X, so the caller's array stays
-    writeable."""
-    L, jitter = _factor(K, noise, params)
+    The posterior keeps read-only views of X and of the factor, so the
+    caller's arrays stay writeable."""
+    L, jitter = _factor(K, noise, params, out)
     lml, alpha = _gaussian_quad_ll(L, y)
     X = X.view()
     for a in (X, L, alpha):
@@ -135,15 +144,20 @@ def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.where(var < 0.0, 0.0, var)
 
 
-def cho_inverse(L: np.ndarray) -> np.ndarray:
+def cho_inverse(L: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """(L L^T)^-1 from the lower Cholesky factor L, by LAPACK potri, made
-    exactly symmetric from its lower triangle. potri writes only that
-    triangle and L is zero above its diagonal, so the copy's upper triangle
-    is zero and adding the transpose mirrors the lower one."""
-    inv, info = dpotri(L, lower=1)
+    exactly symmetric from its lower triangle into out. potri inverts a
+    copy of L in the column-major n x n work in place (both are allocated
+    when None). It writes only the lower triangle and L is zero above its
+    diagonal, so the copy's upper triangle is zero and adding the transpose
+    mirrors the lower one."""
+    work = np.empty_like(L, order="F") if work is None else work
+    np.copyto(work, L)
+    inv, info = dpotri(work, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"potri could not invert the factor (info={info})")
-    out = inv + inv.T
+    out = np.add(inv, inv.T, out=out)
     np.fill_diagonal(out, inv.diagonal())
     return out
 

@@ -13,7 +13,9 @@ Each kernel reads its inputs through one base_matrix: squared distances for
 the stationary kernels, X Y^T for the dot product. The kernel matrix and its
 derivative stacks are elementwise in it, so a caller that needs several of
 them builds the base once. The derivative stacks hold only the parameters
-the kernel reads (ACTIVE_PARAMS).
+the kernel reads (ACTIVE_PARAMS). gram, grad_stack and
+scale_direction_stack write into a caller's out buffer, or allocate one
+when it is None, with the same operations either way.
 """
 
 from __future__ import annotations
@@ -127,18 +129,23 @@ def base_matrix(kind: KernelKind, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return cdist(X, Y, metric="sqeuclidean")
 
 
-def gram(kind: KernelKind, params: KernelParams, base: np.ndarray) -> np.ndarray:
-    """The kernel matrix from its base_matrix."""
-    s = params.s
+def gram(kind: KernelKind, params: KernelParams, base: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel matrix from its base_matrix, written into out (allocated
+    when None) one ufunc at a time."""
+    out = np.empty_like(base) if out is None else out
     if kind is KernelKind.GAUSSIAN:
-        return s * np.exp(-base / (2.0 * params.l ** 2))
-    if kind is KernelKind.RATIONAL_QUADRATIC:
+        np.divide(np.negative(base, out=out), 2.0 * params.l ** 2, out=out)
+        np.exp(out, out=out)
+    elif kind is KernelKind.RATIONAL_QUADRATIC:
         a = params.alpha
-        u = base / (2.0 * a * params.l ** 2)
-        return s * np.exp(-a * np.log1p(u))
-    if kind is KernelKind.DOT_PRODUCT:
-        return s * (base + params.sigma_dp ** 2)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+        np.log1p(np.divide(base, 2.0 * a * params.l ** 2, out=out), out=out)
+        np.exp(np.multiply(-a, out, out=out), out=out)
+    elif kind is KernelKind.DOT_PRODUCT:
+        np.add(base, params.sigma_dp ** 2, out=out)
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    return np.multiply(params.s, out, out=out)
 
 
 def kernel_matrix(kind: KernelKind, params: KernelParams,
@@ -157,14 +164,16 @@ def kernel_diag(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nda
     return np.full(n, params.s)
 
 
-def grad_stack(kind: KernelKind, params: KernelParams, base: np.ndarray) -> np.ndarray:
+def grad_stack(kind: KernelKind, params: KernelParams, base: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """K_p = dK/dlog theta_p from the Gram matrix's base_matrix, shape
-    (len(ACTIVE_PARAMS[kind]), n, n) ordered as ACTIVE_PARAMS[kind]. Slice 0
-    is K itself: dK/dlog s = K for every kernel, as k is linear in s."""
-    out = np.empty((len(ACTIVE_PARAMS[kind]),) + base.shape)
-    out[0] = K = gram(kind, params, base)
+    (len(ACTIVE_PARAMS[kind]), n, n) ordered as ACTIVE_PARAMS[kind], written
+    into out (allocated when None). Slice 0 is K itself: dK/dlog s = K for
+    every kernel, as k is linear in s."""
+    out = np.empty((len(ACTIVE_PARAMS[kind]),) + base.shape) if out is None else out
+    K = gram(kind, params, base, out=out[0])
     if kind is KernelKind.GAUSSIAN:
-        out[1] = K * base / params.l ** 2
+        np.divide(np.multiply(K, base, out=out[1]), params.l ** 2, out=out[1])
     elif kind is KernelKind.RATIONAL_QUADRATIC:
         a = params.alpha
         u = base / (2.0 * a * params.l ** 2)
@@ -181,18 +190,20 @@ def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nd
 
 
 def scale_direction_stack(kind: KernelKind, params: KernelParams, base: np.ndarray,
-                          Kp: np.ndarray) -> np.ndarray:
+                          Kp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """D_p = dC/dlog theta_p from the grad_stack Kp and its base_matrix, for
-    the active parameters after log s, in ACTIVE_PARAMS[kind] order.
+    the active parameters after log s, in ACTIVE_PARAMS[kind] order, written
+    into out (allocated when None).
     C = d/dw K(w * theta) at w = 1, with w multiplying every exponentiated
     parameter, is by the chain rule Kp.sum(0); C is linear in s, so
     D_s = C for every kernel and needs no row here."""
     K = Kp[0]
-    out = np.empty((len(ACTIVE_PARAMS[kind]) - 1,) + base.shape)
+    out = np.empty((len(ACTIVE_PARAMS[kind]) - 1,) + base.shape) if out is None else out
     if kind is KernelKind.GAUSSIAN:
         # C = K (1 + r) with r = d^2 / l^2, K_l = K r and dr/dlog l = -2 r,
         # so D_l = K_l (r - 1).
-        out[0] = Kp[1] * (base / params.l ** 2 - 1.0)
+        np.subtract(np.divide(base, params.l ** 2, out=out[0]), 1.0, out=out[0])
+        np.multiply(Kp[1], out[0], out=out[0])
     elif kind is KernelKind.RATIONAL_QUADRATIC:
         # C = K c with c = 1 + a (3 f - log(1 + u)) and f = u / (1 + u);
         # dlog u = -2 dlog l - dlog a, and u dc/du = a f (2 - u) / (1 + u).

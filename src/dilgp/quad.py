@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exceptions import NonFiniteInput
 from .rng import rng_for
@@ -118,6 +117,7 @@ def dryden_wind(spec: WindDomainSpec, seed: int, dt: float, n_steps: int
     the long-run mean and variance converge to the values in ``spec``. Requires
     dt < 2 tau for the recursion to be stable.
     """
+    from scipy.signal import lfilter  # deferred: about 1 s to import, used only here
     if dt <= 0:
         raise ValueError("dt must be > 0")
     a = dt / spec.correlation_time

@@ -13,9 +13,10 @@ the masked environment likelihood under a common rescaling of the
 exponentiated parameters. At a parameterization that fits both environments
 equally well those derivatives vanish, so the penalty rewards invariance.
 
-Every gradient is closed form. Each parameter point evaluates its kernel
-once and is factorized once, by gp.gram_posterior, into the TrainState that
-all quantities of a training round read, and the state of the last accepted
+Every gradient is closed form. A fit builds the kernel's base matrix once.
+Each parameter point is factorized once, by gp.gram_posterior, into the
+TrainState that all quantities of a training round read, and the states of
+a fit share one Workspace of n x n buffers. The state of the last accepted
 step holds the posterior that prediction uses.
 
 `ModelSpec` holds every setting of one model, and `fit_model` is the single
@@ -195,35 +196,53 @@ class TrainTrace:
         return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in self.records)
 
 
+class Workspace:
+    """The n x n buffers that the TrainStates of one fit of kind on X write
+    into: the base_matrix of X, built once, the K_p stack, the factor, A^-1
+    and potri's copy of the factor, C, and one scratch stack that B = A^-1 C
+    and then the D_p stack use in turn. Each state overwrites the previous
+    one's, so at most one state of a workspace is live at a time."""
+
+    def __init__(self, kind: KernelKind, X: np.ndarray):
+        n, p = X.shape[0], len(ACTIVE_PARAMS[kind])
+        self.base = base_matrix(kind, X, X)
+        self.Kp = np.empty((p, n, n))
+        self.factor, self.A_inv, self.C = (np.empty((n, n)) for _ in range(3))
+        self.potri = np.empty((n, n), order="F")
+        self.scratch = np.empty((max(p - 1, 1), n, n))
+
+
 class TrainState:
     """Everything training reads at one parameter point, from one kernel
-    evaluation and one factorization.
+    evaluation and one factorization, written into the Workspace ws (a
+    fresh one when None).
 
-    The point's base_matrix is built once. The stack K_p = dK/dlog theta_p
-    over the kernel's active parameters is formed from it, and its log s
-    slice, K itself, is what gp.gram_posterior factorizes into A = K + tau I
-    (tau is sigma^2 plus the factor's jitter); the posterior holds the log
-    marginal likelihood and alpha = A^-1 y. The dense A^-1, C = sum_p K_p and
-    tr(A^-1 C) are formed once each, on first use, so a plain-GP round never
-    builds C. D_p = dC/dlog theta_p and B = A^-1 C live only in the call
-    that reads them; an ascent step takes M v, M = A^-1 C A^-1, as
-    A^-1 (C (A^-1 v)) in O(n^2).
+    The base_matrix is built once per fit, with the workspace. The stack
+    K_p = dK/dlog theta_p over the kernel's active parameters is formed from
+    it, and its log s slice, K itself, is what gp.gram_posterior factorizes
+    into A = K + tau I (tau is sigma^2 plus the factor's jitter); the
+    posterior holds the log marginal likelihood and alpha = A^-1 y. The
+    dense A^-1, C = sum_p K_p and tr(A^-1 C) are formed once each, on first
+    use, so a plain-GP round never builds C. D_p = dC/dlog theta_p and
+    B = A^-1 C live only in the call that reads them; an ascent step takes
+    M v, M = A^-1 C A^-1, as A^-1 (C (A^-1 v)) in O(n^2).
     """
 
-    def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
+    def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y,
+                 ws: Workspace | None = None):
         X, y = _validate_xy(X, y)
-        self.base = base_matrix(kind, X, X)
-        self.Kp = grad_stack(kind, params, self.base)
-        self.post = gram_posterior(kind, params, noise, X, y, self.Kp[0])
+        self.ws = Workspace(kind, X) if ws is None else ws
+        self.Kp = grad_stack(kind, params, self.ws.base, out=self.ws.Kp)
+        self.post = gram_posterior(kind, params, noise, X, y, self.Kp[0], out=self.ws.factor)
         self.kind, self.params, self.noise, self.X, self.y = kind, params, noise, X, y
 
     @cached_property
     def A_inv(self) -> np.ndarray:
-        return cho_inverse(self.post.chol)
+        return cho_inverse(self.post.chol, out=self.ws.A_inv, work=self.ws.potri)
 
     @cached_property
     def C(self) -> np.ndarray:
-        return self.Kp.sum(axis=0)
+        return self.Kp.sum(axis=0, out=self.ws.C)
 
     @cached_property
     def tr_AinvC(self) -> float:
@@ -270,8 +289,9 @@ class TrainState:
         D_s = C, so for log s the D_p terms add up to g_e itself.
         """
         A_inv, Kp = self.A_inv, self.Kp
-        D = scale_direction_stack(self.kind, self.params, self.base, Kp)
         shared = 0.5 * self.trace_Kp_M()
+        D = scale_direction_stack(self.kind, self.params, self.ws.base, Kp,
+                                  out=self.ws.scratch[:len(Kp) - 1])
         shared[1:] -= 0.5 * np.einsum("pij,ij->p", D, A_inv)
         grad = np.zeros(len(Kp))
         for g, a, Ca in self._env_terms(m0, m1):
@@ -290,7 +310,7 @@ class TrainState:
         last parameter's. A^-1 is symmetric, so tr(A^-1 B) = <A^-1, B>.
         """
         A_inv = self.A_inv
-        B = A_inv @ self.C
+        B = np.matmul(A_inv, self.C, out=self.ws.scratch[0])
         tau = self.noise.sigma2 + self.post.jitter
         tr = [np.trace(B) - tau * np.einsum("ij,ij->", A_inv, B)]
         tr += [np.einsum("ij,ji->", A_inv @ Kp, B) for Kp in self.Kp[1:-1]]
@@ -318,17 +338,17 @@ def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> D
 
 
 def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
-             g: np.ndarray, eta2: float, lam: float, masks
+             g: np.ndarray, eta2: float, lam: float, masks, ws: Workspace | None = None
              ) -> tuple[TrainState, float, PenaltyReport]:
     """The state, objective -LML + lam * penalty and penalty at the masks
-    (zero without masks) after one step from theta along -g. A trial point
-    whose objective is non-finite (or whose covariance cannot be factorized)
-    is rejected and the step halved, up to _MAX_HALVINGS times; then the
-    step aborts."""
+    (zero without masks) after one step from theta along -g, built in ws. A
+    trial point whose objective is non-finite (or whose covariance cannot be
+    factorized) is rejected and the step halved, up to _MAX_HALVINGS times;
+    then the step aborts."""
     eta = float(eta2)
     for _ in range(_MAX_HALVINGS + 1):
         try:
-            state = TrainState(kind, KernelParams.from_array(theta - eta * g), noise, X, y)
+            state = TrainState(kind, KernelParams.from_array(theta - eta * g), noise, X, y, ws)
             pen = state.penalty(*masks) if masks else PenaltyReport(0.0, (0.0, 0.0))
             obj = -state.post.lml
             if lam != 0.0:
@@ -370,7 +390,8 @@ def _train(spec: ModelSpec, X, y, seed: int
     accepted step becomes the next round's, so t1 rounds factorize t1 + 1
     times (plus one per step halving). Returns the last state, whose
     posterior is the fitted model, the logits (None for a plain GP) and the
-    trace of completed rounds, which on abort rides on the TrainingAbort."""
+    trace of completed rounds, which on abort rides on the TrainingAbort.
+    All states of the fit write into one Workspace."""
     X, y = _validate_xy(X, y)
     n, partition = X.shape[0], learns_partition(spec)
     if partition and n < 4:
@@ -380,7 +401,8 @@ def _train(spec: ModelSpec, X, y, seed: int
     lam = spec.lam if partition else 0.0
     masks = None
     trace = TrainTrace()
-    state = TrainState(kind, KernelParams(), noise, X, y)
+    ws = Workspace(kind, X)
+    state = TrainState(kind, KernelParams(), noise, X, y, ws)
     for t in range(1, spec.t1 + 1):
         try:
             if partition:
@@ -389,9 +411,9 @@ def _train(spec: ModelSpec, X, y, seed: int
                 masks = env_masks(logits)
             g = state.objective_grad(masks, lam)
             theta = state.params.as_array()
-            # Release this point's state before the trial one is built.
+            # Release this point's state: the trial one overwrites its buffers.
             del state
-            state, obj, pen = _descend(kind, noise, X, y, theta, g, spec.eta2, lam, masks)
+            state, obj, pen = _descend(kind, noise, X, y, theta, g, spec.eta2, lam, masks, ws)
         except TrainingAbort as exc:
             exc.trace = trace
             raise

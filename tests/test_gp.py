@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from dilgp.exceptions import NotPositiveDefinite
-from dilgp.gp import (NoiseSpec, cho_inverse, env_log_likelihood, fit_posterior,
+from dilgp.gp import (NoiseSpec, _factor, cho_inverse, env_log_likelihood, fit_posterior,
                       log_marginal_likelihood, predict)
 from dilgp.kernels import KernelKind, KernelParams, kernel_diag, kernel_matrix
 
@@ -138,6 +138,31 @@ def test_not_positive_definite_carries_params(monkeypatch):
     with pytest.raises(NotPositiveDefinite) as exc:
         fit_posterior(KernelKind.GAUSSIAN, p, NoiseSpec(0.0), np.zeros((3, 1)), np.zeros(3))
     assert exc.value.params == p
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["allocating", "in-place"])
+def test_jitter_ladder_restarts_from_gram(in_place):
+    # potrf overwrites its buffer when it fails, so each rung must factor a
+    # fresh copy of K: the result is the plain factor of K + jitter I, with
+    # or without a caller's buffer, and K itself is never written
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(5, 1))
+    X[1] = X[2] = X[0]
+    K = kernel_matrix(KernelKind.GAUSSIAN, KernelParams(log_s=0.7), X, X)
+    K0 = K.copy()
+    out = np.empty_like(K) if in_place else None
+    L, jitter = _factor(K, NoiseSpec(0.0), KernelParams(), out)
+    assert jitter > 0.0 and np.array_equal(K, K0)
+    A = K.copy()
+    np.fill_diagonal(A, K.diagonal() + jitter)
+    assert np.array_equal(L, cholesky(A, lower=True))
+    if in_place:
+        assert np.shares_memory(L, out)
+    # the partial factor of a failed rung is positive definite, K is not
+    # at any jitter on the ladder
+    with pytest.raises(NotPositiveDefinite):
+        _factor(np.array([[4.0, 6.0], [6.0, 4.0]]), NoiseSpec(0.0), KernelParams(),
+                np.empty((2, 2)) if in_place else None)
 
 
 def test_jitter_rescues_duplicate_rows():

@@ -3,6 +3,8 @@ model, closed-loop tracking scores and the averaged objective."""
 
 import csv
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,3 +171,18 @@ def test_objective_validation():
         pid_objective(PIDGains(1, 0, 0), WIND_DOMAIN_TRAIN, [], [0])
     with pytest.raises(ValueError):
         pid_objective(PIDGains(1, 0, 0), WIND_DOMAIN_TRAIN, [TrajectoryKind.HOVER], [])
+
+
+# ---------------------------------------------------------------- imports
+
+def test_scipy_signal_loads_on_first_simulation():
+    # scipy.signal costs about a second to import and only the gust filter
+    # needs it, so the CLI and the experiments import without it
+    code = ("import sys, dilgp.cli, dilgp.experiments; from dilgp import quad\n"
+            "before = 'scipy.signal' in sys.modules\n"
+            "quad.simulate(quad.PIDGains(1.0, 0.1, 0.5), quad.TrajectoryKind.HOVER,\n"
+            "              quad.WIND_DOMAIN_TRAIN, 0)\n"
+            "print(before, 'scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["False", "True"]

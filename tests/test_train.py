@@ -11,6 +11,7 @@ import pytest
 
 from dilgp import gp as gp_mod
 from dilgp import kernels as kernels_mod
+from dilgp import train as train_mod
 from dilgp.data import fit_standardizer, gen_synthetic_1d
 from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               TrainingAbort)
@@ -320,9 +321,9 @@ def test_one_factorization_per_round(monkeypatch):
     calls = []
     real_factor = gp_mod._factor
 
-    def counting_factor(K, noise, params):
+    def counting_factor(K, noise, params, out=None):
         calls.append(params)
-        return real_factor(K, noise, params)
+        return real_factor(K, noise, params, out)
 
     monkeypatch.setattr(gp_mod, "_factor", counting_factor)
     train, _ = gen_synthetic_1d(0)
@@ -335,8 +336,8 @@ def test_one_factorization_per_round(monkeypatch):
 
 
 def test_one_kernel_evaluation_per_point(monkeypatch):
-    # K, the K_p stack, the penalty's D_p stack and its trace term all come
-    # from one squared-distance matrix per parameter point
+    # K, the K_p stack, the penalty's D_p stack and its trace term of every
+    # parameter point come from one squared-distance matrix per fit
     calls = []
     real_cdist = kernels_mod.cdist
 
@@ -350,7 +351,33 @@ def test_one_kernel_evaluation_per_point(monkeypatch):
         calls.clear()
         spec = ModelSpec(model=model, t1=7, t2=3, eta2=0.005, lam=0.01, sigma2=0.4)
         _, _, trace = fit_model(spec, train, seed=11)
-        assert len(trace) == 7 and len(calls) == spec.t1 + 1, model
+        assert len(trace) == 7 and len(calls) == 1, model
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_KINDS))
+def test_one_workspace_per_fit(model, monkeypatch):
+    # every state of a fit writes its K_p stack, factor and A^-1 into the
+    # buffers of the first, and the posterior's factor stays read-only
+    states = []
+
+    class RecordingState(TrainState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(train_mod, "TrainState", RecordingState)
+    train, _ = gen_synthetic_1d(0)
+    spec = ModelSpec(model=model, t1=5, t2=2)
+    post, _, _ = fit_model(spec, train, seed=11)
+    first = states[0]
+    assert len(states) >= spec.t1 + 1 and post is states[-1].post
+    for state in states:
+        assert np.shares_memory(state.Kp, first.Kp)
+        assert np.shares_memory(state.post.chol, first.post.chol)
+    inverted = [s for s in states if "A_inv" in vars(s)]
+    assert len(inverted) >= spec.t1
+    assert all(np.shares_memory(s.A_inv, first.A_inv) for s in inverted)
+    assert not post.chol.flags.writeable
 
 
 @pytest.mark.parametrize("model,standardize", [

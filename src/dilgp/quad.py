@@ -16,6 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,6 +73,9 @@ class WindDomainSpec:
     correlation_time: float
 
     def __post_init__(self):
+        for name in ("mean_h", "mean_v", "var_h", "var_v", "correlation_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.var_h < 0 or self.var_v < 0:
             raise ValueError("variances must be >= 0")
         if not self.correlation_time > 0:
@@ -107,6 +111,25 @@ def reference_trajectory(kind: TrajectoryKind, t) -> np.ndarray:
     return np.stack(ref, axis=-1)
 
 
+def _gust_drives(spec: WindDomainSpec, seed: int, dt: float, n_steps: int
+                 ) -> tuple[float, list[tuple[list, float]]]:
+    """The inputs of the gust filter w_k = c w_{k-1} + x_k: its pole
+    c = 1 - dt/tau and, per axis (x, y, z), the drive sequence x as a list
+    and the mean mu, from which the filter starts (w_{-1} = mu)."""
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
+    a = dt / spec.correlation_time
+    if not a < 2.0:
+        raise ValueError(f"dt must be < 2 * correlation_time for a stable filter, got {dt!r}")
+    rng = rng_for(seed, "dryden-wind")
+    u = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (n_steps, 3))
+    c = 1.0 - a
+    return c, [((mu * a + math.sqrt(2.0 * var * a) * u[:, j]).tolist(), mu)
+               for j, (mu, var) in enumerate([(spec.mean_h, spec.var_h),
+                                              (spec.mean_h, spec.var_h),
+                                              (spec.mean_v, spec.var_v)])]
+
+
 def dryden_wind(spec: WindDomainSpec, seed: int, dt: float, n_steps: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Colored gust sequences: (horizontal (n, 2), vertical (n,)).
@@ -115,20 +138,13 @@ def dryden_wind(spec: WindDomainSpec, seed: int, dt: float, n_steps: int
         w_{k+1} = w_k + (mu - w_k) dt/tau + sqrt(2 var dt/tau) u_k
     with u_k uniform on [-sqrt(3), sqrt(3)] (unit variance) and w_0 = mu, so
     the long-run mean and variance converge to the values in ``spec``. Requires
-    dt < 2 tau for the recursion to be stable.
+    dt < 2 tau for the recursion to be stable. simulate runs the same filter
+    inside its axis integrator; this is the reference it is tested against.
     """
-    from scipy.signal import lfilter  # deferred: about 1 s to import, used only here
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    a = dt / spec.correlation_time
-    rng = rng_for(seed, "dryden-wind")
-    u = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (n_steps, 3))
+    c, drives = _gust_drives(spec, seed, dt, n_steps)
     out = np.empty((n_steps, 3))
-    for j, (mu, var) in enumerate([(spec.mean_h, spec.var_h),
-                                   (spec.mean_h, spec.var_h),
-                                   (spec.mean_v, spec.var_v)]):
-        drive = mu * a + math.sqrt(2.0 * var * a) * u[:, j]
-        out[:, j], _ = lfilter([1.0], [1.0, -(1.0 - a)], drive, zi=[(1.0 - a) * mu])
+    for j, (drive, mu) in enumerate(drives):
+        out[:, j] = list(accumulate(drive, lambda w, x: w * c + x, initial=mu))[1:]
     return out[:, :2], out[:, 2]
 
 
@@ -150,10 +166,11 @@ class SimResult:
                 writer.writerow(row)
 
 
-def _track_axis(ref: list, wind: list, kp: float, ki: float, kd: float,
-                p0: float) -> list:
-    """Integrate one axis; returns positions at each step (possibly truncated
-    if the state stops being finite)."""
+def _track_axis(ref: list, drive: list, c: float, w: float, kp: float, ki: float,
+                kd: float, p0: float) -> list:
+    """Integrate one axis under the gust filter of dryden_wind (drive, pole c,
+    starting gust w); returns positions at each step (possibly truncated if
+    the state stops being finite)."""
     p, v = p0, 0.0
     integral = 0.0
     e_prev = ref[0] - p0
@@ -168,7 +185,8 @@ def _track_axis(ref: list, wind: list, kp: float, ki: float, kd: float,
         e_prev = e
         cmd = kp * e + ki * integral + kd * deriv
         cmd = max(-ACCEL_LIMIT, min(ACCEL_LIMIT, cmd))
-        a = cmd + wind[k]
+        w = w * c + drive[k]
+        a = cmd + w
         v += a * DT
         p += v * DT
     return out
@@ -183,14 +201,13 @@ def simulate(gains: PIDGains, kind: TrajectoryKind, wind_spec: WindDomainSpec,
     run aborts at that step and ace is the +inf sentinel with diverged set.
     """
     ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
-    w_h, w_v = dryden_wind(wind_spec, seed, DT, N_STEPS)
-    wind = np.column_stack([w_h, w_v])
+    c, drives = _gust_drives(wind_spec, seed, DT, N_STEPS)
     p0 = ref[0].copy()
     if start_offset is not None:
         p0 = p0 + np.asarray(start_offset, dtype=float)
-    axes = [_track_axis(ref[:, j].tolist(), wind[:, j].tolist(),
+    axes = [_track_axis(ref[:, j].tolist(), drive, c, mu,
                         gains.kp, gains.ki, gains.kd, float(p0[j]))
-            for j in range(3)]
+            for j, (drive, mu) in enumerate(drives)]
     m = min(len(ax) for ax in axes)
     if m == 0:
         return SimResult(math.inf, np.empty((0, 3)), np.empty((0, 3)), diverged=True)

@@ -223,9 +223,11 @@ class TrainState:
     into A = K + tau I (tau is sigma^2 plus the factor's jitter); the
     posterior holds the log marginal likelihood and alpha = A^-1 y. The
     dense A^-1, C = sum_p K_p and tr(A^-1 C) are formed once each, on first
-    use, so a plain-GP round never builds C. D_p = dC/dlog theta_p and
-    B = A^-1 C live only in the call that reads them; an ascent step takes
-    M v, M = A^-1 C A^-1, as A^-1 (C (A^-1 v)) in O(n^2).
+    use, so a plain-GP round never builds C; so are C alpha and A^-1 C alpha,
+    which every environment term shares. D_p = dC/dlog theta_p and
+    B = A^-1 C live only in the call that reads them. Both environments'
+    terms come from these and one difference d = A^-1 (y (m0 - m1)), so a
+    penalty takes two O(n^2) products and an ascent step three.
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y,
@@ -248,25 +250,41 @@ class TrainState:
     def tr_AinvC(self) -> float:
         return float(np.einsum("ij,ij->", self.A_inv, self.C))
 
-    def _env_terms(self, m0: np.ndarray, m1: np.ndarray):
-        """Per environment e: g_e = 1/2 a^T C a - 1/2 tr(A^-1 C), the derivative
-        at w = 1 of its masked likelihood, with a = A^-1 (y m_e) and C a."""
-        out = []
-        for m in (m0, m1):
-            a = self.A_inv @ (self.y * m)
-            Ca = self.C @ a
-            out.append((float(0.5 * (a @ Ca) - 0.5 * self.tr_AinvC), a, Ca))
-        return out
+    @cached_property
+    def _alpha_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """C alpha, A^-1 C alpha and alpha^T C alpha, which every environment
+        term at this point shares."""
+        C_alpha = self.C @ self.post.alpha_vec
+        return C_alpha, self.A_inv @ C_alpha, float(self.post.alpha_vec @ C_alpha)
+
+    def _env_terms(self, m0: np.ndarray, m1: np.ndarray
+                   ) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(g0, g1, d, C d). g_e = 1/2 a_e^T C a_e - 1/2 tr(A^-1 C) is the
+        derivative at w = 1 of environment e's masked likelihood, with
+        a_e = A^-1 (y m_e). As m0 + m1 = 1, a_e = (alpha +- d) / 2 with
+        d = A^-1 (y (m0 - m1)), and as C is symmetric
+
+            g_e = (alpha^T C alpha + d^T C d) / 8 - tr(A^-1 C) / 2 +- alpha^T C d / 4.
+
+        Swapping the masks negates d exactly, so it swaps g0 and g1 bit for bit.
+        """
+        d = self.A_inv @ (self.y * (m0 - m1))
+        Cd = self.C @ d
+        shared = (self._alpha_terms[2] + float(d @ Cd)) / 8.0 - 0.5 * self.tr_AinvC
+        split = float(self.post.alpha_vec @ Cd) / 4.0
+        return shared + split, shared - split, d, Cd
 
     def penalty(self, m0: np.ndarray, m1: np.ndarray) -> PenaltyReport:
-        g0, g1 = (g for g, _, _ in self._env_terms(m0, m1))
+        g0, g1, _, _ = self._env_terms(m0, m1)
         return PenaltyReport(g0 * g0 + g1 * g1, (g0, g1))
 
     def grad_q(self, logits: DomainLogits) -> np.ndarray:
-        """Gradient of the penalty in the logits."""
+        """Gradient of the penalty in the logits, 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1)
+        with C a_e = (C alpha +- C d) / 2."""
         m0, m1 = env_masks(logits)
-        (g0, _, Ca0), (g1, _, Ca1) = self._env_terms(m0, m1)
-        return 2.0 * self.y * (m0 * m1) * (self.A_inv @ (g0 * Ca0 - g1 * Ca1))
+        g0, g1, _, Cd = self._env_terms(m0, m1)
+        Ainv_C_alpha = self._alpha_terms[1]
+        return self.y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * (self.A_inv @ Cd))
 
     def objective_grad(self, masks, lam: float) -> np.ndarray:
         """Gradient of -LML + lam * penalty in the four log-parameters at fixed
@@ -294,7 +312,10 @@ class TrainState:
                                   out=self.ws.scratch[:len(Kp) - 1])
         shared[1:] -= 0.5 * np.einsum("pij,ij->p", D, A_inv)
         grad = np.zeros(len(Kp))
-        for g, a, Ca in self._env_terms(m0, m1):
+        g0, g1, d, Cd = self._env_terms(m0, m1)
+        alpha, C_alpha = self.post.alpha_vec, self._alpha_terms[0]
+        for g, a, Ca in ((g0, 0.5 * (alpha + d), 0.5 * (C_alpha + Cd)),
+                         (g1, 0.5 * (alpha - d), 0.5 * (C_alpha - Cd))):
             dg = -(Kp @ (A_inv @ Ca)) @ a + shared
             dg[0] += g
             dg[1:] += 0.5 * (D @ a) @ a

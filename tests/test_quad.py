@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from dilgp.exceptions import NonFiniteInput
-from dilgp.quad import (DT, DURATION, N_STEPS, WIND_DOMAIN_HELDOUT,
-                        WIND_DOMAIN_TRAIN, PIDGains, SimResult, TrajectoryKind,
-                        WindDomainSpec, dryden_wind, pid_objective,
+from dilgp.quad import (ACCEL_LIMIT, DT, DURATION, INTEGRAL_LIMIT, N_STEPS,
+                        WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN, PIDGains, SimResult,
+                        TrajectoryKind, WindDomainSpec, dryden_wind, pid_objective,
                         reference_trajectory, simulate)
+from dilgp.rng import rng_for
 
 CALM = WindDomainSpec(0.0, 0.0, 0.0, 0.0, 1.0)
 
@@ -70,6 +71,35 @@ def test_dryden_deterministic_and_validated():
     assert not np.array_equal(a[0], c[0])
     with pytest.raises(ValueError):
         dryden_wind(WIND_DOMAIN_TRAIN, 0, 0.0, 10)
+    with pytest.raises(ValueError):
+        dryden_wind(WIND_DOMAIN_TRAIN, 0, math.nan, 10)
+    # the filter's pole 1 - dt/tau leaves the unit circle at dt = 2 tau
+    tau = WIND_DOMAIN_TRAIN.correlation_time
+    with pytest.raises(ValueError):
+        dryden_wind(WIND_DOMAIN_TRAIN, 0, 2.0 * tau, 10)
+    with pytest.raises(ValueError):
+        dryden_wind(WIND_DOMAIN_TRAIN, 0, 3.0 * tau, 10)
+    h, v = dryden_wind(WIND_DOMAIN_TRAIN, 0, 1.9 * tau, 10)
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(v))
+
+
+@pytest.mark.parametrize("spec", [WIND_DOMAIN_TRAIN, WIND_DOMAIN_HELDOUT])
+def test_dryden_matches_lfilter(spec):
+    # the gusts are the first-order filter 1 / (1 - c z^-1) of the drive,
+    # started from c mu, with c = 1 - dt/tau; scipy is the oracle only here
+    from scipy.signal import lfilter
+    a = DT / spec.correlation_time
+    c = 1.0 - a
+    for seed in (0, 1, 7, 42):
+        for n in (1, 2, 2000):
+            h, v = dryden_wind(spec, seed, DT, n)
+            u = rng_for(seed, "dryden-wind").uniform(-math.sqrt(3.0), math.sqrt(3.0), (n, 3))
+            for j, (mu, var, got) in enumerate([(spec.mean_h, spec.var_h, h[:, 0]),
+                                                (spec.mean_h, spec.var_h, h[:, 1]),
+                                                (spec.mean_v, spec.var_v, v)]):
+                drive = mu * a + math.sqrt(2.0 * var * a) * u[:, j]
+                want, _ = lfilter([1.0], [1.0, -c], drive, zi=[c * mu])
+                assert np.array_equal(got, want), (seed, n, j)
 
 
 # ---------------------------------------------------------------- containers
@@ -88,6 +118,11 @@ def test_wind_spec_validation():
         WindDomainSpec(0.0, 0.0, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         WindDomainSpec(0.0, 0.0, 1.0, 1.0, 0.0)
+    # nan < 0 is False, so a plain sign check would let these through
+    for bad in ([math.nan, 0, 1, 1, 1], [0, math.inf, 1, 1, 1], [0, 0, math.nan, 1, 1],
+                [0, 0, 1, math.inf, 1], [0, 0, 1, 1, math.nan], [0, 0, 1, 1, math.inf]):
+        with pytest.raises(ValueError):
+            WindDomainSpec(*bad)
 
 
 # ---------------------------------------------------------------- simulation
@@ -121,6 +156,39 @@ def test_simulate_deterministic_and_consistent():
     assert np.array_equal(a.positions, b.positions)
     err = a.positions - a.reference
     assert a.ace == pytest.approx(float(np.mean(np.sum(err * err, axis=1))), abs=1e-12)
+
+
+def _fly_axis(ref, wind, gains, p0):
+    # the PID loop of one axis, fed a precomputed gust sequence
+    p, v, integral, e_prev, out = p0, 0.0, 0.0, ref[0] - p0, []
+    for r, w in zip(ref, wind):
+        out.append(p)
+        e = r - p
+        integral = max(-INTEGRAL_LIMIT, min(INTEGRAL_LIMIT, integral + e * DT))
+        deriv = (e - e_prev) / DT
+        e_prev = e
+        cmd = gains.kp * e + gains.ki * integral + gains.kd * deriv
+        cmd = max(-ACCEL_LIMIT, min(ACCEL_LIMIT, cmd))
+        v += (cmd + w) * DT
+        p += v * DT
+    return out
+
+
+@pytest.mark.parametrize("kind,spec,seed,gains", [
+    (TrajectoryKind.FIG8, WIND_DOMAIN_TRAIN, 11, PIDGains(2.0, 0.5, 1.0)),
+    (TrajectoryKind.SPIRAL_UP, WIND_DOMAIN_HELDOUT, 3, PIDGains(9.0, 3.0, 0.2)),
+    (TrajectoryKind.HOVER, WIND_DOMAIN_TRAIN, 0, PIDGains(30.0, 20.0, 0.0)),
+])
+def test_flight_flies_dryden_gusts(kind, spec, seed, gains):
+    # simulate filters the gusts inside its integrator; its positions must be
+    # those of a flight through dryden_wind's sequence, bit for bit
+    res = simulate(gains, kind, spec, seed)
+    assert not res.diverged
+    h, v = dryden_wind(spec, seed, DT, N_STEPS)
+    ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
+    want = np.column_stack([_fly_axis(ref[:, j].tolist(), w.tolist(), gains, ref[0, j])
+                            for j, w in enumerate([h[:, 0], h[:, 1], v])])
+    assert np.array_equal(res.positions, want)
 
 
 def test_nonfinite_state_hits_divergence_sentinel():
@@ -175,14 +243,14 @@ def test_objective_validation():
 
 # ---------------------------------------------------------------- imports
 
-def test_scipy_signal_loads_on_first_simulation():
-    # scipy.signal costs about a second to import and only the gust filter
-    # needs it, so the CLI and the experiments import without it
+def test_simulation_path_imports_no_scipy_signal():
+    # scipy.signal (and the scipy.stats it pulls in) costs about a second and
+    # 37 MiB to import; the CLI, the experiments and a flight need neither
     code = ("import sys, dilgp.cli, dilgp.experiments; from dilgp import quad\n"
-            "before = 'scipy.signal' in sys.modules\n"
-            "quad.simulate(quad.PIDGains(1.0, 0.1, 0.5), quad.TrajectoryKind.HOVER,\n"
-            "              quad.WIND_DOMAIN_TRAIN, 0)\n"
-            "print(before, 'scipy.signal' in sys.modules)")
+            "g = quad.PIDGains(1.0, 0.1, 0.5)\n"
+            "quad.simulate(g, quad.TrajectoryKind.HOVER, quad.WIND_DOMAIN_TRAIN, 0)\n"
+            "quad.pid_objective(g, quad.WIND_DOMAIN_TRAIN, [quad.TrajectoryKind.FIG8], [1])\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.strip() == "[]"

@@ -127,6 +127,8 @@ def test_penalty_label_swap_exact():
     b = irm_penalty(GAUSS, params, NoiseSpec(0.1), X, y, DomainLogits(-logits.q_tilde))
     assert a.penalty == b.penalty
     assert a.per_env_grad == (b.per_env_grad[1], b.per_env_grad[0])
+    state = TrainState(GAUSS, params, NoiseSpec(0.1), X, y)
+    assert np.array_equal(state.grad_q(DomainLogits(-logits.q_tilde)), -state.grad_q(logits))
 
 
 def test_penalty_nonnegative_across_seeds():

@@ -119,16 +119,13 @@ def acquisition_ei(mean, std, best_f: float):
     return -ei
 
 
-def beta_schedule(t: int, bound_b: float, sigma: float, gamma_prev: float,
-                  delta: float) -> float:
+def beta_schedule(bound_b: float, sigma: float, gamma_prev: float, delta: float) -> float:
     """Exploration coefficient B + sigma * sqrt(2 (gamma_{t-1} + 1 + log(4/delta)))."""
     # log(4/delta) must stay positive; values up to 4 keep the radicand sane.
     if not 0.0 < delta < 4.0:
         raise ValueError(f"delta must be in (0, 4), got {delta!r}")
     if gamma_prev < 0:
         raise ValueError(f"gamma_prev must be >= 0, got {gamma_prev!r}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t!r}")
     return bound_b + sigma * math.sqrt(2.0 * (gamma_prev + 1.0 + math.log(4.0 / delta)))
 
 
@@ -244,7 +241,7 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
         sur = fit_surrogate(spec, state, rng_for(seed, "surrogate", t).integers(2 ** 31).item())
         if t == 1:
             cum_gain = _initial_info_gain(sur.post, sigma2)
-        beta_t = beta_schedule(t, float(np.max(np.abs(state.queried_f))), sigma, cum_gain,
+        beta_t = beta_schedule(float(np.max(np.abs(state.queried_f))), sigma, cum_gain,
                                BETA_DELTA)
         if acq == "ucb":
             acq_fn = functools.partial(acquisition_ucb, beta_t=beta_t)

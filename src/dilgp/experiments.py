@@ -117,9 +117,11 @@ def quad_bo_experiment(kind: TrajectoryKind, model: str, experiment_seed: int,
 
     The simulator seeds for training evaluations and for held-out scoring are
     derived from experiment_seed, so two tuners given the same seed face the
-    same disturbances.
+    same disturbances. A surrogate spec must name model, the model reported.
     """
     cfg = surrogate if surrogate is not None else quad_surrogate_config(model)
+    if cfg.model != model:
+        raise InvalidSetting(f"surrogate trains {cfg.model!r} but the run reports {model!r}")
     train_seeds = [int(v) for v in
                    rng_for(experiment_seed, "sim-train").integers(2 ** 31, size=N_TRAIN_SIM_SEEDS)]
     heldout_seeds = [int(v) for v in

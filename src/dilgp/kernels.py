@@ -11,11 +11,11 @@ keep the exponentiated values strictly positive.
 
 Each kernel reads its inputs through one base_matrix: squared distances for
 the stationary kernels, X Y^T for the dot product. The kernel matrix and its
-derivative stacks are elementwise in it, so a caller that needs several of
-them builds the base once. The derivative stacks hold only the parameters
-the kernel reads (ACTIVE_PARAMS). gram, grad_stack and
-scale_direction_stack write into a caller's out buffer, or allocate one
-when it is None, with the same operations either way.
+derivatives are elementwise in it, so a caller that needs several of them
+builds the base once. grad_stack holds only the parameters the kernel reads
+(ACTIVE_PARAMS); gaussian_scale_direction serves the invariance penalty,
+which only a Gaussian kernel trains with. All three write into a caller's
+out buffer, or allocate one when it is None, with the same operations.
 """
 
 from __future__ import annotations
@@ -189,41 +189,13 @@ def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nd
     return grad_stack(kind, params, base_matrix(kind, X, X))
 
 
-def scale_direction_stack(kind: KernelKind, params: KernelParams, base: np.ndarray,
-                          Kp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """D_p = dC/dlog theta_p from the grad_stack Kp and its base_matrix, for
-    the active parameters after log s, in ACTIVE_PARAMS[kind] order, written
-    into out (allocated when None).
+def gaussian_scale_direction(params: KernelParams, base: np.ndarray, K_l: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """D_l = dC/dlog l of the Gaussian kernel from its base_matrix and
+    K_l = dK/dlog l, written into out (allocated when None).
     C = d/dw K(w * theta) at w = 1, with w multiplying every exponentiated
-    parameter, is by the chain rule Kp.sum(0); C is linear in s, so
-    D_s = C for every kernel and needs no row here."""
-    K = Kp[0]
-    out = np.empty((len(ACTIVE_PARAMS[kind]) - 1,) + base.shape) if out is None else out
-    if kind is KernelKind.GAUSSIAN:
-        # C = K (1 + r) with r = d^2 / l^2, K_l = K r and dr/dlog l = -2 r,
-        # so D_l = K_l (r - 1).
-        np.subtract(np.divide(base, params.l ** 2, out=out[0]), 1.0, out=out[0])
-        np.multiply(Kp[1], out[0], out=out[0])
-    elif kind is KernelKind.RATIONAL_QUADRATIC:
-        # C = K c with c = 1 + a (3 f - log(1 + u)) and f = u / (1 + u);
-        # dlog u = -2 dlog l - dlog a, and u dc/du = a f (2 - u) / (1 + u).
-        a = params.alpha
-        u = base / (2.0 * a * params.l ** 2)
-        f, lg = u / (1.0 + u), np.log1p(u)
-        c, u_dc_du = 1.0 + a * (3.0 * f - lg), a * f * (2.0 - u) / (1.0 + u)
-        out[0] = K * (2.0 * a * f * c - 2.0 * u_dc_du)
-        out[1] = K * (a * (f - lg) * c + a * (3.0 * f - lg) - u_dc_du)
-    else:
-        # C = K + 2 s sigma_dp^2, whose offset grows as s sigma_dp^2.
-        out[0] = 3.0 * (2.0 * params.s * params.sigma_dp ** 2)
-    return out
-
-
-def kernel_scale_direction_grads(kind: KernelKind, params: KernelParams,
-                                 X: np.ndarray) -> np.ndarray:
-    """D_p = dC/dlog theta_p over ACTIVE_PARAMS[kind] for the Gram matrix of
-    X: C itself, then the scale_direction_stack."""
-    base = base_matrix(kind, X, X)
-    Kp = grad_stack(kind, params, base)
-    return np.concatenate((Kp.sum(0, keepdims=True),
-                           scale_direction_stack(kind, params, base, Kp)))
+    parameter, is K + K_l, so D_s = C. With r = d^2 / l^2, K_l = K r and
+    dr/dlog l = -2 r, so D_l = K_l (r - 1)."""
+    out = np.empty_like(base) if out is None else out
+    np.subtract(np.divide(base, params.l ** 2, out=out), 1.0, out=out)
+    return np.multiply(K_l, out, out=out)

@@ -42,13 +42,14 @@ from .blas import one_thread
 from .gp import (GPPosterior, NoiseSpec, _lml_grad, _validate_xy, cho_inverse,
                  gram_posterior)
 from .kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams, base_matrix,
-                      grad_stack, scale_direction_stack)
+                      gaussian_scale_direction, grad_stack)
 from .rng import rng_for
 
 _MAX_HALVINGS = 8
 
 # Model names accepted across the package; gp_* are plain GPs with the named
-# kernel, dil_gp is the invariance-trained model.
+# kernel, dil_gp is the invariance-trained model. A model that learns_partition
+# trains with the penalty, whose gradient is the Gaussian kernel's alone.
 MODEL_KINDS = {
     "dil_gp": KernelKind.GAUSSIAN,
     "gp_gaussian": KernelKind.GAUSSIAN,
@@ -199,9 +200,9 @@ class TrainTrace:
 class Workspace:
     """The n x n buffers that the TrainStates of one fit of kind on X write
     into: the base_matrix of X, built once, the K_p stack, the factor, A^-1
-    and potri's copy of the factor, C, and one scratch stack that B = A^-1 C
-    and then the D_p stack use in turn. Each state overwrites the previous
-    one's, so at most one state of a workspace is live at a time."""
+    and potri's copy of the factor, C, and one scratch matrix that B = A^-1 C
+    and then D_l use in turn. Each state overwrites the previous one's, so
+    at most one state of a workspace is live at a time."""
 
     def __init__(self, kind: KernelKind, X: np.ndarray):
         n, p = X.shape[0], len(ACTIVE_PARAMS[kind])
@@ -209,7 +210,7 @@ class Workspace:
         self.Kp = np.empty((p, n, n))
         self.factor, self.A_inv, self.C = (np.empty((n, n)) for _ in range(3))
         self.potri = np.empty((n, n), order="F")
-        self.scratch = np.empty((max(p - 1, 1), n, n))
+        self.scratch = np.empty((n, n))
 
 
 class TrainState:
@@ -224,10 +225,11 @@ class TrainState:
     posterior holds the log marginal likelihood and alpha = A^-1 y. The
     dense A^-1, C = sum_p K_p and tr(A^-1 C) are formed once each, on first
     use, so a plain-GP round never builds C; so are C alpha and A^-1 C alpha,
-    which every environment term shares. D_p = dC/dlog theta_p and
-    B = A^-1 C live only in the call that reads them. Both environments'
-    terms come from these and one difference d = A^-1 (y (m0 - m1)), so a
-    penalty takes two O(n^2) products and an ascent step three.
+    which every environment term shares. B = A^-1 C and the Gaussian
+    kernel's D_l = dC/dlog l live only in the call that reads them. Both
+    environments' terms come from these and one difference
+    d = A^-1 (y (m0 - m1)), so a penalty takes two O(n^2) products and an
+    ascent step three.
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y,
@@ -298,8 +300,9 @@ class TrainState:
         return out
 
     def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-        """The penalty's gradient in the active log-parameters, from the trace
-        identity applied to g_e (dA/dlog theta_p = K_p, dC/dlog theta_p = D_p):
+        """The penalty's gradient in (log s, log l) of the Gaussian kernel, from
+        the trace identity applied to g_e (dA/dlog theta_p = K_p,
+        dC/dlog theta_p = D_p):
 
             dg_e/dtheta_p = -a^T K_p A^-1 C a + 1/2 a^T D_p a
                             + 1/2 tr(K_p M) - 1/2 tr(A^-1 D_p).
@@ -308,9 +311,8 @@ class TrainState:
         """
         A_inv, Kp = self.A_inv, self.Kp
         shared = 0.5 * self.trace_Kp_M()
-        D = scale_direction_stack(self.kind, self.params, self.ws.base, Kp,
-                                  out=self.ws.scratch[:len(Kp) - 1])
-        shared[1:] -= 0.5 * np.einsum("pij,ij->p", D, A_inv)
+        D = gaussian_scale_direction(self.params, self.ws.base, Kp[1], out=self.ws.scratch)
+        shared[1] -= 0.5 * np.einsum("ij,ij->", D, A_inv)
         grad = np.zeros(len(Kp))
         g0, g1, d, Cd = self._env_terms(m0, m1)
         alpha, C_alpha = self.post.alpha_vec, self._alpha_terms[0]
@@ -318,25 +320,27 @@ class TrainState:
                          (g1, 0.5 * (alpha - d), 0.5 * (C_alpha - Cd))):
             dg = -(Kp @ (A_inv @ Ca)) @ a + shared
             dg[0] += g
-            dg[1:] += 0.5 * (D @ a) @ a
+            dg[1] += 0.5 * (D @ a) @ a
             grad += 2.0 * g * dg
         return grad
 
     def trace_Kp_M(self) -> np.ndarray:
-        """tr(K_p M) for each K_p, from the one dense product B = A^-1 C.
+        """tr(K_p M) for log s and log l of the Gaussian kernel, the one kernel
+        trained with the penalty (InvalidSetting for any other), from the one
+        dense product B = A^-1 C.
 
-        A^-1 K = I - tau A^-1, so tr(K M) = tr(B) - tau tr(A^-1 B). A middle
-        parameter (the rational-quadratic kernel's log l) takes
-        tr(A^-1 K_p B). The sum over p is tr(C M) = tr(B B), which leaves the
-        last parameter's. A^-1 is symmetric, so tr(A^-1 B) = <A^-1, B>.
+        A^-1 K = I - tau A^-1, so tr(K M) = tr(B) - tau tr(A^-1 B). As
+        C = K + K_l, tr(C M) = tr(B B) leaves tr(K_l M). A^-1 is symmetric,
+        so tr(A^-1 B) = <A^-1, B>.
         """
+        if self.kind is not KernelKind.GAUSSIAN:
+            raise InvalidSetting("the penalty's parameter gradient is derived for the "
+                                 f"gaussian kernel only, not {self.kind.value}")
         A_inv = self.A_inv
-        B = np.matmul(A_inv, self.C, out=self.ws.scratch[0])
+        B = np.matmul(A_inv, self.C, out=self.ws.scratch)
         tau = self.noise.sigma2 + self.post.jitter
-        tr = [np.trace(B) - tau * np.einsum("ij,ij->", A_inv, B)]
-        tr += [np.einsum("ij,ji->", A_inv @ Kp, B) for Kp in self.Kp[1:-1]]
-        tr.append(np.einsum("ij,ji->", B, B) - sum(tr))
-        return np.array(tr)
+        tr_K = np.trace(B) - tau * np.einsum("ij,ij->", A_inv, B)
+        return np.array([tr_K, np.einsum("ij,ji->", B, B) - tr_K])
 
 
 def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,

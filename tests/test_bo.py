@@ -13,10 +13,11 @@ from dilgp.bo import (BOState, SearchSpace, Surrogate,
                       acquisition_ei, acquisition_ucb, beta_schedule, bo_run,
                       fit_surrogate, history_jsonl, information_gain_step,
                       propose_next, regret_bound)
-from dilgp.exceptions import (DimensionMismatch, NonFiniteInput,
+from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               ObjectiveFailure)
-from dilgp.experiments import quad_surrogate_config
+from dilgp.experiments import quad_bo_experiment, quad_surrogate_config
 from dilgp.kernels import KernelKind, KernelParams, kernel_matrix
+from dilgp.quad import TrajectoryKind
 from dilgp.rng import rng_for
 from dilgp.train import ModelSpec
 
@@ -58,21 +59,19 @@ def test_ei_rewards_uncertainty():
 # ---------------------------------------------------------------- schedule
 
 def test_beta_schedule_closed_forms():
-    assert beta_schedule(1, 1.0, 0.0, 0.0, 0.1) == 1.0
-    assert beta_schedule(1, 0.0, 1.0, 0.0, 4.0 / math.e) == pytest.approx(2.0)
-    b1 = beta_schedule(3, 1.0, 0.5, 1.0, 0.1)
-    b2 = beta_schedule(3, 1.0, 0.5, 4.0, 0.1)
+    assert beta_schedule(1.0, 0.0, 0.0, 0.1) == 1.0
+    assert beta_schedule(0.0, 1.0, 0.0, 4.0 / math.e) == pytest.approx(2.0)
+    b1 = beta_schedule(1.0, 0.5, 1.0, 0.1)
+    b2 = beta_schedule(1.0, 0.5, 4.0, 0.1)
     assert b2 > b1
 
 
 def test_beta_schedule_validation():
     for bad_delta in (0.0, 4.0, -1.0, 5.0):
         with pytest.raises(ValueError):
-            beta_schedule(1, 1.0, 1.0, 0.0, bad_delta)
+            beta_schedule(1.0, 1.0, 0.0, bad_delta)
     with pytest.raises(ValueError):
-        beta_schedule(1, 1.0, 1.0, -0.1, 0.1)
-    with pytest.raises(ValueError):
-        beta_schedule(0, 1.0, 1.0, 0.0, 0.1)
+        beta_schedule(1.0, 1.0, -0.1, 0.1)
 
 
 def test_information_gain_step_values():
@@ -116,6 +115,13 @@ def test_surrogate_config_validation():
         quad_surrogate_config("gp_gaussian", t1=-1)
     assert quad_surrogate_config("dil_gp").kind is KernelKind.GAUSSIAN
     assert quad_surrogate_config("gp_rq").kind is KernelKind.RATIONAL_QUADRATIC
+
+
+def test_quad_bo_experiment_reports_the_model_it_trains():
+    # a surrogate spec of another model would be trained but reported as model
+    with pytest.raises(InvalidSetting, match="dil_gp"):
+        quad_bo_experiment(TrajectoryKind.HOVER, "gp_gaussian", 0, t_bo=1, n_init=2,
+                           surrogate=quad_surrogate_config("dil_gp"))
 
 
 # ---------------------------------------------------------------- proposals

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from dilgp.exceptions import DimensionMismatch, NonFiniteInput
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
-                           KernelParams, kernel_diag, kernel_grads,
-                           kernel_matrix, kernel_scale_direction_grads)
+                           KernelParams, base_matrix, gaussian_scale_direction,
+                           grad_stack, kernel_diag, kernel_grads, kernel_matrix)
 
 ALL_KINDS = list(KernelKind)
 
@@ -136,8 +136,9 @@ def _fd_param_grad(matrix, params, name, h=1e-6):
 
 
 def test_kernel_grads_match_finite_differences():
-    # independent FD oracle over every active log-parameter, for the Gram
-    # matrix K and for the scale direction C = sum_p dK/dlog theta_p
+    # independent FD oracle over every active log-parameter for the Gram
+    # matrix K, and in log l for the Gaussian kernel's scale direction
+    # C = sum_p dK/dlog theta_p, the one the invariance penalty differentiates
     for seed in range(20):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(6, 2))
@@ -145,15 +146,16 @@ def test_kernel_grads_match_finite_differences():
                          log_alpha=rng.normal() * 0.3, log_sigma_dp=rng.normal() * 0.3)
         for kind in ALL_KINDS:
             grads = kernel_grads(kind, p, X)
-            D = kernel_scale_direction_grads(kind, p, X)
-            # the stacks hold the active parameters only; the zero gradient of
+            # the stack holds the active parameters only; the zero gradient of
             # the others is checked by the training tests
-            assert grads.shape == D.shape == (len(ACTIVE_PARAMS[kind]), 6, 6)
+            assert grads.shape == (len(ACTIVE_PARAMS[kind]), 6, 6)
             for i, name in enumerate(ACTIVE_PARAMS[kind]):
                 fd = _fd_param_grad(lambda q: kernel_matrix(kind, q, X, X), p, name)
                 assert_allclose(grads[i], fd, rtol=2e-5, atol=1e-8)
-                fd = _fd_param_grad(lambda q: kernel_grads(kind, q, X).sum(0), p, name)
-                assert_allclose(D[i], fd, rtol=2e-5, atol=1e-8)
+        base = base_matrix(KernelKind.GAUSSIAN, X, X)
+        D = gaussian_scale_direction(p, base, grad_stack(KernelKind.GAUSSIAN, p, base)[1])
+        fd = _fd_param_grad(lambda q: kernel_grads(KernelKind.GAUSSIAN, q, X).sum(0), p, "log_l")
+        assert_allclose(D, fd, rtol=2e-5, atol=1e-8)
 
 
 def test_scale_direction_is_dK_dw():

@@ -22,7 +22,7 @@ from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
 from dilgp.rng import rng_for
 from dilgp.train import (MODEL_KINDS, DomainLogits, ModelSpec, TrainState, _train,
                          env_masks, fit_model, inner_ascent_step, irm_penalty,
-                         outer_descent_step)
+                         learns_partition, outer_descent_step)
 
 GAUSS = KernelKind.GAUSSIAN
 
@@ -222,11 +222,12 @@ def test_outer_step_zero_rate_keeps_params():
 
 def test_combined_objective_gradient_matches_fd():
     # implied gradient from one descent step at rate eta, against a central
-    # difference of -lml + lam * penalty computed from public evaluators
+    # difference of -lml + lam * penalty computed from public evaluators;
+    # -lml alone (lam = 0) is what the other kernels train on
     h = 1e-4
-    lam = 0.7
     eta = 1e-4
     for kind, seed in itertools.product(KernelKind, range(6)):
+        lam = 0.7 if kind is GAUSS else 0.0
         rng = rng_for(seed, "outer-fd")
         X, y, logits = toy(seed)
         params = rand_params(rng)
@@ -248,13 +249,31 @@ def test_combined_objective_gradient_matches_fd():
             assert abs(implied[idx] - want) <= 1e-3 * max(1.0, abs(want)), (kind, seed, name)
 
 
-@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
-def test_trace_from_one_product_matches_dense_oracle(kind, monkeypatch):
+def test_partition_models_use_the_gaussian_kernel():
+    # the penalty's parameter gradient exists for the Gaussian kernel only
+    partition = [m for m in MODEL_KINDS if learns_partition(ModelSpec(model=m))]
+    assert partition
+    assert all(MODEL_KINDS[m] is GAUSS for m in partition)
+
+
+@pytest.mark.parametrize("kind", [KernelKind.RATIONAL_QUADRATIC, KernelKind.DOT_PRODUCT],
+                         ids=lambda k: k.value)
+def test_penalty_step_needs_the_gaussian_kernel(kind):
+    X, y, logits = toy(4)
+    params = rand_params(rng_for(4, "gauss-only"))
+    state = TrainState(kind, params, NoiseSpec(0.25), X, y)
+    with pytest.raises(InvalidSetting, match=kind.value):
+        outer_descent_step(params, logits, state, 0.01, 0.5)
+    after = outer_descent_step(params, logits, state, 0.01, 0.0)
+    assert not np.array_equal(after.as_array(), params.as_array())
+
+
+def test_trace_from_one_product_matches_dense_oracle(monkeypatch):
     # tr(K_p M) from B = A^-1 C alone, against the explicit M = A^-1 C A^-1
     params = KernelParams(0.2, -0.3, 0.1, -0.2)
 
     def check(X, y, sigma2):
-        state = TrainState(kind, params, NoiseSpec(sigma2), X, y)
+        state = TrainState(GAUSS, params, NoiseSpec(sigma2), X, y)
         want = np.einsum("pij,ij->p", state.Kp, state.A_inv @ state.C @ state.A_inv)
         np.testing.assert_allclose(state.trace_Kp_M(), want, rtol=1e-10, atol=0)
         return state

@@ -54,11 +54,13 @@ class PIDGains:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise NonFiniteInput(f"{name} must be finite and >= 0, got {v!r}")
+            # exact; a numpy scalar would run every step in numpy arithmetic
+            object.__setattr__(self, name, float(v))
 
     @classmethod
     def from_array(cls, v) -> "PIDGains":
         v = np.asarray(v, dtype=float).reshape(-1)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
+        return cls(v[0], v[1], v[2])
 
 
 @dataclass(frozen=True)
@@ -169,25 +171,30 @@ class SimResult:
 def _track_axis(ref: list, drive: list, c: float, w: float, kp: float, ki: float,
                 kd: float, p0: float) -> list:
     """Integrate one axis under the gust filter of dryden_wind (drive, pole c,
-    starting gust w); returns positions at each step (possibly truncated if
-    the state stops being finite)."""
+    starting gust w); returns the position at every step. The clamps map NaN
+    to +limit, as max(-L, min(L, x)) does; simulate truncates the flight where
+    a position stops being finite."""
     p, v = p0, 0.0
     integral = 0.0
     e_prev = ref[0] - p0
     out = []
-    for k in range(len(ref)):
-        if not math.isfinite(p):
-            break
-        out.append(p)
-        e = ref[k] - p
-        integral = max(-INTEGRAL_LIMIT, min(INTEGRAL_LIMIT, integral + e * DT))
-        deriv = (e - e_prev) / DT
+    append = out.append
+    for r, x in zip(ref, drive):
+        append(p)
+        e = r - p
+        integral = integral + e * DT
+        if not integral <= INTEGRAL_LIMIT:
+            integral = INTEGRAL_LIMIT
+        elif integral < -INTEGRAL_LIMIT:
+            integral = -INTEGRAL_LIMIT
+        cmd = kp * e + ki * integral + kd * ((e - e_prev) / DT)
         e_prev = e
-        cmd = kp * e + ki * integral + kd * deriv
-        cmd = max(-ACCEL_LIMIT, min(ACCEL_LIMIT, cmd))
-        w = w * c + drive[k]
-        a = cmd + w
-        v += a * DT
+        if not cmd <= ACCEL_LIMIT:
+            cmd = ACCEL_LIMIT
+        elif cmd < -ACCEL_LIMIT:
+            cmd = -ACCEL_LIMIT
+        w = w * c + x
+        v += (cmd + w) * DT
         p += v * DT
     return out
 
@@ -197,29 +204,29 @@ def simulate(gains: PIDGains, kind: TrajectoryKind, wind_spec: WindDomainSpec,
     """Fly one 20 s trajectory and score the mean squared position error.
 
     The vehicle starts at the reference's initial point (plus start_offset if
-    given) with zero velocity. If any axis's state becomes non-finite the
-    run aborts at that step and ace is the +inf sentinel with diverged set.
+    given) with zero velocity. With finite inputs the clamps keep the state
+    finite, so only a non-finite or overflowing start offset diverges: the run
+    is cut before its first non-finite step (or kept whole if its ACE
+    overflows), and ace is the +inf sentinel with diverged set.
     """
     ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
     c, drives = _gust_drives(wind_spec, seed, DT, N_STEPS)
     p0 = ref[0].copy()
     if start_offset is not None:
         p0 = p0 + np.asarray(start_offset, dtype=float)
-    axes = [_track_axis(ref[:, j].tolist(), drive, c, mu,
-                        gains.kp, gains.ki, gains.kd, float(p0[j]))
-            for j, (drive, mu) in enumerate(drives)]
-    m = min(len(ax) for ax in axes)
-    if m == 0:
-        return SimResult(math.inf, np.empty((0, 3)), np.empty((0, 3)), diverged=True)
-    positions = np.column_stack([ax[:m] for ax in axes])
-    reference = ref[:m]
-    if m < N_STEPS:
-        return SimResult(math.inf, positions, reference, diverged=True)
-    err = positions - reference
-    ace = float(np.mean(np.sum(err * err, axis=1)))
+    positions = np.column_stack([_track_axis(ref[:, j].tolist(), drive, c, mu,
+                                             gains.kp, gains.ki, gains.kd, float(p0[j]))
+                                 for j, (drive, mu) in enumerate(drives)])
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        m = int(finite.argmin())
+        return SimResult(math.inf, positions[:m], ref[:m], diverged=True)
+    err = positions - ref
+    with np.errstate(over="ignore"):
+        ace = float(np.mean(np.sum(err * err, axis=1)))
     if not math.isfinite(ace):
-        return SimResult(math.inf, positions, reference, diverged=True)
-    return SimResult(ace, positions, reference)
+        return SimResult(math.inf, positions, ref, diverged=True)
+    return SimResult(ace, positions, ref)
 
 
 def pid_objective(gains: PIDGains, train_spec: WindDomainSpec,

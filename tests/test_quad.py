@@ -113,6 +113,15 @@ def test_gains_validation():
     assert (g.kp, g.ki, g.kd) == (1.0, 2.0, 3.0)
 
 
+def test_gains_store_python_floats():
+    # numpy scalars would run every step of a flight in numpy arithmetic
+    g = PIDGains(*np.array([2.0, 0.5, 1.0]))
+    assert all(type(x) is float for x in (g.kp, g.ki, g.kd))
+    want = simulate(PIDGains(2.0, 0.5, 1.0), TrajectoryKind.FIG8, WIND_DOMAIN_TRAIN, 4)
+    got = simulate(g, TrajectoryKind.FIG8, WIND_DOMAIN_TRAIN, 4)
+    assert got.ace == want.ace and np.array_equal(got.positions, want.positions)
+
+
 def test_wind_spec_validation():
     with pytest.raises(ValueError):
         WindDomainSpec(0.0, 0.0, -1.0, 1.0, 1.0)
@@ -174,6 +183,14 @@ def _fly_axis(ref, wind, gains, p0):
     return out
 
 
+def _oracle_positions(kind, spec, seed, gains, offset=(0.0, 0.0, 0.0)):
+    h, v = dryden_wind(spec, seed, DT, N_STEPS)
+    ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
+    return np.column_stack([_fly_axis(ref[:, j].tolist(), w.tolist(), gains,
+                                      float(ref[0, j] + offset[j]))
+                            for j, w in enumerate([h[:, 0], h[:, 1], v])])
+
+
 @pytest.mark.parametrize("kind,spec,seed,gains", [
     (TrajectoryKind.FIG8, WIND_DOMAIN_TRAIN, 11, PIDGains(2.0, 0.5, 1.0)),
     (TrajectoryKind.SPIRAL_UP, WIND_DOMAIN_HELDOUT, 3, PIDGains(9.0, 3.0, 0.2)),
@@ -184,18 +201,36 @@ def test_flight_flies_dryden_gusts(kind, spec, seed, gains):
     # those of a flight through dryden_wind's sequence, bit for bit
     res = simulate(gains, kind, spec, seed)
     assert not res.diverged
-    h, v = dryden_wind(spec, seed, DT, N_STEPS)
-    ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
-    want = np.column_stack([_fly_axis(ref[:, j].tolist(), w.tolist(), gains, ref[0, j])
-                            for j, w in enumerate([h[:, 0], h[:, 1], v])])
-    assert np.array_equal(res.positions, want)
+    assert np.array_equal(res.positions, _oracle_positions(kind, spec, seed, gains))
+
+
+@pytest.mark.parametrize("spec", [CALM, WIND_DOMAIN_TRAIN])
+def test_nan_command_clamps_to_positive_limit(spec):
+    # kp e + kd de/dt overflows to inf - inf = NaN on tens of steps of this
+    # flight; max(-L, min(L, NaN)) is +L, which keeps it finite (ACE about
+    # 1.3), where a clamp that lets NaN through goes non-finite near step 19
+    gains, offset = PIDGains(1e308, 0.0, 1e308), (5.0, 0.0, 0.0)
+    res = simulate(gains, TrajectoryKind.HOVER, spec, 0, start_offset=offset)
+    assert not res.diverged and math.isfinite(res.ace)
+    assert np.array_equal(res.positions,
+                          _oracle_positions(TrajectoryKind.HOVER, spec, 0, gains, offset))
 
 
 def test_nonfinite_state_hits_divergence_sentinel():
+    # a non-finite start stays non-finite, so the flight keeps no row at all
+    for offset in [(math.inf, 0.0, 0.0), (0.0, math.nan, 0.0)]:
+        res = simulate(PIDGains(1.0, 0.0, 0.0), TrajectoryKind.HOVER, CALM, 0,
+                       start_offset=offset)
+        assert res.ace == math.inf and res.diverged
+        assert res.positions.shape == (0, 3) and res.reference.shape == (0, 3)
+
+
+def test_overflowing_error_hits_divergence_sentinel():
+    # a finite start whose squared error overflows keeps the whole flight
     res = simulate(PIDGains(1.0, 0.0, 0.0), TrajectoryKind.HOVER, CALM, 0,
-                   start_offset=(math.inf, 0.0, 0.0))
+                   start_offset=(1e200, 0.0, 0.0))
     assert res.ace == math.inf and res.diverged
-    assert res.positions.shape[0] < N_STEPS
+    assert res.positions.shape == (N_STEPS, 3) and res.reference.shape == (N_STEPS, 3)
 
 
 def test_export_csv(tmp_path):

@@ -9,13 +9,14 @@ Three stationary/linear kernels are supported:
 All hyperparameters are stored in log-space so unconstrained gradient steps
 keep the exponentiated values strictly positive.
 
-Each kernel reads its inputs through one base_matrix: squared distances for
-the stationary kernels, X Y^T for the dot product. The kernel matrix and its
+Each kernel reads its inputs through one base_matrix: X Y^T for the dot
+product, squared distances for the stationary kernels, summed over the columns
+in cdist's order so that numpy gives cdist's bits. The kernel matrix and its
 derivatives are elementwise in it, so a caller that needs several of them
 builds the base once. grad_stack holds only the parameters the kernel reads
-(ACTIVE_PARAMS); gaussian_scale_direction serves the invariance penalty,
-which only a Gaussian kernel trains with. All three write into a caller's
-out buffer, or allocate one when it is None, with the same operations.
+(ACTIVE_PARAMS); gaussian_scale_direction serves the invariance penalty, which
+only a Gaussian kernel trains with. All three write into a caller's out
+buffer, or allocate one when it is None, with the same operations.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .exceptions import DimensionMismatch, NonFiniteInput
 
@@ -119,14 +119,26 @@ def _check_inputs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return X, Y
 
 
+def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """||X[i] - Y[j]||^2 summed over the columns from column 0 without FMA,
+    as cdist's sqeuclidean sums them, in one n x m output and one scratch."""
+    out = np.subtract.outer(X[:, 0], Y[:, 0])
+    np.square(out, out=out)
+    diff = np.empty_like(out) if X.shape[1] > 1 else None
+    for k in range(1, X.shape[1]):
+        np.square(np.subtract.outer(X[:, k], Y[:, k], out=diff), out=diff)
+        np.add(out, diff, out=out)
+    return out
+
+
 def base_matrix(kind: KernelKind, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The one O(n m d) product of a kernel evaluation: squared distances
-    ||X[i] - Y[j]||^2 for the stationary kernels, X Y^T for the dot product.
-    Everything else here is elementwise in it."""
+    """The one O(n m d) product of a kernel evaluation: X Y^T for the dot
+    product, squared distances ||X[i] - Y[j]||^2 (summed over the columns in
+    cdist's order) for the stationary kernels. The rest is elementwise in it."""
     X, Y = _check_inputs(X, Y)
     if kind is KernelKind.DOT_PRODUCT:
         return X @ Y.T
-    return cdist(X, Y, metric="sqeuclidean")
+    return _sq_distances(X, Y)
 
 
 def gram(kind: KernelKind, params: KernelParams, base: np.ndarray,

@@ -20,7 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .exceptions import NonFiniteInput
+from .exceptions import DimensionMismatch, NonFiniteInput
 from .rng import rng_for
 
 DT = 0.01                 # s
@@ -60,7 +60,9 @@ class PIDGains:
     @classmethod
     def from_array(cls, v) -> "PIDGains":
         v = np.asarray(v, dtype=float).reshape(-1)
-        return cls(v[0], v[1], v[2])
+        if v.shape != (3,):
+            raise DimensionMismatch(f"expected 3 gains (kp, ki, kd), got {v.size} entries")
+        return cls(*v)
 
 
 @dataclass(frozen=True)

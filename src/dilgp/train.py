@@ -184,6 +184,8 @@ class TraceRecord:
     per_env_grad: tuple[float, float]
     params: KernelParams
     noise_sigma2: float
+    jitter: float             # factor jitter of the accepted state
+    halvings: int             # step halvings its descent took
 
 
 @dataclass
@@ -364,14 +366,14 @@ def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> D
 
 def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
              g: np.ndarray, eta2: float, lam: float, masks, ws: Workspace | None = None
-             ) -> tuple[TrainState, float, PenaltyReport]:
-    """The state, objective -LML + lam * penalty and penalty at the masks
-    (zero without masks) after one step from theta along -g, built in ws. A
-    trial point whose objective is non-finite (or whose covariance cannot be
-    factorized) is rejected and the step halved, up to _MAX_HALVINGS times;
-    then the step aborts."""
+             ) -> tuple[TrainState, float, PenaltyReport, int]:
+    """The state, objective -LML + lam * penalty, penalty at the masks (zero
+    without masks) and step halvings after one step from theta along -g,
+    built in ws. A trial point whose objective is non-finite (or whose
+    covariance cannot be factorized) is rejected and the step halved, up to
+    _MAX_HALVINGS times; then the step aborts."""
     eta = float(eta2)
-    for _ in range(_MAX_HALVINGS + 1):
+    for halvings in range(_MAX_HALVINGS + 1):
         try:
             state = TrainState(kind, KernelParams.from_array(theta - eta * g), noise, X, y, ws)
             pen = state.penalty(*masks) if masks else PenaltyReport(0.0, (0.0, 0.0))
@@ -381,7 +383,7 @@ def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
         except (NonFiniteInput, NotPositiveDefinite, OverflowError):
             obj = math.inf
         if math.isfinite(obj):
-            return state, obj, pen
+            return state, obj, pen, halvings
         eta *= 0.5
     raise TrainingAbort(
         f"objective stayed non-finite after {_MAX_HALVINGS} step halvings "
@@ -394,8 +396,8 @@ def outer_descent_step(params: KernelParams, logits: DomainLogits, state: TrainS
     state built at params."""
     masks = env_masks(logits)
     g = state.objective_grad(masks, lam)
-    new, _, _ = _descend(state.kind, state.noise, state.X, state.y, params.as_array(),
-                         g, eta2, lam, masks)
+    new = _descend(state.kind, state.noise, state.X, state.y, params.as_array(),
+                   g, eta2, lam, masks)[0]
     return new.params
 
 
@@ -438,12 +440,13 @@ def _train(spec: ModelSpec, X, y, seed: int
             theta = state.params.as_array()
             # Release this point's state: the trial one overwrites its buffers.
             del state
-            state, obj, pen = _descend(kind, noise, X, y, theta, g, spec.eta2, lam, masks, ws)
+            state, obj, pen, halvings = _descend(kind, noise, X, y, theta, g, spec.eta2, lam,
+                                                 masks, ws)
         except TrainingAbort as exc:
             exc.trace = trace
             raise
-        trace.records.append(TraceRecord(t, obj, pen.penalty, pen.per_env_grad,
-                                         state.params, noise.sigma2))
+        trace.records.append(TraceRecord(t, obj, pen.penalty, pen.per_env_grad, state.params,
+                                         noise.sigma2, float(state.post.jitter), halvings))
     return state, logits, trace
 
 

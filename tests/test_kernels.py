@@ -179,3 +179,21 @@ def test_cross_matrix_shape():
     for kind in ALL_KINDS:
         K = kernel_matrix(kind, KernelParams(), X, Y)
         assert K.shape == (4, 7)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_squared_distances_equal_cdist(d, scale):
+    # the stationary kernels' base sums the columns in cdist's sqeuclidean
+    # order, so it equals cdist bit for bit; the package itself does not
+    # import scipy.spatial
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(d)
+    for n, m in [(1, 1), (1, 40), (40, 1), (37, 53), (120, 120)]:
+        X = scale * (rng.normal(size=(n, d)) + rng.normal(size=d))
+        Y = scale * (rng.normal(size=(m, d)) + rng.normal(size=d))
+        for A, B in [(X, X), (X, Y), (Y, X)]:
+            want = cdist(A, B, "sqeuclidean")
+            for kind in (KernelKind.GAUSSIAN, KernelKind.RATIONAL_QUADRATIC):
+                assert np.array_equal(base_matrix(kind, A, B), want), (n, m, kind)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dilgp.exceptions import NonFiniteInput
+from dilgp.exceptions import DimensionMismatch, NonFiniteInput
 from dilgp.quad import (ACCEL_LIMIT, DT, DURATION, INTEGRAL_LIMIT, N_STEPS,
                         WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN, PIDGains, SimResult,
                         TrajectoryKind, WindDomainSpec, dryden_wind, pid_objective,
@@ -111,6 +111,16 @@ def test_gains_validation():
         PIDGains(1.0, math.nan, 0.0)
     g = PIDGains.from_array(np.array([1.0, 2.0, 3.0]))
     assert (g.kp, g.ki, g.kd) == (1.0, 2.0, 3.0)
+    assert PIDGains.from_array([[1.0], [2.0], [3.0]]) == g
+
+
+@pytest.mark.parametrize("v", [[2.0, 0.5], [2.0, 0.5, 1.0, 7.0]])
+def test_gains_need_exactly_three_entries(v):
+    # a longer vector must not lose its tail without a word
+    with pytest.raises(DimensionMismatch):
+        PIDGains.from_array(v)
+    with pytest.raises(DimensionMismatch):
+        pid_objective(v, WIND_DOMAIN_TRAIN, [TrajectoryKind.HOVER], [0])
 
 
 def test_gains_store_python_floats():
@@ -286,6 +296,24 @@ def test_simulation_path_imports_no_scipy_signal():
             "quad.simulate(g, quad.TrajectoryKind.HOVER, quad.WIND_DOMAIN_TRAIN, 0)\n"
             "quad.pid_objective(g, quad.WIND_DOMAIN_TRAIN, [quad.TrajectoryKind.FIG8], [1])\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_fit_and_predict_import_no_scipy_spatial():
+    # the kernels' squared distances come from numpy, so the CLI, the
+    # experiments, a fit and a prediction load neither scipy.spatial nor the
+    # scipy.sparse and scipy.constants it pulls in (66 modules, about 5.6 MiB)
+    code = ("import sys, numpy as np, dilgp.cli, dilgp.experiments\n"
+            "from dilgp.data import gen_synthetic_1d\n"
+            "from dilgp.gp import predict\n"
+            "from dilgp.train import ModelSpec, fit_model\n"
+            "train, test = gen_synthetic_1d(0)\n"
+            "post, scaler, _ = fit_model(ModelSpec(t1=2, t2=1), train, seed=0)\n"
+            "predict(post, scaler.transform(test).x)\n"
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.constants')\n"
+            "             if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

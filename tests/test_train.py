@@ -332,7 +332,35 @@ def test_trace_serializes_to_jsonl():
     lines = trace.to_jsonl().strip().split("\n")
     assert len(lines) == 3
     rec = json.loads(lines[0])
-    assert set(rec) >= {"step", "objective", "penalty", "per_env_grad", "params"}
+    assert set(rec) == {"step", "objective", "penalty", "per_env_grad", "params",
+                        "noise_sigma2", "jitter", "halvings"}
+    assert rec["jitter"] == 0.0 and rec["halvings"] == 0
+
+
+def test_trace_records_step_halvings():
+    # at eta2 = 300 the first trial puts log l near 530, where l^2 overflows;
+    # the record holds the halved step that was accepted
+    X, y, _ = toy(10)
+    spec = ModelSpec(model="gp_gaussian", t1=2, eta2=300.0, sigma2=0.1)
+    g = TrainState(GAUSS, KernelParams(), spec.noise, X, y).objective_grad(None, 0.0)
+    with pytest.raises(OverflowError):
+        KernelParams.from_array(-spec.eta2 * g).l ** 2
+    _, _, trace = _train(spec, X, y, 0)
+    first = trace.records[0]
+    assert first.halvings >= 1
+    assert np.array_equal(first.params.as_array(), -(spec.eta2 / 2 ** first.halvings) * g)
+    assert all(r.jitter == 0.0 for r in trace.records)
+
+
+def test_trace_records_factor_jitter():
+    # duplicated rows make K singular, and sigma2 = 1e-20 is too small to
+    # factorize K + sigma2 I without jitter
+    X, y, _ = toy(10)
+    X, y = np.repeat(X[:4], 2, axis=0), np.repeat(y[:4], 2)
+    spec = ModelSpec(model="gp_gaussian", t1=2, eta2=1e-6, sigma2=1e-20)
+    _, _, trace = _train(spec, X, y, 0)
+    assert all(r.jitter > 0.0 and type(r.jitter) is float for r in trace.records)
+    assert [r.halvings for r in trace.records] == [0, 0]
 
 
 def test_one_factorization_per_round(monkeypatch):
@@ -360,13 +388,13 @@ def test_one_kernel_evaluation_per_point(monkeypatch):
     # K, the K_p stack, the penalty's D_p stack and its trace term of every
     # parameter point come from one squared-distance matrix per fit
     calls = []
-    real_cdist = kernels_mod.cdist
+    real_sq_distances = kernels_mod._sq_distances
 
-    def counting_cdist(*args, **kwargs):
+    def counting_sq_distances(*args):
         calls.append(args)
-        return real_cdist(*args, **kwargs)
+        return real_sq_distances(*args)
 
-    monkeypatch.setattr(kernels_mod, "cdist", counting_cdist)
+    monkeypatch.setattr(kernels_mod, "_sq_distances", counting_sq_distances)
     train, _ = gen_synthetic_1d(0)
     for model in ("dil_gp", "gp_gaussian"):
         calls.clear()

@@ -2,9 +2,10 @@
 
 The loop minimizes a black-box objective over a box: fit the surrogate on
 everything queried so far, minimize an acquisition over a random candidate
-batch, query, repeat. Alongside the loop it maintains the diagnostics that
-the GP-UCB style analysis uses: the beta_t schedule, cumulative information
-gain, and the resulting regret bound, reported per step.
+batch, query, repeat. Each step is recorded once, as it finishes, in one
+plain dict holding the query and the diagnostics that the GP-UCB style
+analysis uses: the beta_t schedule, cumulative information gain, and the
+resulting regret bound. history_jsonl writes those records as they are.
 
 Swapping the invariant surrogate for a plain GP changes only the fitting
 call; proposal, logging and diagnostics are the same code path.
@@ -68,14 +69,12 @@ class SearchSpace:
 
 @dataclass
 class BOState:
-    """Everything queried so far, in query order: the n_init initial points,
-    then one row per surrogate-driven step, whose pre-query predictive std
-    is in sigma_history. The incumbent is derived from the rows."""
+    """Everything queried so far, in query order (the initial design, then
+    one row per surrogate-driven step), and the steps whose first query was
+    non-finite. The incumbent is derived from the rows."""
 
     queried_x: np.ndarray
     queried_f: np.ndarray
-    n_init: int = 0
-    sigma_history: list[float] = field(default_factory=list)
     failed_steps: list[int] = field(default_factory=list)
 
     @property
@@ -92,14 +91,6 @@ class BOState:
     def add(self, x: np.ndarray, f: float):
         self.queried_x = np.vstack([self.queried_x, x])
         self.queried_f = np.append(self.queried_f, f)
-
-
-@dataclass
-class RegretDiagnostics:
-    beta: np.ndarray
-    info_gain: np.ndarray        # cumulative, includes the initial design's gain
-    regret_bound: np.ndarray
-    cum_regret: np.ndarray | None = None
 
 
 def acquisition_ucb(mean, std, beta_t: float):
@@ -203,17 +194,21 @@ def _query(objective, x: np.ndarray, redraw, state: BOState, where: str,
 
 def bo_run(objective, space: SearchSpace, spec: ModelSpec,
            acq: str, t_bo: int, n_init: int = 5, seed: int = 0,
-           f_star: float | None = None
-           ) -> tuple[BOState, RegretDiagnostics]:
-    """Sequential minimization loop with per-step regret diagnostics.
+           f_star: float | None = None) -> tuple[BOState, list[dict]]:
+    """Sequential minimization loop; returns (state, steps).
 
     Samples n_init uniform points, then for t = 1..t_bo refits the surrogate
-    on everything queried, proposes the acquisition minimizer, evaluates the
-    objective and records the predictive std at the queried point. A
-    non-finite objective value is retried once: an initial point is redrawn
-    uniformly, and a step is marked failed and re-proposed with a fresh
-    candidate batch. A second consecutive failure raises ObjectiveFailure
-    carrying the state so far.
+    on everything queried, proposes the acquisition minimizer and evaluates
+    the objective. A non-finite objective value is retried once: an initial
+    point is redrawn uniformly, and a step is marked failed and re-proposed
+    with a fresh candidate batch. A second consecutive failure raises
+    ObjectiveFailure carrying the state so far.
+
+    steps holds one record per step, built when the step finishes: step (1
+    to t_bo), x (a list), f, incumbent_f (lowest f so far, initial design
+    included), sigma_pred (the surrogate's predictive std at x), beta,
+    info_gain (cumulative), regret_bound and, when f_star is given,
+    cum_regret (the sum of f - f_star over the steps so far).
 
     The cumulative information gain starts from the batch gain of the initial
     design (computed at the step-1 surrogate), so that with a fixed kernel
@@ -226,15 +221,14 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
     rng_init = rng_for(seed, "bo-init")
     rng_cand = rng_for(seed, "bo-candidates")
 
-    state = BOState(np.empty((0, space.k)), np.empty(0), n_init)
+    state = BOState(np.empty((0, space.k)), np.empty(0))
     for i, x in enumerate(space.uniform(rng_init, n_init)):
         state.add(*_query(objective, x, lambda: space.uniform(rng_init, 1)[0], state,
                           f"initial point {i}"))
 
     sigma2 = spec.sigma2
     sigma = math.sqrt(sigma2)
-    betas, gains, bounds, cregs = [], [], [], []
-    cum_gain = 0.0
+    steps = []
     cum_regret = 0.0
 
     for t in range(1, t_bo + 1):
@@ -250,42 +244,20 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
                                        best_f=sur.scaler.transform_y(state.incumbent_f))
         propose = functools.partial(propose_next, sur, space, acq_fn, rng_cand)
         x_t, val = _query(objective, propose(), propose, state, f"step {t}", step=t)
-        _, std_t = sur.predict(x_t[None, :])
-        sigma_t = float(std_t[0])
+        sigma_t = float(sur.predict(x_t[None, :])[1][0])
 
         state.add(x_t, val)
-        state.sigma_history.append(sigma_t)
         cum_gain += information_gain_step(sigma2, sigma_t)
-        betas.append(beta_t)
-        gains.append(cum_gain)
-        bounds.append(regret_bound(beta_t, cum_gain, t, sigma2))
+        rec = {"step": t, "x": x_t.tolist(), "f": val, "incumbent_f": state.incumbent_f,
+               "sigma_pred": sigma_t, "beta": beta_t, "info_gain": cum_gain,
+               "regret_bound": regret_bound(beta_t, cum_gain, t, sigma2)}
         if f_star is not None:
             cum_regret += val - f_star
-            cregs.append(cum_regret)
-
-    diag = RegretDiagnostics(np.array(betas), np.array(gains), np.array(bounds),
-                             np.array(cregs) if f_star is not None else None)
-    return state, diag
+            rec["cum_regret"] = cum_regret
+        steps.append(rec)
+    return state, steps
 
 
-def history_jsonl(state: BOState, diag: RegretDiagnostics) -> str:
-    """One JSON record per surrogate-driven step."""
-    lines = []
-    t_bo = len(state.sigma_history)
-    for t in range(t_bo):
-        i = state.n_init + t
-        best_so_far = float(np.min(state.queried_f[:i + 1]))
-        rec = {
-            "step": t + 1,
-            "x": state.queried_x[i].tolist(),
-            "f": float(state.queried_f[i]),
-            "incumbent_f": best_so_far,
-            "sigma_pred": state.sigma_history[t],
-            "beta": float(diag.beta[t]),
-            "info_gain": float(diag.info_gain[t]),
-            "regret_bound": float(diag.regret_bound[t]),
-        }
-        if diag.cum_regret is not None:
-            rec["cum_regret"] = float(diag.cum_regret[t])
-        lines.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+def history_jsonl(steps: list[dict]) -> str:
+    """One JSON line per step record, keys sorted."""
+    return "".join(json.dumps(step, sort_keys=True) + "\n" for step in steps)

@@ -276,8 +276,8 @@ def cmd_fit_eval(run: FitEvalConfig, outdir: Path) -> list[str]:
 
 def cmd_bo(run: BoConfig, outdir: Path) -> list[str]:
     if run.objective == "quadratic":
-        state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, run.spec, run.acq,
-                             run.t_bo, run.n_init, run.seed, f_star=0.0)
+        state, steps = bo_run(quadratic_objective, QUADRATIC_SPACE, run.spec, run.acq,
+                              run.t_bo, run.n_init, run.seed, f_star=0.0)
         _make_outdir(outdir)
         written = []
         summary = {
@@ -286,14 +286,14 @@ def cmd_bo(run: BoConfig, outdir: Path) -> list[str]:
             "incumbent_f": state.incumbent_f,
             "distance_to_optimum": abs(float(state.incumbent_x[0]) - QUADRATIC_OPTIMUM),
             "failed_steps": state.failed_steps,
-            "final_regret_bound": float(diag.regret_bound[-1]),
-            "final_cum_regret": float(diag.cum_regret[-1]),
+            "final_regret_bound": steps[-1]["regret_bound"],
+            "final_cum_regret": steps[-1]["cum_regret"],
         }
     else:
         kind = TrajectoryKind(run.trajectory)
         result = quad_bo_experiment(kind, run.spec.model, run.seed, t_bo=run.t_bo,
                                     n_init=run.n_init, acq=run.acq, surrogate=run.spec)
-        state, diag = result["state"], result["diagnostics"]
+        state, steps = result["state"], result["steps"]
         gains = PIDGains(**result["gains"])
         flight = simulate(gains, kind, WIND_DOMAIN_HELDOUT, result["heldout_seeds"][0])
         _make_outdir(outdir)
@@ -306,9 +306,9 @@ def cmd_bo(run: BoConfig, outdir: Path) -> list[str]:
             "train_ace": result["train_ace"],
             "heldout_ace": result["heldout_ace"],
             "failed_steps": state.failed_steps,
-            "final_regret_bound": float(diag.regret_bound[-1]),
+            "final_regret_bound": steps[-1]["regret_bound"],
         }
-    (outdir / "history.jsonl").write_text(history_jsonl(state, diag))
+    (outdir / "history.jsonl").write_text(history_jsonl(steps))
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"incumbent f={state.incumbent_f:.6g} after {run.t_bo} steps")
     return [*written, "history.jsonl", "summary.json"]

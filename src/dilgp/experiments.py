@@ -131,8 +131,8 @@ def quad_bo_experiment(kind: TrajectoryKind, model: str, experiment_seed: int,
         gains = PIDGains.from_array(x)
         return pid_objective(gains, WIND_DOMAIN_TRAIN, [kind], train_seeds)
 
-    state, diag = bo_run(objective, PID_SPACE, cfg, acq, t_bo,
-                         n_init=n_init, seed=experiment_seed)
+    state, steps = bo_run(objective, PID_SPACE, cfg, acq, t_bo,
+                          n_init=n_init, seed=experiment_seed)
     gains = PIDGains.from_array(state.incumbent_x)
     heldout = pid_objective(gains, WIND_DOMAIN_HELDOUT, [kind], heldout_seeds)
     return {
@@ -144,7 +144,7 @@ def quad_bo_experiment(kind: TrajectoryKind, model: str, experiment_seed: int,
         "heldout_ace": heldout,
         "heldout_seeds": heldout_seeds,
         "state": state,
-        "diagnostics": diag,
+        "steps": steps,
     }
 
 

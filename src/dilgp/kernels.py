@@ -66,8 +66,10 @@ class KernelParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise NonFiniteInput(f"{name}={v!r} is not finite")
-            if not math.isfinite(math.exp(v)):
-                raise NonFiniteInput(f"exp({name})={math.exp(v)!r} overflows")
+            try:
+                math.exp(v)
+            except OverflowError:
+                raise NonFiniteInput(f"exp({name}) overflows at {name}={v!r}") from None
 
     @property
     def s(self) -> float:

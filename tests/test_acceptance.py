@@ -185,12 +185,12 @@ def test_criterion_06_streaming_info_gain_matches_batch():
     cfg = ModelSpec(model="gp_gaussian", t1=0, standardize=False, sigma2=sigma2)
     worst = 0.0
     for seed in range(10):
-        state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, cfg, "ucb",
-                             t_bo=8, n_init=3, seed=seed)
+        state, steps = bo_run(quadratic_objective, QUADRATIC_SPACE, cfg, "ucb",
+                              t_bo=8, n_init=3, seed=seed)
         K = kernel_matrix(KernelKind.GAUSSIAN, KernelParams(),
                           state.queried_x, state.queried_x)
         _, logdet = np.linalg.slogdet(np.eye(len(K)) + K / sigma2)
-        worst = max(worst, abs(diag.info_gain[-1] - 0.5 * logdet))
+        worst = max(worst, abs(steps[-1]["info_gain"] - 0.5 * logdet))
     emit(f"criterion 6: max |streaming - batch| info gain {worst:.3g} (tol 1e-6)")
     assert worst <= 1e-6
 
@@ -202,10 +202,10 @@ def test_criterion_07_bo_convergence_with_diagnostics():
     hits = 0
     dists = []
     for seed in range(5):
-        state, diag = bo_run(quadratic_objective, QUADRATIC_SPACE, cfg, "ucb",
-                             t_bo=30, n_init=5, seed=seed, f_star=0.0)
-        assert len(diag.beta) == len(diag.info_gain) == len(diag.regret_bound) == 30
-        assert np.all(diag.cum_regret <= diag.regret_bound)
+        state, steps = bo_run(quadratic_objective, QUADRATIC_SPACE, cfg, "ucb",
+                              t_bo=30, n_init=5, seed=seed, f_star=0.0)
+        assert [rec["step"] for rec in steps] == list(range(1, 31))
+        assert all(rec["cum_regret"] <= rec["regret_bound"] for rec in steps)
         d = abs(float(state.incumbent_x[0]) - QUADRATIC_OPTIMUM)
         dists.append(round(d, 4))
         hits += d <= 0.05

@@ -166,25 +166,29 @@ def test_propose_next_ignores_nonfinite_scores():
 # ---------------------------------------------------------------- loop
 
 def test_bo_run_shapes_and_bookkeeping():
-    state, diag = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
-                         t_bo=6, n_init=4, seed=1)
+    state, steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
+                          t_bo=6, n_init=4, seed=1)
     assert state.queried_f.shape == (10,)
     assert state.queried_x.shape == (10, 1)
-    assert len(state.sigma_history) == 6
-    assert state.n_init == 4
-    assert len(diag.beta) == len(diag.info_gain) == len(diag.regret_bound) == 6
+    assert [rec["step"] for rec in steps] == [1, 2, 3, 4, 5, 6]
     assert state.incumbent_f == np.min(state.queried_f)
     i = int(np.argmin(state.queried_f))
     assert np.array_equal(state.incumbent_x, state.queried_x[i])
-    assert np.all(np.diff(diag.info_gain) >= 0)
-    assert np.all(diag.regret_bound >= 0)
+    # each record holds the row its step queried and the running minimum
+    for t, rec in enumerate(steps, start=1):
+        assert rec["x"] == state.queried_x[3 + t].tolist()
+        assert rec["f"] == state.queried_f[3 + t]
+        assert rec["incumbent_f"] == np.min(state.queried_f[:4 + t])
+        assert rec["sigma_pred"] > 0.0
+    assert np.all(np.diff([rec["info_gain"] for rec in steps]) >= 0)
+    assert all(rec["regret_bound"] >= 0 for rec in steps)
 
 
 def test_bo_run_deterministic():
     a = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ei", t_bo=4, n_init=3, seed=7)
     b = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ei", t_bo=4, n_init=3, seed=7)
     assert np.array_equal(a[0].queried_x, b[0].queried_x)
-    assert np.array_equal(a[1].info_gain, b[1].info_gain)
+    assert a[1] == b[1]
 
 
 def test_bo_run_validation():
@@ -197,13 +201,13 @@ def test_bo_run_validation():
 
 
 def test_bo_run_cum_regret_against_known_optimum():
-    state, diag = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
-                         t_bo=5, n_init=3, seed=0, f_star=0.0)
+    state, steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
+                          t_bo=5, n_init=3, seed=0, f_star=0.0)
     want = np.cumsum(state.queried_f[3:])
-    assert np.allclose(diag.cum_regret, want, rtol=1e-12)
-    none_state, none_diag = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
-                                   t_bo=2, n_init=3, seed=0)
-    assert none_diag.cum_regret is None
+    assert np.allclose([rec["cum_regret"] for rec in steps], want, rtol=1e-12)
+    _, none_steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
+                           t_bo=2, n_init=3, seed=0)
+    assert not any("cum_regret" in rec for rec in none_steps)
 
 
 def test_bo_run_single_failure_retries():
@@ -267,18 +271,18 @@ def test_streaming_gain_matches_batch_logdet():
     # 1/2 log det(I + K / sigma2) over everything queried
     sigma2 = 0.25
     for seed in range(10):
-        state, diag = bo_run(quadratic, SPACE, fixed_kernel_cfg(sigma2), "ucb",
-                             t_bo=8, n_init=3, seed=seed)
+        state, steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(sigma2), "ucb",
+                              t_bo=8, n_init=3, seed=seed)
         K = kernel_matrix(KernelKind.GAUSSIAN, KernelParams(),
                           state.queried_x, state.queried_x)
         _, logdet = np.linalg.slogdet(np.eye(len(K)) + K / sigma2)
-        assert diag.info_gain[-1] == pytest.approx(0.5 * logdet, abs=1e-6)
+        assert steps[-1]["info_gain"] == pytest.approx(0.5 * logdet, abs=1e-6)
 
 
 def test_history_jsonl_schema():
-    state, diag = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
-                         t_bo=5, n_init=3, seed=4, f_star=0.0)
-    lines = history_jsonl(state, diag).strip().split("\n")
+    _, steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
+                      t_bo=5, n_init=3, seed=4, f_star=0.0)
+    lines = history_jsonl(steps).strip().split("\n")
     assert len(lines) == 5
     incumbents = []
     for t, line in enumerate(lines, start=1):
@@ -289,7 +293,17 @@ def test_history_jsonl_schema():
         incumbents.append(rec["incumbent_f"])
     assert np.all(np.diff(incumbents) <= 0)
 
-    state2, diag2 = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
-                           t_bo=2, n_init=3, seed=4)
-    rec = json.loads(history_jsonl(state2, diag2).strip().split("\n")[0])
+    _, steps2 = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
+                       t_bo=2, n_init=3, seed=4)
+    rec = json.loads(history_jsonl(steps2).strip().split("\n")[0])
     assert "cum_regret" not in rec
+
+
+@pytest.mark.parametrize("acq,f_star", [("ucb", 0.0), ("ei", None)])
+def test_history_jsonl_writes_records_as_recorded(acq, f_star):
+    _, steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(), acq,
+                      t_bo=4, n_init=3, seed=6, f_star=f_star)
+    text = history_jsonl(steps)
+    assert text.endswith("\n")
+    assert [json.loads(line) for line in text.splitlines()] == steps
+    assert history_jsonl([]) == ""

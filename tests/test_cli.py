@@ -7,15 +7,18 @@ import hashlib
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dilgp import blas
+from dilgp.bo import bo_run, history_jsonl
 from dilgp.cli import (COMMANDS, FitEvalConfig, build_parser, declared, load_config,
                        main)
-from dilgp.experiments import settings_for
+from dilgp.exceptions import InvalidSetting
+from dilgp.experiments import (BO_SPEC, QUADRATIC_SPACE, quadratic_objective,
+                               settings_for, sweep_seeds)
 from dilgp.train import ModelSpec
 
 
@@ -138,6 +141,11 @@ def test_fit_eval_sweep_summary(tmp_path):
     assert summary["rmse_mean"] == pytest.approx(np.mean(rmses))
     assert summary["rmse_max_dev"] == pytest.approx(
         max(abs(r - np.mean(rmses)) for r in rmses))
+
+
+def test_sweep_needs_a_seed():
+    with pytest.raises(InvalidSetting, match="at least one seed"):
+        sweep_seeds("synthetic_1d", settings_for("synthetic_1d", "gp_gaussian"), seeds=())
 
 
 def test_fit_eval_from_csv_with_domain_column(gen_dir, tmp_path, capsys):
@@ -268,6 +276,7 @@ def test_model_flags_are_generated_from_spec_fields():
                  id="trajectory_unknown"),
     pytest.param("objective", ["bo"], {"objective": "nope"}, id="objective_unknown"),
     pytest.param("t_bo", ["bo"], {"t_bo": "2"}, id="t_bo_str"),
+    pytest.param("dataset", ["fit-eval"], None, id="no_input"),
     pytest.param("feature_columns", ["fit-eval", "--train-csv", "train.csv", "--test-csv",
                                      "test.csv", "--feature-columns", ","], None,
                  id="feature_columns_flag_empty"),
@@ -347,6 +356,16 @@ def test_bo_quadratic_outputs(tmp_path):
     assert {"step", "beta", "info_gain", "regret_bound", "cum_regret"} <= set(rec)
     cfg = read_json(out / "config.json")
     assert "trajectory" not in cfg     # only meaningful for quad_pid
+
+
+def test_bo_history_is_the_runs_records(tmp_path):
+    out = tmp_path / "boh"
+    run_ok(["bo", "--objective", "quadratic", "--acq", "ei", "--model", "gp_gaussian",
+            "--t-bo", "4", "--seed", "3", "--out", str(out)])
+    _, steps = bo_run(quadratic_objective, QUADRATIC_SPACE,
+                      replace(BO_SPEC, model="gp_gaussian"), "ei", 4, n_init=5, seed=3,
+                      f_star=0.0)
+    assert (out / "history.jsonl").read_text() == history_jsonl(steps)
 
 
 def test_bo_quadratic_deterministic(tmp_path):

@@ -6,10 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from dilgp.exceptions import NotPositiveDefinite
+from dilgp.exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from dilgp.gp import (NoiseSpec, _factor, cho_inverse, env_log_likelihood, fit_posterior,
-                      log_marginal_likelihood, predict)
-from dilgp.kernels import KernelKind, KernelParams, kernel_diag, kernel_matrix
+                      lml_value_and_grad, log_marginal_likelihood, predict)
+from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams, kernel_diag,
+                           kernel_matrix)
+from dilgp.train import TrainState
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -216,6 +218,48 @@ def test_env_ll_rejects_bad_mask():
     with pytest.raises(Exception):
         env_log_likelihood(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.1), X, y,
                            np.array([0.5, 1.5]))
+    with pytest.raises(DimensionMismatch, match="mask shape"):
+        env_log_likelihood(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.1), X, y,
+                           np.ones(3))
+
+
+@pytest.mark.parametrize("X, y, match", [
+    (np.zeros(3), np.zeros(3), "X must be 2-D"),
+    (np.zeros((3, 1)), np.zeros(2), "y must have shape"),
+    (np.zeros((0, 1)), np.zeros(0), "at least one training point"),
+    (np.zeros((2, 1)), np.array([0.0, np.nan]), "targets"),
+], ids=["x-1d", "y-length", "no-points", "y-nan"])
+def test_fit_posterior_validates_inputs(X, y, match):
+    err = NonFiniteInput if match == "targets" else DimensionMismatch
+    with pytest.raises(err, match=match):
+        fit_posterior(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.1), X, y)
+
+
+def test_factor_rejects_non_finite_gram():
+    K = np.eye(3)
+    K[0, 2] = K[2, 0] = np.inf
+    with pytest.raises(NonFiniteInput, match="non-finite"):
+        _factor(K, NoiseSpec(0.1), KernelParams())
+    assert K[0, 2] == np.inf and K[0, 0] == 1.0     # K itself is never written
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_lml_value_and_grad_matches_fit_and_train_state(kind):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(20, 2))
+    y = rng.normal(size=20)
+    params = KernelParams(log_s=0.2, log_l=-0.3, log_alpha=0.4, log_sigma_dp=-0.1)
+    noise = NoiseSpec(0.2)
+    lml, grad = lml_value_and_grad(kind, params, noise, X, y)
+    assert lml == fit_posterior(kind, params, noise, X, y).lml
+    active = [PARAM_NAMES.index(name) for name in ACTIVE_PARAMS[kind]]
+    want = -TrainState(kind, params, noise, X, y).objective_grad(None, 0.0)[active]
+    assert np.array_equal(grad, want)
+    h = 1e-5
+    fd = [(log_marginal_likelihood(kind, params.shifted(name, h), noise, X, y)
+           - log_marginal_likelihood(kind, params.shifted(name, -h), noise, X, y)) / (2 * h)
+          for name in ACTIVE_PARAMS[kind]]
+    assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
 
 
 def test_noise_spec_validation():

@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from dilgp.exceptions import DimensionMismatch, NonFiniteInput
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, base_matrix, gaussian_scale_direction,
-                           grad_stack, kernel_diag, kernel_grads, kernel_matrix)
+                           gram, grad_stack, kernel_diag, kernel_grads,
+                           kernel_matrix)
 
 ALL_KINDS = list(KernelKind)
 
@@ -99,12 +100,26 @@ def test_nonfinite_rejected():
 
 
 def test_params_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(NonFiniteInput, match="log_s"):
         KernelParams(log_s=np.inf)
-    with pytest.raises(Exception):
+    with pytest.raises(NonFiniteInput, match="log_l"):
         KernelParams(log_l=np.nan)
-    with pytest.raises(Exception):
+    with pytest.raises(NonFiniteInput, match="log_s"):
         KernelParams(log_s=1e4)  # exp overflows
+    with pytest.raises(NonFiniteInput, match="log_alpha"):
+        KernelParams(log_alpha=1000.0)
+    with pytest.raises(NonFiniteInput, match="log_sigma_dp"):
+        KernelParams.from_array([0.0, 0.0, 0.0, 710.0])
+    assert KernelParams(log_l=709.0).l == np.exp(709.0)
+    for shape in [(3,), (5,), (1, 4), (4, 1), ()]:
+        with pytest.raises(DimensionMismatch, match="4 log-parameters"):
+            KernelParams.from_array(np.zeros(shape))
+
+
+def test_gram_rejects_unknown_kind():
+    base = base_matrix(KernelKind.GAUSSIAN, np.zeros((2, 1)), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        gram("gaussian", KernelParams(), base)
 
 
 def test_params_roundtrip_bit_exact():

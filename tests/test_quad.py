@@ -41,6 +41,8 @@ def test_reference_vectorized_and_range_checked():
         reference_trajectory(TrajectoryKind.HOVER, -0.1)
     with pytest.raises(ValueError):
         reference_trajectory(TrajectoryKind.HOVER, DURATION + 1e-9)
+    with pytest.raises(ValueError, match="unknown trajectory"):
+        reference_trajectory("hover", 1.0)
 
 
 # ---------------------------------------------------------------- gusts

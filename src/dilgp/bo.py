@@ -7,8 +7,9 @@ plain dict holding the query and the diagnostics that the GP-UCB style
 analysis uses: the beta_t schedule, cumulative information gain, and the
 resulting regret bound. history_jsonl writes those records as they are.
 
-Swapping the invariant surrogate for a plain GP changes only the fitting
-call; proposal, logging and diagnostics are the same code path.
+The surrogate is the train.Fit of fit_model. Swapping the invariant
+surrogate for a plain GP changes only the spec's model; proposal, logging
+and diagnostics are the same code path.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .data import Dataset, Standardizer
+from .data import Dataset
 from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                          ObjectiveFailure)
-from .gp import GPPosterior, predict
+from .gp import GPPosterior
 from .rng import rng_for
-from .train import ModelSpec, fit_model
+from .train import Fit, ModelSpec, fit_model
 
 N_GLOBAL_CANDIDATES = 1024
 N_LOCAL_CANDIDATES = 64
@@ -135,35 +136,21 @@ def regret_bound(beta_t: float, gamma_t: float, t: int, sigma2_noise: float) -> 
     return beta_t * math.sqrt(c1 * t * gamma_t)
 
 
-class Surrogate:
-    """Fitted model over raw inputs; predictions are in the units the model
-    was trained in (standardized y unless the spec turns that off)."""
-
-    def __init__(self, post: GPPosterior, scaler: Standardizer, incumbent_x: np.ndarray):
-        self.post = post
-        self.scaler = scaler
-        self.incumbent_x = incumbent_x
-
-    def predict(self, X_raw) -> tuple[np.ndarray, np.ndarray]:
-        mean, var = predict(self.post, self.scaler.transform_x(X_raw))
-        return mean, np.sqrt(var)
-
-
-def fit_surrogate(spec: ModelSpec, state: BOState, refit_seed: int) -> Surrogate:
+def fit_surrogate(spec: ModelSpec, state: BOState, refit_seed: int) -> Fit:
     """Fit spec's model on everything queried so far (see fit_model)."""
-    post, scaler, _ = fit_model(spec, Dataset(state.queried_x, state.queried_f), refit_seed)
-    return Surrogate(post, scaler, state.incumbent_x)
+    return fit_model(spec, Dataset(state.queried_x, state.queried_f), refit_seed)
 
 
-def propose_next(surrogate: Surrogate, space: SearchSpace, acq, rng) -> np.ndarray:
-    """Minimize the acquisition over 1024 uniform candidates plus 64 Gaussian
-    perturbations of the incumbent (std = 5% of box width, clipped)."""
+def propose_next(fit: Fit, state: BOState, space: SearchSpace, acq, rng) -> np.ndarray:
+    """Minimize the acquisition of fit's mean and std (model units) over 1024
+    uniform candidates plus 64 Gaussian perturbations of state's incumbent
+    (std = 5% of box width, clipped)."""
     cand_global = space.uniform(rng, N_GLOBAL_CANDIDATES)
-    local = surrogate.incumbent_x + rng.standard_normal((N_LOCAL_CANDIDATES, space.k)) \
+    local = state.incumbent_x + rng.standard_normal((N_LOCAL_CANDIDATES, space.k)) \
         * (LOCAL_STD_FRACTION * space.width)
     cand = np.vstack([cand_global, space.clip(local)])
-    mean, std = surrogate.predict(cand)
-    scores = np.asarray(acq(mean, std), dtype=float)
+    mean, var = fit.predict(cand)
+    scores = np.asarray(acq(mean, np.sqrt(var)), dtype=float)
     scores = np.where(np.isfinite(scores), scores, np.inf)
     return cand[int(np.argmin(scores))].copy()
 
@@ -232,19 +219,19 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
     cum_regret = 0.0
 
     for t in range(1, t_bo + 1):
-        sur = fit_surrogate(spec, state, rng_for(seed, "surrogate", t).integers(2 ** 31).item())
+        fit = fit_surrogate(spec, state, rng_for(seed, "surrogate", t).integers(2 ** 31).item())
         if t == 1:
-            cum_gain = _initial_info_gain(sur.post, sigma2)
+            cum_gain = _initial_info_gain(fit.post, sigma2)
         beta_t = beta_schedule(float(np.max(np.abs(state.queried_f))), sigma, cum_gain,
                                BETA_DELTA)
         if acq == "ucb":
             acq_fn = functools.partial(acquisition_ucb, beta_t=beta_t)
         else:
             acq_fn = functools.partial(acquisition_ei,
-                                       best_f=sur.scaler.transform_y(state.incumbent_f))
-        propose = functools.partial(propose_next, sur, space, acq_fn, rng_cand)
+                                       best_f=fit.scaler.transform_y(state.incumbent_f))
+        propose = functools.partial(propose_next, fit, state, space, acq_fn, rng_cand)
         x_t, val = _query(objective, propose(), propose, state, f"step {t}", step=t)
-        sigma_t = float(sur.predict(x_t[None, :])[1][0])
+        sigma_t = float(np.sqrt(fit.predict(x_t[None, :])[1][0]))
 
         state.add(x_t, val)
         cum_gain += information_gain_step(sigma2, sigma_t)

@@ -19,6 +19,25 @@ from .exceptions import DilgpError, DimensionMismatch, NonFiniteInput
 from .rng import rng_for
 
 
+def check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, checked as every fit needs them: X 2-D with at
+    least one row, y of shape (n,), both finite. Code that takes X and y as
+    this returns them (gp.gram_posterior, train.TrainState) checks nothing."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"X must be 2-D, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
+    if X.shape[0] < 1:
+        raise DimensionMismatch("need at least one training point")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteInput("inputs contain NaN or infinity")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("targets contain NaN or infinity")
+    return X, y
+
+
 @dataclass
 class Dataset:
     """Feature matrix, targets and an optional per-row domain tag.
@@ -33,14 +52,7 @@ class Dataset:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.ndim != 2:
-            raise DimensionMismatch(f"x must be 2-D, got shape {self.x.shape}")
-        if self.y.shape != (self.x.shape[0],):
-            raise DimensionMismatch(f"y must have shape ({self.x.shape[0]},), got {self.y.shape}")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise NonFiniteInput("dataset contains NaN or infinity")
+        self.x, self.y = check_xy(self.x, self.y)
         if self.domain_tag is not None:
             self.domain_tag = np.asarray(self.domain_tag, dtype=int)
             if self.domain_tag.shape != self.y.shape:

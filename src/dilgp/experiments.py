@@ -14,7 +14,6 @@ import numpy as np
 from .bo import SearchSpace, bo_run
 from .data import Dataset, EvalReport, GENERATORS, coverage_rate, rmse
 from .exceptions import InvalidSetting
-from .gp import predict
 from .quad import (TrajectoryKind, WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN,
                    PIDGains, pid_objective)
 from .rng import rng_for
@@ -43,10 +42,10 @@ def fit_eval(train: Dataset, test: Dataset, settings: ModelSpec, seed: int = 0):
     Coverage uses the observation-level predictive std sqrt(var + sigma^2)
     mapped back to raw units. Returns (EvalReport, TrainTrace).
     """
-    post, scaler, trace = fit_model(settings, train, seed)
-    mean_s, var_s = predict(post, scaler.transform_x(test.x))
-    mean = scaler.inverse_y(mean_s)
-    std = scaler.scale_y(np.sqrt(var_s + settings.sigma2))
+    fit = fit_model(settings, train, seed)
+    mean_s, var_s = fit.predict(test.x)
+    mean = fit.scaler.inverse_y(mean_s)
+    std = fit.scaler.scale_y(np.sqrt(var_s + settings.sigma2))
     report = EvalReport(rmse=rmse(mean, test.y), n_test=test.n,
                         coverage_rate=coverage_rate(mean, std, test.y))
     if test.domain_tag is not None:
@@ -54,7 +53,7 @@ def fit_eval(train: Dataset, test: Dataset, settings: ModelSpec, seed: int = 0):
             int(tag): rmse(mean[test.domain_tag == tag], test.y[test.domain_tag == tag])
             for tag in np.unique(test.domain_tag)
         }
-    return report, trace
+    return report, fit.trace
 
 
 def sweep_seeds(dataset: str | Callable[[int], tuple[Dataset, Dataset]],

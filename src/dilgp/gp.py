@@ -5,7 +5,8 @@ K + sigma^2 I is factorized, from a Gram matrix K its caller built:
 fit_posterior builds K from X, while lml_value_and_grad and
 train.TrainState pass the log s slice of their K_p stack, so each parameter
 point evaluates its kernel once; the factor and the dense inverse may be
-formed in buffers the caller owns. The posterior carries the factor,
+formed in buffers the caller owns. X and y are checked by data.check_xy,
+which gram_posterior's callers have run. The posterior carries the factor,
 alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood, and
 prediction, the likelihood and its gradient read them. Per-environment
 likelihoods mask the residual inside both quadratic-form factors while
@@ -22,6 +23,7 @@ from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotri
 
 from .blas import one_thread
+from .data import check_xy
 from .exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from .kernels import (KernelKind, KernelParams, base_matrix, grad_stack, kernel_diag,
                       kernel_matrix)
@@ -42,20 +44,6 @@ class NoiseSpec:
     def __post_init__(self):
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
             raise NonFiniteInput(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
-
-
-def _validate_xy(X, y):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"X must be 2-D, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
-    if X.shape[0] < 1:
-        raise DimensionMismatch("need at least one training point")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("targets contain NaN or infinity")
-    return X, y
 
 
 def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
@@ -110,7 +98,7 @@ class GPPosterior:
 def fit_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                   X, y) -> GPPosterior:
     """Zero-mean posterior; callers standardize y when its mean matters."""
-    X, y = _validate_xy(X, y)
+    X, y = check_xy(X, y)
     return gram_posterior(kind, params, noise, X, y, kernel_matrix(kind, params, X, X))
 
 
@@ -118,7 +106,7 @@ def gram_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                    X: np.ndarray, y: np.ndarray, K: np.ndarray,
                    out: np.ndarray | None = None) -> GPPosterior:
     """fit_posterior from the Gram matrix K = kernel_matrix(kind, params, X, X)
-    of X and y as _validate_xy returns them. K is read, never written; the
+    of X and y as data.check_xy returns them. K is read, never written; the
     factor is formed in out (allocated when None).
 
     The posterior keeps read-only views of X and of the factor, so the
@@ -182,7 +170,7 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     the log-determinant and the normalizer stay those of the full data, so an
     all-ones mask recovers log_marginal_likelihood exactly.
     """
-    X, y = _validate_xy(X, y)
+    X, y = check_xy(X, y)
     mask = np.asarray(mask, dtype=float)
     if mask.shape != y.shape:
         raise DimensionMismatch(f"mask shape {mask.shape} != y shape {y.shape}")
@@ -203,7 +191,7 @@ def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> np.nda
 def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
     """Log marginal likelihood and its gradient in the log-parameters the
     kernel reads, ordered as ACTIVE_PARAMS[kind]."""
-    X, y = _validate_xy(X, y)
+    X, y = check_xy(X, y)
     Kp = grad_stack(kind, params, base_matrix(kind, X, X))
     post = gram_posterior(kind, params, noise, X, y, Kp[0])
     return post.lml, _lml_grad(Kp, post.alpha_vec, cho_inverse(post.chol))

@@ -53,7 +53,8 @@ class KernelParams:
 
     ``log_alpha`` is only used by the rational-quadratic kernel and
     ``log_sigma_dp`` only by the dot-product kernel; both are carried along
-    regardless so parameter vectors have a fixed layout.
+    regardless so parameter vectors have a fixed layout. Each exponential,
+    and the squares of l and sigma_dp that the kernels form, must be finite.
     """
 
     log_s: float = 0.0
@@ -66,10 +67,11 @@ class KernelParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise NonFiniteInput(f"{name}={v!r} is not finite")
+            power = 2 if name in ("log_l", "log_sigma_dp") else 1
             try:
-                math.exp(v)
+                math.exp(v) ** power
             except OverflowError:
-                raise NonFiniteInput(f"exp({name}) overflows at {name}={v!r}") from None
+                raise NonFiniteInput(f"exp({name}) ** {power} overflows at {name}={v!r}") from None
 
     @property
     def s(self) -> float:

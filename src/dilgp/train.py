@@ -20,27 +20,27 @@ a fit share one Workspace of n x n buffers. The state of the last accepted
 step holds the posterior that prediction uses.
 
 `ModelSpec` holds every setting of one model, and `fit_model` is the single
-standardize -> train path shared by fit-eval, BO and the CLI.
+standardize -> train path shared by fit-eval, BO and the CLI. It returns a
+`Fit`, whose predict is the one prediction at raw inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, Standardizer, fit_standardizer
+from .data import Dataset, Standardizer, check_xy, fit_standardizer
 from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                          NotPositiveDefinite, TrainingAbort)
 from .blas import one_thread
-from .gp import (GPPosterior, NoiseSpec, _lml_grad, _validate_xy, cho_inverse,
-                 gram_posterior)
+from .gp import GPPosterior, NoiseSpec, _lml_grad, cho_inverse, gram_posterior, predict
 from .kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams, base_matrix,
                       gaussian_scale_direction, grad_stack)
 from .rng import rng_for
@@ -177,26 +177,18 @@ class PenaltyReport:
 
 
 @dataclass
-class TraceRecord:
-    step: int
-    objective: float
-    penalty: float
-    per_env_grad: tuple[float, float]
-    params: KernelParams
-    noise_sigma2: float
-    jitter: float             # factor jitter of the accepted state
-    halvings: int             # step halvings its descent took
-
-
-@dataclass
 class TrainTrace:
-    records: list[TraceRecord] = field(default_factory=list)
+    """One plain dict per completed round, built by _train: step, objective,
+    penalty, per_env_grad, params (log-parameters by name), noise_sigma2,
+    jitter (the accepted factor's) and halvings (of the round's step)."""
+
+    records: list[dict] = field(default_factory=list)
 
     def __len__(self):
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in self.records)
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
 
 
 class Workspace:
@@ -218,7 +210,7 @@ class Workspace:
 class TrainState:
     """Everything training reads at one parameter point, from one kernel
     evaluation and one factorization, written into the Workspace ws (a
-    fresh one when None).
+    fresh one when None). X and y are taken as data.check_xy returns them.
 
     The base_matrix is built once per fit, with the workspace. The stack
     K_p = dK/dlog theta_p over the kernel's active parameters is formed from
@@ -236,7 +228,6 @@ class TrainState:
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y,
                  ws: Workspace | None = None):
-        X, y = _validate_xy(X, y)
         self.ws = Workspace(kind, X) if ws is None else ws
         self.Kp = grad_stack(kind, params, self.ws.base, out=self.ws.Kp)
         self.post = gram_posterior(kind, params, noise, X, y, self.Kp[0], out=self.ws.factor)
@@ -352,6 +343,7 @@ def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     g_e is the derivative, at w = 1, of the environment-masked likelihood
     when every exponentiated kernel parameter is multiplied by the scalar w.
     """
+    X, y = check_xy(X, y)
     return TrainState(kind, params, noise, X, y).penalty(*env_masks(logits))
 
 
@@ -370,8 +362,8 @@ def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
     """The state, objective -LML + lam * penalty, penalty at the masks (zero
     without masks) and step halvings after one step from theta along -g,
     built in ws. A trial point whose objective is non-finite (or whose
-    covariance cannot be factorized) is rejected and the step halved, up to
-    _MAX_HALVINGS times; then the step aborts."""
+    KernelParams or factor cannot be formed) is rejected and the step
+    halved, up to _MAX_HALVINGS times; then the step aborts."""
     eta = float(eta2)
     for halvings in range(_MAX_HALVINGS + 1):
         try:
@@ -380,7 +372,7 @@ def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
             obj = -state.post.lml
             if lam != 0.0:
                 obj += lam * pen.penalty
-        except (NonFiniteInput, NotPositiveDefinite, OverflowError):
+        except (NonFiniteInput, NotPositiveDefinite):
             obj = math.inf
         if math.isfinite(obj):
             return state, obj, pen, halvings
@@ -419,7 +411,7 @@ def _train(spec: ModelSpec, X, y, seed: int
     posterior is the fitted model, the logits (None for a plain GP) and the
     trace of completed rounds, which on abort rides on the TrainingAbort.
     All states of the fit write into one Workspace."""
-    X, y = _validate_xy(X, y)
+    X, y = check_xy(X, y)
     n, partition = X.shape[0], learns_partition(spec)
     if partition and n < 4:
         raise DimensionMismatch(f"need at least 4 training points to split, got {n}")
@@ -445,24 +437,38 @@ def _train(spec: ModelSpec, X, y, seed: int
         except TrainingAbort as exc:
             exc.trace = trace
             raise
-        trace.records.append(TraceRecord(t, obj, pen.penalty, pen.per_env_grad, state.params,
-                                         noise.sigma2, float(state.post.jitter), halvings))
+        trace.records.append({"step": t, "objective": obj, "penalty": pen.penalty,
+                              "per_env_grad": pen.per_env_grad,
+                              "params": dict(vars(state.params)), "noise_sigma2": noise.sigma2,
+                              "jitter": float(state.post.jitter), "halvings": halvings})
     return state, logits, trace
 
 
+class Fit(NamedTuple):
+    """What fit_model learned: the posterior, in the units the model was
+    trained in, the standardizer that maps between those units and the raw
+    ones, and the trace of the training rounds."""
+
+    post: GPPosterior
+    scaler: Standardizer
+    trace: TrainTrace
+
+    def predict(self, X_raw) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at raw inputs, in model units."""
+        return predict(self.post, self.scaler.transform_x(X_raw))
+
+
 @one_thread()
-def fit_model(spec: ModelSpec, train: Dataset, seed: int
-              ) -> tuple[GPPosterior, Standardizer, TrainTrace]:
+def fit_model(spec: ModelSpec, train: Dataset, seed: int) -> Fit:
     """Standardize and train spec.model at one BLAS thread; the posterior is
     that of the last training state, so nothing is factorized after training.
 
-    The posterior lives in the units the model was trained in; the returned
-    standardizer maps between those units and the raw ones. It holds the
-    training statistics, or is Standardizer.identity when spec.standardize
-    is off. seed drives the initial partition logits of a model that learns
-    one; a plain GP does not read it.
+    The standardizer holds the training statistics, or is
+    Standardizer.identity when spec.standardize is off. seed drives the
+    initial partition logits of a model that learns one; a plain GP does not
+    read it.
     """
     scaler = fit_standardizer(train) if spec.standardize else Standardizer.identity(train.d)
     ds = scaler.transform(train)
     state, _, trace = _train(spec, ds.x, ds.y, seed)
-    return state.post, scaler, trace
+    return Fit(state.post, scaler, trace)

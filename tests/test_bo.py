@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from dilgp.bo import (BOState, SearchSpace, Surrogate,
+from dilgp.bo import (BOState, SearchSpace,
                       acquisition_ei, acquisition_ucb, beta_schedule, bo_run,
                       fit_surrogate, history_jsonl, information_gain_step,
                       propose_next, regret_bound)
@@ -127,38 +127,39 @@ def test_quad_bo_experiment_reports_the_model_it_trains():
 # ---------------------------------------------------------------- proposals
 
 def _toy_surrogate():
+    """A fit on six queries and the BO state it was fitted on."""
     rng = rng_for(0, "sur-toy")
     X = rng.uniform(0.0, 1.0, (6, 1))
-    fvals = np.array([quadratic(x) for x in X])
-    return fit_surrogate(fixed_kernel_cfg(), BOState(X, fvals), refit_seed=0)
+    state = BOState(X, np.array([quadratic(x) for x in X]))
+    return fit_surrogate(fixed_kernel_cfg(), state, refit_seed=0), state
 
 
 def test_propose_next_deterministic():
-    sur = _toy_surrogate()
+    fit, state = _toy_surrogate()
     acq = lambda m, s: acquisition_ucb(m, s, 2.0)
-    a = propose_next(sur, SPACE, acq, rng_for(5, "cand"))
-    b = propose_next(sur, SPACE, acq, rng_for(5, "cand"))
+    a = propose_next(fit, state, SPACE, acq, rng_for(5, "cand"))
+    b = propose_next(fit, state, SPACE, acq, rng_for(5, "cand"))
     assert np.array_equal(a, b)
     assert SPACE.lower[0] <= a[0] <= SPACE.upper[0]
 
 
 def test_propose_next_constant_scores_take_first_candidate():
-    sur = _toy_surrogate()
+    fit, state = _toy_surrogate()
     flat = lambda m, s: np.zeros(len(np.asarray(m)))
-    got = propose_next(sur, SPACE, flat, rng_for(9, "cand"))
+    got = propose_next(fit, state, SPACE, flat, rng_for(9, "cand"))
     first_global = SPACE.uniform(rng_for(9, "cand"), 1024)[0]
     assert np.array_equal(got, first_global)
 
 
 def test_propose_next_ignores_nonfinite_scores():
-    sur = _toy_surrogate()
+    fit, state = _toy_surrogate()
 
     def spiky(m, s):
         out = np.full(len(np.asarray(m)), np.nan)
         out[7] = -1.0
         return out
 
-    got = propose_next(sur, SPACE, spiky, rng_for(2, "cand"))
+    got = propose_next(fit, state, SPACE, spiky, rng_for(2, "cand"))
     want = SPACE.uniform(rng_for(2, "cand"), 1024)[7]
     assert np.array_equal(got, want)
 

@@ -25,6 +25,8 @@ def test_dataset_validation():
         Dataset(np.zeros(5), np.zeros(5))          # x must be 2-D
     with pytest.raises(DimensionMismatch):
         Dataset(np.zeros((5, 1)), np.zeros(4))
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        Dataset(np.empty((0, 1)), np.empty(0))
     with pytest.raises(NonFiniteInput):
         Dataset(np.array([[np.nan]]), np.array([0.0]))
     with pytest.raises(NonFiniteInput):

@@ -228,11 +228,25 @@ def test_env_ll_rejects_bad_mask():
     (np.zeros((3, 1)), np.zeros(2), "y must have shape"),
     (np.zeros((0, 1)), np.zeros(0), "at least one training point"),
     (np.zeros((2, 1)), np.array([0.0, np.nan]), "targets"),
-], ids=["x-1d", "y-length", "no-points", "y-nan"])
+    (np.array([[0.0], [np.inf]]), np.zeros(2), "inputs contain"),
+], ids=["x-1d", "y-length", "no-points", "y-nan", "x-inf"])
 def test_fit_posterior_validates_inputs(X, y, match):
-    err = NonFiniteInput if match == "targets" else DimensionMismatch
+    err = NonFiniteInput if match in ("targets", "inputs contain") else DimensionMismatch
     with pytest.raises(err, match=match):
         fit_posterior(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.1), X, y)
+
+
+@pytest.mark.parametrize("kind, name", [
+    (KernelKind.GAUSSIAN, "log_l"),
+    (KernelKind.RATIONAL_QUADRATIC, "log_l"),
+    (KernelKind.DOT_PRODUCT, "log_sigma_dp"),
+])
+def test_fit_posterior_rejects_params_whose_square_overflows(kind, name):
+    # the kernel squares l (sigma_dp) as a Python float, which raised a bare
+    # OverflowError; the parameters now refuse such a point, naming the field
+    X = np.array([[0.0], [1.0]])
+    with pytest.raises(NonFiniteInput, match=name):
+        fit_posterior(kind, KernelParams(**{name: 400.0}), NoiseSpec(0.1), X, np.zeros(2))
 
 
 def test_factor_rejects_non_finite_gram():

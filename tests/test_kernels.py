@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -110,7 +112,13 @@ def test_params_validation():
         KernelParams(log_alpha=1000.0)
     with pytest.raises(NonFiniteInput, match="log_sigma_dp"):
         KernelParams.from_array([0.0, 0.0, 0.0, 710.0])
-    assert KernelParams(log_l=709.0).l == np.exp(709.0)
+    # the kernels square l and sigma_dp, which overflows past log 354.89
+    for name in ("log_l", "log_sigma_dp"):
+        with pytest.raises(NonFiniteInput, match=name):
+            KernelParams(**{name: 709.0})
+        with pytest.raises(NonFiniteInput, match=name):
+            KernelParams(**{name: 355.0})
+        assert math.isfinite(getattr(KernelParams(**{name: 354.0}), name[4:]) ** 2)
     for shape in [(3,), (5,), (1, 4), (4, 1), ()]:
         with pytest.raises(DimensionMismatch, match="4 log-parameters"):
             KernelParams.from_array(np.zeros(shape))

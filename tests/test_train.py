@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dilgp import data as data_mod
 from dilgp import gp as gp_mod
 from dilgp import kernels as kernels_mod
 from dilgp import train as train_mod
@@ -321,7 +322,7 @@ def test_trace_length_and_determinism():
     assert np.array_equal(out1[0].params.as_array(), out2[0].params.as_array())
     assert np.array_equal(out1[1].q_tilde, out2[1].q_tilde)
     for a, b in zip(out1[2].records, out2[2].records):
-        assert a.objective == b.objective and a.penalty == b.penalty
+        assert a["objective"] == b["objective"] and a["penalty"] == b["penalty"]
 
 
 def test_trace_serializes_to_jsonl():
@@ -343,13 +344,14 @@ def test_trace_records_step_halvings():
     X, y, _ = toy(10)
     spec = ModelSpec(model="gp_gaussian", t1=2, eta2=300.0, sigma2=0.1)
     g = TrainState(GAUSS, KernelParams(), spec.noise, X, y).objective_grad(None, 0.0)
-    with pytest.raises(OverflowError):
-        KernelParams.from_array(-spec.eta2 * g).l ** 2
+    with pytest.raises(NonFiniteInput, match="log_l"):
+        KernelParams.from_array(-spec.eta2 * g)
     _, _, trace = _train(spec, X, y, 0)
     first = trace.records[0]
-    assert first.halvings >= 1
-    assert np.array_equal(first.params.as_array(), -(spec.eta2 / 2 ** first.halvings) * g)
-    assert all(r.jitter == 0.0 for r in trace.records)
+    assert first["halvings"] >= 1
+    assert np.array_equal(KernelParams(**first["params"]).as_array(),
+                          -(spec.eta2 / 2 ** first["halvings"]) * g)
+    assert all(r["jitter"] == 0.0 for r in trace.records)
 
 
 def test_trace_records_factor_jitter():
@@ -359,8 +361,8 @@ def test_trace_records_factor_jitter():
     X, y = np.repeat(X[:4], 2, axis=0), np.repeat(y[:4], 2)
     spec = ModelSpec(model="gp_gaussian", t1=2, eta2=1e-6, sigma2=1e-20)
     _, _, trace = _train(spec, X, y, 0)
-    assert all(r.jitter > 0.0 and type(r.jitter) is float for r in trace.records)
-    assert [r.halvings for r in trace.records] == [0, 0]
+    assert all(r["jitter"] > 0.0 and type(r["jitter"]) is float for r in trace.records)
+    assert [r["halvings"] for r in trace.records] == [0, 0]
 
 
 def test_one_factorization_per_round(monkeypatch):
@@ -382,6 +384,37 @@ def test_one_factorization_per_round(monkeypatch):
         post, _, trace = fit_model(spec, train, seed=11)
         assert len(trace) == 7 and len(calls) == spec.t1 + 1
         assert calls[0] == KernelParams() and calls[-1] == post.params
+
+
+@pytest.mark.parametrize("model", ["dil_gp", "gp_gaussian"])
+def test_xy_checks_per_fit_do_not_grow_with_t1(model, monkeypatch):
+    # a fit's training states take X and y as the one check returned them,
+    # so the check runs as often at t1 = 7 as at t1 = 3
+    calls = []
+    real_check = data_mod.check_xy
+
+    def counting_check(X, y):
+        calls.append(len(y))
+        return real_check(X, y)
+
+    for mod in (data_mod, gp_mod, train_mod):
+        monkeypatch.setattr(mod, "check_xy", counting_check)
+    train, _ = gen_synthetic_1d(0)
+    counts = []
+    for t1 in (3, 7):
+        calls.clear()
+        fit_model(ModelSpec(model=model, t1=t1, t2=2), train, seed=11)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1
+
+
+def test_fit_predict_is_the_posterior_at_standardized_inputs():
+    train, test = gen_synthetic_1d(0)
+    for model in ("dil_gp", "gp_gaussian"):
+        fit = fit_model(ModelSpec(model=model, t1=3, t2=2), train, seed=11)
+        mean, var = fit.predict(test.x)
+        want_mean, want_var = predict(fit.post, fit.scaler.transform_x(test.x))
+        assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
 
 
 def test_one_kernel_evaluation_per_point(monkeypatch):

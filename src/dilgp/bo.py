@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import Dataset
 from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
@@ -100,7 +99,10 @@ def acquisition_ucb(mean, std, beta_t: float):
 
 
 def acquisition_ei(mean, std, best_f: float):
-    """Negated expected improvement below best_f (so argmin picks the best)."""
+    """Negated expected improvement below best_f (so argmin picks the best).
+    Only this acquisition loads scipy.special, for its normal cdf."""
+    from scipy.special import ndtr
+
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     improve = best_f - mean

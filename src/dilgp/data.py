@@ -31,9 +31,9 @@ def check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
     if X.shape[0] < 1:
         raise DimensionMismatch("need at least one training point")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise NonFiniteInput("inputs contain NaN or infinity")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteInput("targets contain NaN or infinity")
     return X, y
 

@@ -6,7 +6,10 @@ fit_posterior builds K from X, while lml_value_and_grad and
 train.TrainState pass the log s slice of their K_p stack, so each parameter
 point evaluates its kernel once; the factor and the dense inverse may be
 formed in buffers the caller owns. X and y are checked by data.check_xy,
-which gram_posterior's callers have run. The posterior carries the factor,
+which gram_posterior's callers have run. The factorization, the solves and
+the inverse are LAPACK's potrf, potrs, trtrs and potri from blas, the
+routines of scipy's bundled OpenBLAS that scipy.linalg would call, so no fit
+or prediction imports scipy.linalg. The posterior carries the factor,
 alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood, and
 prediction, the likelihood and its gradient read them. Per-environment
 likelihoods mask the residual inside both quadratic-form factors while
@@ -19,10 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
-
-from .blas import one_thread
+from . import blas
 from .data import check_xy
 from .exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from .kernels import (KernelKind, KernelParams, base_matrix, grad_stack, kernel_diag,
@@ -56,29 +56,30 @@ def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
     copy, and returns L as that view. Returns (L, jitter). Jitter starts at
     1e-10 * mean diagonal and grows tenfold until the factorization succeeds
     or 1e-4 * mean diagonal is exceeded, at which point NotPositiveDefinite
-    is raised with the kernel params. A failed potrf leaves out partly
-    factorized, so each rung copies K again.
+    is raised with the kernel params. A failed potrf (info > 0: a leading
+    minor is not positive) leaves out partly factorized, so each rung copies
+    K again.
     """
     n = K.shape[0]
     A = np.empty_like(K) if out is None else out
     np.copyto(A, K)
     A.flat[::n + 1] += noise.sigma2
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteInput("kernel matrix contains non-finite entries")
     diag = A.diagonal().copy()
     scale = max(np.trace(A) / n, np.finfo(float).tiny)
     jitter = 0.0
     while True:
-        try:
-            return cholesky(A.T, lower=True, overwrite_a=True, check_finite=False), jitter
-        except LinAlgError:
-            jitter = _JITTER_START * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > _JITTER_STOP * scale:
-                raise NotPositiveDefinite(
-                    f"covariance not positive definite after jitter up to "
-                    f"{_JITTER_STOP * scale:g}", params=params) from None
-            np.copyto(A, K)
-            np.fill_diagonal(A, diag + jitter)
+        L, info = blas.potrf(A.T, lower=1, overwrite_a=1)
+        if info == 0:
+            return L, jitter
+        jitter = _JITTER_START * scale if jitter == 0.0 else jitter * 10.0
+        if jitter > _JITTER_STOP * scale:
+            raise NotPositiveDefinite(
+                f"covariance not positive definite after jitter up to "
+                f"{_JITTER_STOP * scale:g}", params=params)
+        np.copyto(A, K)
+        np.fill_diagonal(A, diag + jitter)
 
 
 @dataclass(frozen=True)
@@ -119,15 +120,18 @@ def gram_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     return GPPosterior(kind, params, noise, X, L, alpha, jitter, lml)
 
 
-@one_thread()
+@blas.one_thread()
 def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at query points, at one BLAS thread.
 
-    Negative variances produced by round-off are clamped to zero.
+    The variance subtracts |v|^2 with L v = K(X, Xs), solved by trtrs;
+    negative variances produced by round-off are clamped to zero.
     """
     Kxs = kernel_matrix(post.kind, post.params, post.train_x, Xs)
     mean = Kxs.T @ post.alpha_vec
-    v = solve_triangular(post.chol, Kxs, lower=True, check_finite=False)
+    v, info = blas.trtrs(post.chol, Kxs, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"trtrs met a zero on the factor's diagonal (info={info})")
     var = kernel_diag(post.kind, post.params, np.asarray(Xs, dtype=float)) - np.einsum("ij,ij->j", v, v)
     return mean, np.where(var < 0.0, 0.0, var)
 
@@ -142,7 +146,7 @@ def cho_inverse(L: np.ndarray, out: np.ndarray | None = None,
     mirrors the lower one."""
     work = np.empty_like(L, order="F") if work is None else work
     np.copyto(work, L)
-    inv, info = dpotri(work, lower=1, overwrite_c=1)
+    inv, info = blas.potri(work, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"potri could not invert the factor (info={info})")
     out = np.add(inv, inv.T, out=out)
@@ -151,8 +155,9 @@ def cho_inverse(L: np.ndarray, out: np.ndarray | None = None,
 
 
 def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
-    """-1/2 r^T (L L^T)^-1 r - sum(log diag L) - n/2 log(2 pi), and (L L^T)^-1 r."""
-    alpha = cho_solve((L, True), r, check_finite=False)
+    """-1/2 r^T (L L^T)^-1 r - sum(log diag L) - n/2 log(2 pi), and (L L^T)^-1 r,
+    solved by potrs."""
+    alpha = blas.potrs(L, r, lower=1)[0]
     n = r.shape[0]
     return float(-0.5 * (r @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI), alpha
 
@@ -174,9 +179,9 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     mask = np.asarray(mask, dtype=float)
     if mask.shape != y.shape:
         raise DimensionMismatch(f"mask shape {mask.shape} != y shape {y.shape}")
-    if not np.all(np.isfinite(mask)) or np.any(mask < 0.0) or np.any(mask > 1.0):
+    if not np.isfinite(mask).all() or np.any(mask < 0.0) or np.any(mask > 1.0):
         raise NonFiniteInput("mask entries must lie in [0, 1]")
-    post = fit_posterior(kind, params, noise, X, y)
+    post = gram_posterior(kind, params, noise, X, y, kernel_matrix(kind, params, X, X))
     return _gaussian_quad_ll(post.chol, y * mask)[0]
 
 

@@ -118,7 +118,7 @@ def _check_inputs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if X.shape[1] != Y.shape[1] or X.shape[1] < 1:
         raise DimensionMismatch(
             f"column counts differ or are empty: X has shape {X.shape}, Y has shape {Y.shape}")
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(Y)):
+    if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise NonFiniteInput("kernel inputs contain NaN or infinity")
     return X, Y
 

@@ -34,7 +34,6 @@ from types import UnionType
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, Standardizer, check_xy, fit_standardizer
 from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
@@ -46,6 +45,10 @@ from .kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams, base
 from .rng import rng_for
 
 _MAX_HALVINGS = 8
+
+# Positions of each kernel's active log-parameters among PARAM_NAMES.
+_ACTIVE_INDEX = {kind: np.array([PARAM_NAMES.index(name) for name in names])
+                 for kind, names in ACTIVE_PARAMS.items()}
 
 # Model names accepted across the package; gp_* are plain GPs with the named
 # kernel, dil_gp is the invariance-trained model. A model that learns_partition
@@ -152,7 +155,7 @@ class DomainLogits:
         q = np.asarray(self.q_tilde, dtype=float)
         if q.ndim != 1:
             raise DimensionMismatch(f"logits must be 1-D, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise NonFiniteInput("logits contain NaN or infinity")
         self.q_tilde = q
 
@@ -164,8 +167,16 @@ def env_masks(logits: DomainLogits) -> tuple[np.ndarray, np.ndarray]:
     floating point, so that negating the logits swaps the two masks
     bit-for-bit and m0 + m1 == 1 holds exactly.
     """
-    q = logits.q_tilde
-    p = expit(np.abs(q))
+    return _masks(logits.q_tilde)
+
+
+def _masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """env_masks of the raw logits q, with sigmoid(|q|) = 1 / (1 + exp(-|q|))
+    as scipy.special.expit computes it, bit for bit. expit takes exp from
+    libm. numpy's own exp of a real array differs from it in the last bit on
+    some inputs, but of a complex array numpy calls libm's cexp, whose real
+    part at a zero imaginary part is exp(x) cos(0) = exp(x)."""
+    p = 1.0 / (1.0 + np.exp(-np.abs(q) + 0j).real)
     m0 = np.where(q >= 0, p, 1.0 - p)
     return m0, 1.0 - m0
 
@@ -276,7 +287,11 @@ class TrainState:
     def grad_q(self, logits: DomainLogits) -> np.ndarray:
         """Gradient of the penalty in the logits, 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1)
         with C a_e = (C alpha +- C d) / 2."""
-        m0, m1 = env_masks(logits)
+        return self._grad_q(logits.q_tilde)
+
+    def _grad_q(self, q: np.ndarray) -> np.ndarray:
+        """grad_q at the raw logits q."""
+        m0, m1 = _masks(q)
         g0, g1, _, Cd = self._env_terms(m0, m1)
         Ainv_C_alpha = self._alpha_terms[1]
         return self.y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * (self.A_inv @ Cd))
@@ -289,7 +304,7 @@ class TrainState:
         if lam != 0.0:
             g = g + lam * self._penalty_theta_grad(*masks)
         out = np.zeros(len(PARAM_NAMES))
-        out[[PARAM_NAMES.index(name) for name in ACTIVE_PARAMS[self.kind]]] = g
+        out[_ACTIVE_INDEX[self.kind]] = g
         return out
 
     def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -349,11 +364,16 @@ def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
 
 def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> DomainLogits:
     """One gradient-ascent step on the penalty in the logits."""
-    g = state.grad_q(logits)
-    if not np.all(np.isfinite(g)):
+    return DomainLogits(_ascent_step(logits.q_tilde, state, eta1))
+
+
+def _ascent_step(q: np.ndarray, state: TrainState, eta1: float) -> np.ndarray:
+    """inner_ascent_step on the raw logits q, which it does not validate."""
+    g = state._grad_q(q)
+    if not np.isfinite(g).all():
         bad = int(np.flatnonzero(~np.isfinite(g))[0])
         raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
-    return DomainLogits(logits.q_tilde + eta1 * g)
+    return q + eta1 * g
 
 
 def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
@@ -404,7 +424,8 @@ def _train(spec: ModelSpec, X, y, seed: int
            ) -> tuple[TrainState, DomainLogits | None, TrainTrace]:
     """spec.t1 training rounds from KernelParams(). When the spec learns a
     partition, the logits start from init_logits(seed) and each round first
-    ascends on them spec.t2 times; a plain GP ignores the seed and descends
+    ascends on them spec.t2 times, on the raw array, which is validated as
+    DomainLogits once per round; a plain GP ignores the seed and descends
     on the -LML alone. Each round reads one TrainState, and the state of the
     accepted step becomes the next round's, so t1 rounds factorize t1 + 1
     times (plus one per step halving). Returns the last state, whose
@@ -425,8 +446,10 @@ def _train(spec: ModelSpec, X, y, seed: int
     for t in range(1, spec.t1 + 1):
         try:
             if partition:
+                q = logits.q_tilde
                 for _ in range(spec.t2):
-                    logits = inner_ascent_step(logits, state, spec.eta1)
+                    q = _ascent_step(q, state, spec.eta1)
+                logits = DomainLogits(q)
                 masks = env_masks(logits)
             g = state.objective_grad(masks, lam)
             theta = state.params.as_array()

@@ -1,5 +1,6 @@
 """The one-thread BLAS pin: its scope around fit_model and predict, and
-outputs that do not depend on the BLAS thread count."""
+outputs that do not depend on the BLAS thread count; and the LAPACK
+routines' fallback to scipy.linalg.lapack, which keeps the bits."""
 
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from dilgp import blas, gp, train
 from dilgp.data import gen_synthetic_1d
 from dilgp.exceptions import TrainingAbort
+from dilgp.kernels import KernelKind, KernelParams
 from dilgp.train import ModelSpec, fit_model
 
 needs_openblas = pytest.mark.skipif(not blas.LIBRARIES, reason="no OpenBLAS found")
@@ -101,3 +103,26 @@ def test_fit_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs.append([(out / f).read_bytes() for f in ("report.json", "trace.jsonl")])
     assert outputs[0] == outputs[1]
     assert np.isfinite(json.loads(outputs[0][0])["rmse"])
+
+
+def test_scipy_lapack_fallback_keeps_the_bits(monkeypatch):
+    """Without scipy's OpenBLAS, blas's four routines are scipy.linalg.lapack's,
+    which call the same LAPACK of the same library: a fit, a jittered
+    factorization and their predictions keep their bits."""
+    from scipy.linalg import lapack
+
+    data, test = gen_synthetic_1d(0)
+    X = np.zeros((4, 1))
+
+    def run():
+        fit = fit_model(ModelSpec(t1=4, t2=2), data, seed=0)
+        post = gp.fit_posterior(KernelKind.GAUSSIAN, KernelParams(), gp.NoiseSpec(0.0),
+                                X, np.ones(4))
+        arrays = (fit.post.chol, fit.post.alpha_vec, gp.cho_inverse(fit.post.chol),
+                  *fit.predict(test.x), post.chol, *gp.predict(post, test.x[:5]))
+        return [fit.trace.to_jsonl(), post.jitter] + [a.tobytes() for a in arrays]
+
+    ours = run()
+    for name in ("potrf", "potrs", "potri", "trtrs"):
+        monkeypatch.setattr(blas, name, getattr(lapack, "d" + name))
+    assert run() == ours

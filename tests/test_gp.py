@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
+from dilgp import gp as gp_mod
+from dilgp.data import check_xy
 from dilgp.exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from dilgp.gp import (NoiseSpec, _factor, cho_inverse, env_log_likelihood, fit_posterior,
                       lml_value_and_grad, log_marginal_likelihood, predict)
@@ -167,6 +170,32 @@ def test_jitter_ladder_restarts_from_gram(in_place):
                 np.empty((2, 2)) if in_place else None)
 
 
+@pytest.mark.parametrize("n", [1, 4, 55, 115, 460])
+def test_factor_solves_and_prediction_keep_scipy_linalg_bits(n):
+    # gp calls potrf, potrs and trtrs from the OpenBLAS that scipy.linalg
+    # calls, so the factor the jitter ladder ends at, alpha and the prediction
+    # are bit for bit those of cholesky, cho_solve and solve_triangular.
+    # Three equal rows (n >= 4) make K + 0 I singular, so the ladder is taken
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 1))
+    X[1:3] = X[0]
+    y, Xs = rng.normal(size=n), rng.normal(size=(7, 1))
+    kind, params = KernelKind.GAUSSIAN, KernelParams(log_s=0.3)
+    post = fit_posterior(kind, params, NoiseSpec(0.0), X, y)
+    assert (post.jitter > 0.0) == (n > 1)
+    A = kernel_matrix(kind, params, X, X)
+    np.fill_diagonal(A, A.diagonal() + post.jitter)
+    L = cholesky(A, lower=True)
+    assert np.array_equal(post.chol, L)
+    assert np.array_equal(post.alpha_vec, cho_solve((L, True), y))
+    mean, var = predict(post, Xs)
+    Kxs = kernel_matrix(kind, params, X, Xs)
+    v = solve_triangular(L, Kxs, lower=True)
+    raw = kernel_diag(kind, params, Xs) - np.einsum("ij,ij->j", v, v)
+    assert np.array_equal(mean, Kxs.T @ post.alpha_vec)
+    assert np.array_equal(var, np.where(raw < 0.0, 0.0, raw))
+
+
 def test_jitter_rescues_duplicate_rows():
     X = np.zeros((5, 1))
     y = np.ones(5)
@@ -210,6 +239,21 @@ def test_env_ll_partial_mask_matches_direct():
     _, logdet = np.linalg.slogdet(A)
     want = -0.5 * rm @ np.linalg.inv(A) @ rm - 0.5 * logdet - 1.5 * LOG_2PI
     assert_allclose(ell, want, atol=1e-10)
+
+
+def test_env_ll_checks_xy_once(monkeypatch):
+    # the posterior is built from the arrays the one check returned
+    calls = []
+
+    def counting_check(X, y):
+        calls.append(len(y))
+        return check_xy(X, y)
+
+    monkeypatch.setattr(gp_mod, "check_xy", counting_check)
+    X, y = np.array([[0.0], [1.0], [2.0]]), np.array([0.5, -0.2, 0.1])
+    env_log_likelihood(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.3), X, y,
+                       np.array([1.0, 0.5, 0.0]))
+    assert calls == [3]
 
 
 def test_env_ll_rejects_bad_mask():
@@ -292,7 +336,7 @@ def test_posterior_arrays_immutable():
         post.alpha_vec[0] = 5.0
 
 
-@pytest.mark.parametrize("n", [5, 115, 300])
+@pytest.mark.parametrize("n", [1, 4, 5, 55, 115, 300, 460])
 def test_cho_inverse_matches_solve_and_dense_inverse(n):
     rng = np.random.default_rng(n)
     X = rng.normal(size=(n, 2))
@@ -300,6 +344,10 @@ def test_cho_inverse_matches_solve_and_dense_inverse(n):
     post = fit_posterior(KernelKind.GAUSSIAN, KernelParams(), noise, X, rng.normal(size=n))
     A_inv = cho_inverse(post.chol)
     assert np.array_equal(A_inv, A_inv.T)
+    # bit for bit scipy.linalg.lapack's potri, mirrored from its lower triangle
+    inv, info = dpotri(post.chol, lower=1)
+    assert info == 0
+    assert np.array_equal(A_inv, np.tril(inv) + np.tril(inv, -1).T)
     A = kernel_matrix(KernelKind.GAUSSIAN, KernelParams(), X, X) + noise.sigma2 * np.eye(n)
     for want in (cho_solve((post.chol, True), np.eye(n)), np.linalg.inv(A)):
         assert np.max(np.abs(A_inv - want)) <= 1e-12 * np.max(np.abs(want))
@@ -310,3 +358,13 @@ def test_cho_inverse_singular_factor_raises():
     L[1, 1] = 0.0
     with pytest.raises(NotPositiveDefinite):
         cho_inverse(L)
+
+
+def test_predict_singular_factor_raises():
+    # trtrs reports a zero on the factor's diagonal instead of solving
+    X = np.array([[0.0], [1.0], [2.0]])
+    post = fit_posterior(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.1), X, np.zeros(3))
+    L = np.array(post.chol, order="F")
+    L[1, 1] = 0.0
+    with pytest.raises(NotPositiveDefinite, match="diagonal"):
+        predict(dataclasses.replace(post, chol=L), X)

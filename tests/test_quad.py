@@ -306,7 +306,9 @@ def test_simulation_path_imports_no_scipy_signal():
 def test_fit_and_predict_import_no_scipy_spatial():
     # the kernels' squared distances come from numpy, so the CLI, the
     # experiments, a fit and a prediction load neither scipy.spatial nor the
-    # scipy.sparse and scipy.constants it pulls in (66 modules, about 5.6 MiB)
+    # scipy.sparse and scipy.constants it pulls in (66 modules, about 5.6 MiB);
+    # LAPACK is called from scipy's OpenBLAS and the masks' exp from libm, so
+    # they load neither scipy.linalg nor scipy.special (about 320 modules)
     code = ("import sys, numpy as np, dilgp.cli, dilgp.experiments\n"
             "from dilgp.data import gen_synthetic_1d\n"
             "from dilgp.gp import predict\n"
@@ -314,8 +316,8 @@ def test_fit_and_predict_import_no_scipy_spatial():
             "train, test = gen_synthetic_1d(0)\n"
             "post, scaler, _ = fit_model(ModelSpec(t1=2, t2=1), train, seed=0)\n"
             "predict(post, scaler.transform(test).x)\n"
-            "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.constants')\n"
-            "             if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.constants',\n"
+            "                          'scipy.linalg', 'scipy.special') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

@@ -71,6 +71,21 @@ def test_env_masks_negation_swaps_bitwise():
     assert np.array_equal(m0, n1) and np.array_equal(m1, n0)
 
 
+def test_env_masks_keep_expit_bits():
+    # the masks were sigmoid(|q|) by scipy.special.expit; they keep its bits
+    # at zero, subnormal, saturating and underflowing |q| and on a random
+    # grid, where numpy's exp of a real array differs in the last bit
+    from scipy.special import expit
+
+    edges = np.array([0.0, 5e-324, 1e-300, 36.8, 709.7, 745.0, 800.0])
+    grid = rng_for(0, "expit-grid").standard_normal(100_000) * np.logspace(-3, 2.5, 100_000)
+    q = np.concatenate([edges, -edges, grid])
+    p = expit(np.abs(q))
+    want = np.where(q >= 0, p, 1.0 - p)
+    m0, m1 = env_masks(DomainLogits(q))
+    assert m0.tobytes() == want.tobytes() and m1.tobytes() == (1.0 - want).tobytes()
+
+
 def test_domain_logits_validation():
     with pytest.raises(NonFiniteInput):
         DomainLogits(np.array([0.0, np.nan]))

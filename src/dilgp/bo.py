@@ -5,7 +5,7 @@ everything queried so far, minimize an acquisition over a random candidate
 batch, query, repeat. Each step is recorded once, as it finishes, in one
 plain dict holding the query and the diagnostics that the GP-UCB style
 analysis uses: the beta_t schedule, cumulative information gain, and the
-resulting regret bound. history_jsonl writes those records as they are.
+resulting regret bound. train.to_jsonl writes those records as they are.
 
 The surrogate is the train.Fit of fit_model. Swapping the invariant
 surrogate for a plain GP changes only the spec's model; proposal, logging
@@ -15,7 +15,6 @@ and diagnostics are the same code path.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -245,8 +244,3 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
             rec["cum_regret"] = cum_regret
         steps.append(rec)
     return state, steps
-
-
-def history_jsonl(steps: list[dict]) -> str:
-    """One JSON line per step record, keys sorted."""
-    return "".join(json.dumps(step, sort_keys=True) + "\n" for step in steps)

@@ -34,13 +34,13 @@ import numpy
 import scipy
 
 from . import __version__, blas
-from .bo import bo_run, history_jsonl
+from .bo import bo_run
 from .data import GENERATORS, load_csv
 from .exceptions import DilgpError, InvalidSetting
 from .experiments import (BO_SPEC, QUADRATIC_OPTIMUM, QUADRATIC_SPACE, fit_eval,
                           quad_bo_experiment, quadratic_objective, settings_for, sweep_seeds)
 from .quad import WIND_DOMAIN_HELDOUT, PIDGains, TrajectoryKind, simulate
-from .train import ModelSpec, check_fields, learns_partition, setting
+from .train import ModelSpec, check_fields, learns_partition, setting, to_jsonl
 
 
 def _from_csv(run) -> bool:
@@ -269,7 +269,7 @@ def cmd_fit_eval(run: FitEvalConfig, outdir: Path) -> list[str]:
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written = ["report.json"]
     if run.sweep is None:
-        (outdir / "trace.jsonl").write_text(trace.to_jsonl())
+        (outdir / "trace.jsonl").write_text(to_jsonl(trace.records))
         written.append("trace.jsonl")
     return written
 
@@ -308,7 +308,7 @@ def cmd_bo(run: BoConfig, outdir: Path) -> list[str]:
             "failed_steps": state.failed_steps,
             "final_regret_bound": steps[-1]["regret_bound"],
         }
-    (outdir / "history.jsonl").write_text(history_jsonl(steps))
+    (outdir / "history.jsonl").write_text(to_jsonl(steps))
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"incumbent f={state.incumbent_f:.6g} after {run.t_bo} steps")
     return [*written, "history.jsonl", "summary.json"]

@@ -7,11 +7,10 @@ train.TrainState pass the log s slice of their K_p stack, so each parameter
 point evaluates its kernel once; the factor and the dense inverse may be
 formed in buffers the caller owns. X and y are checked by data.check_xy,
 which gram_posterior's callers have run. The factorization, the solves and
-the inverse are LAPACK's potrf, potrs, trtrs and potri from blas, the
-routines of scipy's bundled OpenBLAS that scipy.linalg would call, so no fit
-or prediction imports scipy.linalg. The posterior carries the factor,
-alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood, and
-prediction, the likelihood and its gradient read them. Per-environment
+the inverse are blas's potrf, potrs, trtrs and potri: scipy.linalg.lapack's
+own routines, loaded without importing scipy.linalg. The posterior carries
+the factor, alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood,
+and prediction, the likelihood and its gradient read them. Per-environment
 likelihoods mask the residual inside both quadratic-form factors while
 keeping the full-data log-determinant and normalizer.
 """

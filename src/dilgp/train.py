@@ -198,8 +198,11 @@ class TrainTrace:
     def __len__(self):
         return len(self.records)
 
-    def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+
+def to_jsonl(records: list[dict]) -> str:
+    """One JSON line per record, keys sorted: how the CLI writes a trace's
+    rounds and the BO loop's steps."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 class Workspace:
@@ -492,6 +495,5 @@ def fit_model(spec: ModelSpec, train: Dataset, seed: int) -> Fit:
     read it.
     """
     scaler = fit_standardizer(train) if spec.standardize else Standardizer.identity(train.d)
-    ds = scaler.transform(train)
-    state, _, trace = _train(spec, ds.x, ds.y, seed)
+    state, _, trace = _train(spec, scaler.transform_x(train.x), scaler.transform_y(train.y), seed)
     return Fit(state.post, scaler, trace)

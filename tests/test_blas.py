@@ -1,9 +1,11 @@
 """The one-thread BLAS pin: its scope around fit_model and predict, and
 outputs that do not depend on the BLAS thread count; and the LAPACK
-routines' fallback to scipy.linalg.lapack, which keeps the bits."""
+routines, which are scipy.linalg.lapack's own without importing
+scipy.linalg."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +15,6 @@ import pytest
 from dilgp import blas, gp, train
 from dilgp.data import gen_synthetic_1d
 from dilgp.exceptions import TrainingAbort
-from dilgp.kernels import KernelKind, KernelParams
 from dilgp.train import ModelSpec, fit_model
 
 needs_openblas = pytest.mark.skipif(not blas.LIBRARIES, reason="no OpenBLAS found")
@@ -105,24 +106,36 @@ def test_fit_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert np.isfinite(json.loads(outputs[0][0])["rmse"])
 
 
-def test_scipy_lapack_fallback_keeps_the_bits(monkeypatch):
-    """Without scipy's OpenBLAS, blas's four routines are scipy.linalg.lapack's,
-    which call the same LAPACK of the same library: a fit, a jittered
-    factorization and their predictions keep their bits."""
-    from scipy.linalg import lapack
+def test_lapack_routines_are_scipy_linalg_lapacks_own():
+    """A fit and a prediction load scipy.linalg._flapack but neither
+    scipy.linalg nor scipy.special; a later import of scipy.linalg reuses
+    that module, so blas's four routines are scipy.linalg.lapack's objects
+    and give scipy.linalg.cholesky's bits."""
+    code = ("import sys, numpy as np, dilgp.cli\n"
+            "from dilgp import blas\n"
+            "from dilgp.data import gen_synthetic_1d\n"
+            "from dilgp.train import ModelSpec, fit_model\n"
+            "train, test = gen_synthetic_1d(0)\n"
+            "fit_model(ModelSpec(t1=2, t2=1), train, seed=0).predict(test.x)\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'scipy.linalg._flapack')\n"
+            "             if m in sys.modules))\n"
+            "import scipy.linalg, scipy.linalg.lapack as lapack\n"
+            "print([getattr(blas, n) is getattr(lapack, 'd' + n)\n"
+            "       for n in ('potrf', 'potrs', 'potri', 'trtrs')])\n"
+            "a = np.random.default_rng(0).normal(size=(6, 6))\n"
+            "a = a @ a.T + 6.0 * np.eye(6)\n"
+            "L, info = blas.potrf(a, lower=1)\n"
+            "print(info == 0 and np.array_equal(scipy.linalg.cholesky(a, lower=True), L))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines() == ["['scipy.linalg._flapack']", "[True, True, True, True]",
+                                        "True"]
 
-    data, test = gen_synthetic_1d(0)
-    X = np.zeros((4, 1))
 
-    def run():
-        fit = fit_model(ModelSpec(t1=4, t2=2), data, seed=0)
-        post = gp.fit_posterior(KernelKind.GAUSSIAN, KernelParams(), gp.NoiseSpec(0.0),
-                                X, np.ones(4))
-        arrays = (fit.post.chol, fit.post.alpha_vec, gp.cho_inverse(fit.post.chol),
-                  *fit.predict(test.x), post.chol, *gp.predict(post, test.x[:5]))
-        return [fit.trace.to_jsonl(), post.jitter] + [a.tobytes() for a in arrays]
+def test_missing_lapack_wrappers_raise_import_error_naming_the_path(tmp_path, monkeypatch):
+    import scipy
 
-    ours = run()
-    for name in ("potrf", "potrs", "potri", "trtrs"):
-        monkeypatch.setattr(blas, name, getattr(lapack, "d" + name))
-    assert run() == ours
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        blas._flapack()

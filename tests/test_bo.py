@@ -11,7 +11,7 @@ import pytest
 
 from dilgp.bo import (BOState, SearchSpace,
                       acquisition_ei, acquisition_ucb, beta_schedule, bo_run,
-                      fit_surrogate, history_jsonl, information_gain_step,
+                      fit_surrogate, information_gain_step,
                       propose_next, regret_bound)
 from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               ObjectiveFailure)
@@ -19,7 +19,7 @@ from dilgp.experiments import quad_bo_experiment, quad_surrogate_config
 from dilgp.kernels import KernelKind, KernelParams, kernel_matrix
 from dilgp.quad import TrajectoryKind
 from dilgp.rng import rng_for
-from dilgp.train import ModelSpec
+from dilgp.train import ModelSpec, to_jsonl
 
 SPACE = SearchSpace(np.array([0.0]), np.array([1.0]))
 
@@ -283,7 +283,7 @@ def test_streaming_gain_matches_batch_logdet():
 def test_history_jsonl_schema():
     _, steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
                       t_bo=5, n_init=3, seed=4, f_star=0.0)
-    lines = history_jsonl(steps).strip().split("\n")
+    lines = to_jsonl(steps).strip().split("\n")
     assert len(lines) == 5
     incumbents = []
     for t, line in enumerate(lines, start=1):
@@ -296,7 +296,7 @@ def test_history_jsonl_schema():
 
     _, steps2 = bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb",
                        t_bo=2, n_init=3, seed=4)
-    rec = json.loads(history_jsonl(steps2).strip().split("\n")[0])
+    rec = json.loads(to_jsonl(steps2).strip().split("\n")[0])
     assert "cum_regret" not in rec
 
 
@@ -304,7 +304,7 @@ def test_history_jsonl_schema():
 def test_history_jsonl_writes_records_as_recorded(acq, f_star):
     _, steps = bo_run(quadratic, SPACE, fixed_kernel_cfg(), acq,
                       t_bo=4, n_init=3, seed=6, f_star=f_star)
-    text = history_jsonl(steps)
+    text = to_jsonl(steps)
     assert text.endswith("\n")
     assert [json.loads(line) for line in text.splitlines()] == steps
-    assert history_jsonl([]) == ""
+    assert to_jsonl([]) == ""

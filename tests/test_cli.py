@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from dilgp import blas
-from dilgp.bo import bo_run, history_jsonl
+from dilgp.bo import bo_run
 from dilgp.cli import (COMMANDS, FitEvalConfig, build_parser, declared, load_config,
                        main)
 from dilgp.exceptions import InvalidSetting
 from dilgp.experiments import (BO_SPEC, QUADRATIC_SPACE, quadratic_objective,
                                settings_for, sweep_seeds)
-from dilgp.train import ModelSpec
+from dilgp.train import ModelSpec, to_jsonl
 
 
 def run_ok(argv):
@@ -365,7 +365,7 @@ def test_bo_history_is_the_runs_records(tmp_path):
     _, steps = bo_run(quadratic_objective, QUADRATIC_SPACE,
                       replace(BO_SPEC, model="gp_gaussian"), "ei", 4, n_init=5, seed=3,
                       f_star=0.0)
-    assert (out / "history.jsonl").read_text() == history_jsonl(steps)
+    assert (out / "history.jsonl").read_text() == to_jsonl(steps)
 
 
 def test_bo_quadratic_deterministic(tmp_path):

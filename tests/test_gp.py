@@ -172,9 +172,9 @@ def test_jitter_ladder_restarts_from_gram(in_place):
 
 @pytest.mark.parametrize("n", [1, 4, 55, 115, 460])
 def test_factor_solves_and_prediction_keep_scipy_linalg_bits(n):
-    # gp calls potrf, potrs and trtrs from the OpenBLAS that scipy.linalg
-    # calls, so the factor the jitter ladder ends at, alpha and the prediction
-    # are bit for bit those of cholesky, cho_solve and solve_triangular.
+    # gp calls scipy.linalg.lapack's own potrf, potrs and trtrs, so the
+    # factor the jitter ladder ends at, alpha and the prediction are bit for
+    # bit those of cholesky, cho_solve and solve_triangular.
     # Three equal rows (n >= 4) make K + 0 I singular, so the ladder is taken
     rng = np.random.default_rng(n)
     X = rng.normal(size=(n, 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,9 +225,6 @@ class Standardizer:
 
     def transform_y(self, y):
         return (np.asarray(y, dtype=float) - self.y_mean) / self.y_std
-
-    def transform(self, ds: Dataset) -> Dataset:
-        return replace(ds, x=self.transform_x(ds.x), y=self.transform_y(ds.y))
 
     def inverse_y(self, y_std_units: np.ndarray) -> np.ndarray:
         return self.y_mean + self.y_std * np.asarray(y_std_units, dtype=float)

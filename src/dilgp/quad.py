@@ -16,6 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -98,7 +99,7 @@ def reference_trajectory(kind: TrajectoryKind, t) -> np.ndarray:
     Accepts a scalar or a 1-D array of times; returns shape (3,) or (n, 3).
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or np.any(t_arr > DURATION):
+    if not np.all((t_arr >= 0) & (t_arr <= DURATION)):     # NaN fails both
         raise ValueError(f"t must lie in [0, {DURATION}], got {t!r}")
     wt = OMEGA * t_arr
     one = np.ones_like(t_arr)
@@ -115,25 +116,6 @@ def reference_trajectory(kind: TrajectoryKind, t) -> np.ndarray:
     return np.stack(ref, axis=-1)
 
 
-def _gust_drives(spec: WindDomainSpec, seed: int, dt: float, n_steps: int
-                 ) -> tuple[float, list[tuple[list, float]]]:
-    """The inputs of the gust filter w_k = c w_{k-1} + x_k: its pole
-    c = 1 - dt/tau and, per axis (x, y, z), the drive sequence x as a list
-    and the mean mu, from which the filter starts (w_{-1} = mu)."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    a = dt / spec.correlation_time
-    if not a < 2.0:
-        raise ValueError(f"dt must be < 2 * correlation_time for a stable filter, got {dt!r}")
-    rng = rng_for(seed, "dryden-wind")
-    u = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (n_steps, 3))
-    c = 1.0 - a
-    return c, [((mu * a + math.sqrt(2.0 * var * a) * u[:, j]).tolist(), mu)
-               for j, (mu, var) in enumerate([(spec.mean_h, spec.var_h),
-                                              (spec.mean_h, spec.var_h),
-                                              (spec.mean_v, spec.var_v)])]
-
-
 def dryden_wind(spec: WindDomainSpec, seed: int, dt: float, n_steps: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Colored gust sequences: (horizontal (n, 2), vertical (n,)).
@@ -141,22 +123,49 @@ def dryden_wind(spec: WindDomainSpec, seed: int, dt: float, n_steps: int
     Each axis follows the first-order recursion
         w_{k+1} = w_k + (mu - w_k) dt/tau + sqrt(2 var dt/tau) u_k
     with u_k uniform on [-sqrt(3), sqrt(3)] (unit variance) and w_0 = mu, so
-    the long-run mean and variance converge to the values in ``spec``. Requires
-    dt < 2 tau for the recursion to be stable. simulate runs the same filter
-    inside its axis integrator; this is the reference it is tested against.
+    the long-run mean and variance converge to the values in ``spec``. It runs
+    as w_k = c w_{k-1} + x_k from w_{-1} = mu, with c = 1 - dt/tau and drive
+    x = mu dt/tau + sqrt(2 var dt/tau) u. Requires dt < 2 tau for stability.
     """
-    c, drives = _gust_drives(spec, seed, dt, n_steps)
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
+    a = dt / spec.correlation_time
+    if not a < 2.0:
+        raise ValueError(f"dt must be < 2 * correlation_time for a stable filter, got {dt!r}")
+    u = rng_for(seed, "dryden-wind").uniform(-math.sqrt(3.0), math.sqrt(3.0), (n_steps, 3))
+    c = 1.0 - a
     out = np.empty((n_steps, 3))
-    for j, (drive, mu) in enumerate(drives):
+    for j, (mu, var) in enumerate([(spec.mean_h, spec.var_h), (spec.mean_h, spec.var_h),
+                                   (spec.mean_v, spec.var_v)]):
+        drive = (mu * a + math.sqrt(2.0 * var * a) * u[:, j]).tolist()
         out[:, j] = list(accumulate(drive, lambda w, x: w * c + x, initial=mu))[1:]
     return out[:, :2], out[:, 2]
+
+
+# Each reference is built once per kind, each gust sequence once per (regime,
+# seed), and both are kept read-only. 8 gust entries (bo_pid flies 7 keys) hold
+# 384 kB as arrays; as lists they would take about 4 times that.
+@lru_cache(maxsize=len(TrajectoryKind))
+def _reference(kind: TrajectoryKind) -> tuple[np.ndarray, list[list]]:
+    ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
+    ref.flags.writeable = False
+    return ref, [ref[:, j].tolist() for j in range(3)]
+
+
+@lru_cache(maxsize=8)
+def _gusts(spec: WindDomainSpec, seed: int) -> np.ndarray:
+    """dryden_wind's gusts of one flight as a read-only (3, N_STEPS) array."""
+    h, v = dryden_wind(spec, seed, DT, N_STEPS)
+    gusts = np.stack([h[:, 0], h[:, 1], v])
+    gusts.flags.writeable = False
+    return gusts
 
 
 @dataclass
 class SimResult:
     ace: float
     positions: np.ndarray    # (m, 3) flown positions
-    reference: np.ndarray    # (m, 3) reference at the same times
+    reference: np.ndarray    # (m, 3) reference at the same times (read-only, shared)
     diverged: bool = False
 
     def export_csv(self, path):
@@ -170,34 +179,32 @@ class SimResult:
                 writer.writerow(row)
 
 
-def _track_axis(ref: list, drive: list, c: float, w: float, kp: float, ki: float,
-                kd: float, p0: float) -> list:
-    """Integrate one axis under the gust filter of dryden_wind (drive, pole c,
-    starting gust w); returns the position at every step. The clamps map NaN
-    to +limit, as max(-L, min(L, x)) does; simulate truncates the flight where
-    a position stops being finite."""
+def _track_axis(ref: list, gust: list, kp: float, ki: float, kd: float, p0: float) -> list:
+    """Integrate one axis through a gust sequence; returns the position at
+    every step. The clamps map NaN to +limit, as max(-L, min(L, x)) does;
+    simulate truncates the flight where a position stops being finite."""
+    dt, i_hi, i_lo, a_hi, a_lo = DT, INTEGRAL_LIMIT, -INTEGRAL_LIMIT, ACCEL_LIMIT, -ACCEL_LIMIT
     p, v = p0, 0.0
     integral = 0.0
     e_prev = ref[0] - p0
     out = []
     append = out.append
-    for r, x in zip(ref, drive):
+    for r, w in zip(ref, gust):
         append(p)
         e = r - p
-        integral = integral + e * DT
-        if not integral <= INTEGRAL_LIMIT:
-            integral = INTEGRAL_LIMIT
-        elif integral < -INTEGRAL_LIMIT:
-            integral = -INTEGRAL_LIMIT
-        cmd = kp * e + ki * integral + kd * ((e - e_prev) / DT)
+        integral = integral + e * dt
+        if not integral <= i_hi:
+            integral = i_hi
+        elif integral < i_lo:
+            integral = i_lo
+        cmd = kp * e + ki * integral + kd * ((e - e_prev) / dt)
         e_prev = e
-        if not cmd <= ACCEL_LIMIT:
-            cmd = ACCEL_LIMIT
-        elif cmd < -ACCEL_LIMIT:
-            cmd = -ACCEL_LIMIT
-        w = w * c + x
-        v += (cmd + w) * DT
-        p += v * DT
+        if not cmd <= a_hi:
+            cmd = a_hi
+        elif cmd < a_lo:
+            cmd = a_lo
+        v += (cmd + w) * dt
+        p += v * dt
     return out
 
 
@@ -209,16 +216,18 @@ def simulate(gains: PIDGains, kind: TrajectoryKind, wind_spec: WindDomainSpec,
     given) with zero velocity. With finite inputs the clamps keep the state
     finite, so only a non-finite or overflowing start offset diverges: the run
     is cut before its first non-finite step (or kept whole if its ACE
-    overflows), and ace is the +inf sentinel with diverged set.
+    overflows), and ace is the +inf sentinel with diverged set. The reference
+    returned is a read-only view of the array every flight of the kind shares.
     """
-    ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
-    c, drives = _gust_drives(wind_spec, seed, DT, N_STEPS)
-    p0 = ref[0].copy()
+    ref, ref_cols = _reference(kind)
+    ref = ref.view()      # unlike the shared array, a view cannot be made writeable
+    gusts = _gusts(wind_spec, seed)
+    p0 = ref[0]
     if start_offset is not None:
         p0 = p0 + np.asarray(start_offset, dtype=float)
-    positions = np.column_stack([_track_axis(ref[:, j].tolist(), drive, c, mu,
-                                             gains.kp, gains.ki, gains.kd, float(p0[j]))
-                                 for j, (drive, mu) in enumerate(drives)])
+    positions = np.column_stack([_track_axis(ref_cols[j], gusts[j].tolist(), gains.kp,
+                                             gains.ki, gains.kd, float(p0[j]))
+                                 for j in range(3)])
     finite = np.isfinite(positions).all(axis=1)
     if not finite.all():
         m = int(finite.argmin())
@@ -240,8 +249,11 @@ def pid_objective(gains: PIDGains, train_spec: WindDomainSpec,
     """
     if not isinstance(gains, PIDGains):
         gains = PIDGains.from_array(gains)
-    kind_set = set(kinds)
-    ordered = [k for k in TrajectoryKind if k in kind_set]
+    kinds = list(kinds)
+    bad = [k for k in kinds if not isinstance(k, TrajectoryKind)]
+    if bad:
+        raise ValueError(f"not a TrajectoryKind: {bad[0]!r}")
+    ordered = [k for k in TrajectoryKind if k in kinds]
     seeds = list(seeds)
     if not ordered or not seeds:
         raise ValueError("kinds and seeds must be nonempty")

@@ -163,7 +163,7 @@ def test_load_csv_errors(tmp_path):
 def test_standardizer_round_trip():
     train, test = gen_synthetic_1d(2)
     sz = fit_standardizer(train)
-    tr, te = sz.transform(train), sz.transform(test)
+    tr, te = (Dataset(sz.transform_x(d.x), sz.transform_y(d.y)) for d in (train, test))
     assert abs(tr.x.mean()) < 1e-12 and abs(tr.x.std() - 1.0) < 1e-12
     assert abs(tr.y.mean()) < 1e-12
     assert np.allclose(sz.inverse_y(te.y), test.y, rtol=1e-12)
@@ -173,7 +173,7 @@ def test_standardizer_round_trip():
 def test_standardizer_uses_train_stats_only():
     train, test = gen_synthetic_1d(2)
     sz = fit_standardizer(train)
-    te = sz.transform(test)
+    te = Dataset(sz.transform_x(test.x), sz.transform_y(test.y))
     assert np.array_equal(sz.x_mean, train.x.mean(axis=0)) and sz.y_mean == float(train.y.mean())
     assert np.allclose(te.x, (test.x - sz.x_mean) / sz.x_std)
 
@@ -181,7 +181,7 @@ def test_standardizer_uses_train_stats_only():
 def test_standardizer_constant_columns():
     ds = Dataset(np.column_stack([np.ones(4), np.arange(4.0)]), np.full(4, 2.5))
     sz = fit_standardizer(ds)
-    out = sz.transform(ds)
+    out = Dataset(sz.transform_x(ds.x), sz.transform_y(ds.y))
     assert np.all(out.x[:, 0] == 0.0)      # centered, not rescaled
     assert np.all(out.y == 0.0)
     assert np.allclose(sz.inverse_y(out.y), ds.y)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from dilgp import quad
 from dilgp.exceptions import DimensionMismatch, NonFiniteInput
 from dilgp.quad import (ACCEL_LIMIT, DT, DURATION, INTEGRAL_LIMIT, N_STEPS,
                         WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN, PIDGains, SimResult,
@@ -41,6 +42,9 @@ def test_reference_vectorized_and_range_checked():
         reference_trajectory(TrajectoryKind.HOVER, -0.1)
     with pytest.raises(ValueError):
         reference_trajectory(TrajectoryKind.HOVER, DURATION + 1e-9)
+    for t in (math.nan, [0.0, math.nan]):        # nan < 0 and nan > DURATION are False
+        with pytest.raises(ValueError):
+            reference_trajectory(TrajectoryKind.FIG8, t)
     with pytest.raises(ValueError, match="unknown trajectory"):
         reference_trajectory("hover", 1.0)
 
@@ -179,41 +183,87 @@ def test_simulate_deterministic_and_consistent():
     assert a.ace == pytest.approx(float(np.mean(np.sum(err * err, axis=1))), abs=1e-12)
 
 
-def _fly_axis(ref, wind, gains, p0):
-    # the PID loop of one axis, fed a precomputed gust sequence
+def _fly_axis(ref, wind, gains, p0, binds):
+    # the PID loop of one axis, fed a precomputed gust sequence; adds to binds
+    # each (clamp, sign of the clamped value) that binds
     p, v, integral, e_prev, out = p0, 0.0, 0.0, ref[0] - p0, []
     for r, w in zip(ref, wind):
         out.append(p)
         e = r - p
-        integral = max(-INTEGRAL_LIMIT, min(INTEGRAL_LIMIT, integral + e * DT))
+        raw = integral + e * DT
+        integral = max(-INTEGRAL_LIMIT, min(INTEGRAL_LIMIT, raw))
         deriv = (e - e_prev) / DT
         e_prev = e
-        cmd = gains.kp * e + gains.ki * integral + gains.kd * deriv
-        cmd = max(-ACCEL_LIMIT, min(ACCEL_LIMIT, cmd))
+        raw_cmd = gains.kp * e + gains.ki * integral + gains.kd * deriv
+        cmd = max(-ACCEL_LIMIT, min(ACCEL_LIMIT, raw_cmd))
+        if integral != raw:
+            binds.add(("integral", raw > 0))
+        if cmd != raw_cmd:
+            binds.add(("accel", raw_cmd > 0))
         v += (cmd + w) * DT
         p += v * DT
     return out
 
 
-def _oracle_positions(kind, spec, seed, gains, offset=(0.0, 0.0, 0.0)):
+def _oracle_positions(kind, spec, seed, gains, offset=(0.0, 0.0, 0.0), binds=None):
     h, v = dryden_wind(spec, seed, DT, N_STEPS)
     ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
+    binds = set() if binds is None else binds
     return np.column_stack([_fly_axis(ref[:, j].tolist(), w.tolist(), gains,
-                                      float(ref[0, j] + offset[j]))
+                                      float(ref[0, j] + offset[j]), binds)
                             for j, w in enumerate([h[:, 0], h[:, 1], v])])
+
+
+# gains of test_flight_flies_dryden_gusts that bind a clamp at both signs
+BINDS_AT_BOTH_SIGNS = {PIDGains(100.0, 0.0, 0.0): "accel", PIDGains(20.0, 1.0, 0.5): "accel",
+                       PIDGains(0.3, 0.05, 0.8): "integral",
+                       PIDGains(0.2, 0.1, 0.3): "integral"}
 
 
 @pytest.mark.parametrize("kind,spec,seed,gains", [
     (TrajectoryKind.FIG8, WIND_DOMAIN_TRAIN, 11, PIDGains(2.0, 0.5, 1.0)),
     (TrajectoryKind.SPIRAL_UP, WIND_DOMAIN_HELDOUT, 3, PIDGains(9.0, 3.0, 0.2)),
     (TrajectoryKind.HOVER, WIND_DOMAIN_TRAIN, 0, PIDGains(30.0, 20.0, 0.0)),
+    (TrajectoryKind.FIG8, WIND_DOMAIN_HELDOUT, 1, PIDGains(100.0, 0.0, 0.0)),
+    (TrajectoryKind.SIN_FORWARD, WIND_DOMAIN_TRAIN, 1, PIDGains(20.0, 1.0, 0.5)),
+    (TrajectoryKind.SPIRAL_UP, WIND_DOMAIN_TRAIN, 1, PIDGains(0.3, 0.05, 0.8)),
+    (TrajectoryKind.HOVER, WIND_DOMAIN_HELDOUT, 1, PIDGains(0.2, 0.1, 0.3)),
+    (TrajectoryKind.SIN_FORWARD, WIND_DOMAIN_HELDOUT, 1, PIDGains(0.2, 0.1, 0.3)),
 ])
 def test_flight_flies_dryden_gusts(kind, spec, seed, gains):
-    # simulate filters the gusts inside its integrator; its positions must be
-    # those of a flight through dryden_wind's sequence, bit for bit
+    # simulate reads the gusts dryden_wind makes; its positions must be those
+    # of a flight through that sequence, bit for bit
     res = simulate(gains, kind, spec, seed)
     assert not res.diverged
-    assert np.array_equal(res.positions, _oracle_positions(kind, spec, seed, gains))
+    binds = set()
+    assert np.array_equal(res.positions, _oracle_positions(kind, spec, seed, gains, binds=binds))
+    if gains in BINDS_AT_BOTH_SIGNS:
+        clamp = BINDS_AT_BOTH_SIGNS[gains]
+        assert {(clamp, True), (clamp, False)} <= binds, binds
+
+
+def test_flights_share_read_only_inputs_and_keep_their_bits():
+    # more (regime, seed) keys than the gust cache holds evict the first key,
+    # which is then rebuilt with the same bits; what a flight returns cannot
+    # reach the shared reference or gusts
+    g, kind = PIDGains(2.0, 0.5, 1.0), TrajectoryKind.SIN_FORWARD
+    first = simulate(g, kind, WIND_DOMAIN_TRAIN, 0)
+    want_ace, want_pos, want_ref = first.ace, first.positions.copy(), first.reference.copy()
+    ref, _ = quad._reference(kind)
+    assert not ref.flags.writeable
+    assert not quad._gusts(WIND_DOMAIN_TRAIN, 0).flags.writeable
+    with pytest.raises(ValueError):
+        first.reference[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        first.reference.flags.writeable = True
+    first.positions[:] = 9.0
+    for seed in range(1, quad._gusts.cache_info().maxsize + 1):
+        simulate(g, kind, WIND_DOMAIN_HELDOUT, seed)
+    misses = quad._gusts.cache_info().misses
+    again = simulate(g, kind, WIND_DOMAIN_TRAIN, 0)
+    assert quad._gusts.cache_info().misses == misses + 1       # evicted and rebuilt
+    assert again.ace == want_ace
+    assert np.array_equal(again.positions, want_pos) and np.array_equal(again.reference, want_ref)
 
 
 @pytest.mark.parametrize("spec", [CALM, WIND_DOMAIN_TRAIN])
@@ -286,6 +336,11 @@ def test_objective_validation():
         pid_objective(PIDGains(1, 0, 0), WIND_DOMAIN_TRAIN, [], [0])
     with pytest.raises(ValueError):
         pid_objective(PIDGains(1, 0, 0), WIND_DOMAIN_TRAIN, [TrajectoryKind.HOVER], [])
+    # an entry that is not a TrajectoryKind is named, not dropped
+    with pytest.raises(ValueError, match="'hover'"):
+        pid_objective(PIDGains(1, 0, 0), WIND_DOMAIN_TRAIN, [TrajectoryKind.FIG8, "hover"], [0])
+    with pytest.raises(ValueError, match="'fig8'"):
+        pid_objective(PIDGains(1, 0, 0), WIND_DOMAIN_TRAIN, ["fig8"], [0])
 
 
 # ---------------------------------------------------------------- imports
@@ -315,7 +370,7 @@ def test_fit_and_predict_import_no_scipy_spatial():
             "from dilgp.train import ModelSpec, fit_model\n"
             "train, test = gen_synthetic_1d(0)\n"
             "post, scaler, _ = fit_model(ModelSpec(t1=2, t2=1), train, seed=0)\n"
-            "predict(post, scaler.transform(test).x)\n"
+            "predict(post, scaler.transform_x(test.x))\n"
             "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.constants',\n"
             "                          'scipy.linalg', 'scipy.special') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -202,7 +202,8 @@ def test_partition_discovery_on_shifted_clusters():
     hits = 0
     for s in range(5):
         train, _ = gen_synthetic_1d(s)
-        tr = fit_standardizer(train).transform(train)
+        sz = fit_standardizer(train)
+        tr = replace(train, x=sz.transform_x(train.x), y=sz.transform_y(train.y))
         spec = ModelSpec(t1=100, t2=10, eta1=0.1, eta2=0.005, lam=0.01, sigma2=0.4)
         _, logits, _ = _train(spec, tr.x, tr.y, s)
         m0, _ = env_masks(logits)
@@ -485,7 +486,7 @@ def test_fit_model_posterior_is_fit_posterior_at_trained_params(model, standardi
     train, test = gen_synthetic_1d(1)
     spec = ModelSpec(model=model, t1=6, t2=2, standardize=standardize)
     post, scaler, _ = fit_model(spec, train, seed=3)
-    ds = scaler.transform(train)
+    ds = replace(train, x=scaler.transform_x(train.x), y=scaler.transform_y(train.y))
     want = fit_posterior(spec.kind, post.params, spec.noise, ds.x, ds.y)
     assert np.array_equal(post.chol, want.chol)
     assert np.array_equal(post.alpha_vec, want.alpha_vec)

@@ -57,7 +57,8 @@ def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
     or 1e-4 * mean diagonal is exceeded, at which point NotPositiveDefinite
     is raised with the kernel params. A failed potrf (info > 0: a leading
     minor is not positive) leaves out partly factorized, so each rung copies
-    K again.
+    K again. The ladder's diagonal and scale are built from K, only once a
+    factorization has failed.
     """
     n = K.shape[0]
     A = np.empty_like(K) if out is None else out
@@ -65,13 +66,14 @@ def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
     A.flat[::n + 1] += noise.sigma2
     if not np.isfinite(A).all():
         raise NonFiniteInput("kernel matrix contains non-finite entries")
-    diag = A.diagonal().copy()
-    scale = max(np.trace(A) / n, np.finfo(float).tiny)
     jitter = 0.0
     while True:
         L, info = blas.potrf(A.T, lower=1, overwrite_a=1)
         if info == 0:
             return L, jitter
+        if jitter == 0.0:
+            diag = K.diagonal() + noise.sigma2
+            scale = max(diag.sum() / n, np.finfo(float).tiny)
         jitter = _JITTER_START * scale if jitter == 0.0 else jitter * 10.0
         if jitter > _JITTER_STOP * scale:
             raise NotPositiveDefinite(

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonFiniteInput
+from .exceptions import DimensionMismatch, InvalidSetting, NonFiniteInput
 from .rng import rng_for
 
 DT = 0.01                 # s
@@ -179,10 +179,11 @@ class SimResult:
                 writer.writerow(row)
 
 
-def _track_axis(ref: list, gust: list, kp: float, ki: float, kd: float, p0: float) -> list:
-    """Integrate one axis through a gust sequence; returns the position at
-    every step. The clamps map NaN to +limit, as max(-L, min(L, x)) does;
-    simulate truncates the flight where a position stops being finite."""
+def _track_axis(ref: list, gust, kp: float, ki: float, kd: float, p0: float) -> list:
+    """Integrate one axis through a gust sequence (an iterable of floats);
+    returns the position at every step. The clamps map NaN to +limit, as
+    max(-L, min(L, x)) does; simulate truncates the flight where a position
+    stops being finite."""
     dt, i_hi, i_lo, a_hi, a_lo = DT, INTEGRAL_LIMIT, -INTEGRAL_LIMIT, ACCEL_LIMIT, -ACCEL_LIMIT
     p, v = p0, 0.0
     integral = 0.0
@@ -212,29 +213,39 @@ def simulate(gains: PIDGains, kind: TrajectoryKind, wind_spec: WindDomainSpec,
              seed: int, start_offset=None) -> SimResult:
     """Fly one 20 s trajectory and score the mean squared position error.
 
-    The vehicle starts at the reference's initial point (plus start_offset if
-    given) with zero velocity. With finite inputs the clamps keep the state
-    finite, so only a non-finite or overflowing start offset diverges: the run
-    is cut before its first non-finite step (or kept whole if its ACE
-    overflows), and ace is the +inf sentinel with diverged set. The reference
-    returned is a read-only view of the array every flight of the kind shares.
+    seed is an integer in [0, 2**64) (a numpy integer too); anything else
+    raises InvalidSetting. The vehicle starts at the reference's initial
+    point (plus start_offset, None or 3 entries, if given) with zero
+    velocity. With finite inputs the clamps keep the state finite, so only a
+    non-finite or overflowing start offset diverges: the run is cut before
+    its first non-finite step (or kept whole if its ACE overflows), and ace
+    is the +inf sentinel with diverged set. The reference returned is a
+    read-only view of the array every flight of the kind shares.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= int(seed) < 2 ** 64:
+        raise InvalidSetting(f"seed must be an integer in [0, 2**64), got {seed!r}")
     ref, ref_cols = _reference(kind)
     ref = ref.view()      # unlike the shared array, a view cannot be made writeable
-    gusts = _gusts(wind_spec, seed)
+    gusts = _gusts(wind_spec, int(seed))
     p0 = ref[0]
     if start_offset is not None:
-        p0 = p0 + np.asarray(start_offset, dtype=float)
-    positions = np.column_stack([_track_axis(ref_cols[j], gusts[j].tolist(), gains.kp,
-                                             gains.ki, gains.kd, float(p0[j]))
-                                 for j in range(3)])
-    finite = np.isfinite(positions).all(axis=1)
-    if not finite.all():
-        m = int(finite.argmin())
+        offset = np.asarray(start_offset, dtype=float)
+        if offset.shape != (3,):
+            raise DimensionMismatch(f"start_offset must have 3 entries, got shape {offset.shape}")
+        p0 = p0 + offset
+    # a memoryview yields the cached row's floats without the copy .tolist() makes
+    axes = np.array([_track_axis(ref_cols[j], memoryview(gusts[j]), gains.kp, gains.ki,
+                                 gains.kd, float(p0[j])) for j in range(3)], dtype=float)
+    positions = axes.T
+    if not np.isfinite(axes).all():
+        m = int(np.isfinite(axes).all(axis=0).argmin())
         return SimResult(math.inf, positions[:m], ref[:m], diverged=True)
-    err = positions - ref
+    # each step's squared errors added in axis order, as np.sum(err * err,
+    # axis=1) adds them for the (N, 3) error err, so ACE keeps those bits
+    e0, e1, e2 = axes - ref.T
     with np.errstate(over="ignore"):
-        ace = float(np.mean(np.sum(err * err, axis=1)))
+        ace = float(np.mean(e0 * e0 + e1 * e1 + e2 * e2))
     if not math.isfinite(ace):
         return SimResult(math.inf, positions, ref, diverged=True)
     return SimResult(ace, positions, ref)

@@ -178,7 +178,11 @@ def _masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part at a zero imaginary part is exp(x) cos(0) = exp(x)."""
     p = 1.0 / (1.0 + np.exp(-np.abs(q) + 0j).real)
     m0 = np.where(q >= 0, p, 1.0 - p)
-    return m0, 1.0 - m0
+    m1 = 1.0 - m0
+    # read-only, so a TrainState may key the terms it keeps on their identity
+    m0.setflags(write=False)
+    m1.setflags(write=False)
+    return m0, m1
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,10 @@ class TrainState:
     kernel's D_l = dC/dlog l live only in the call that reads them. Both
     environments' terms come from these and one difference
     d = A^-1 (y (m0 - m1)), so a penalty takes two O(n^2) products and an
-    ascent step three.
+    ascent step three. The state keeps the terms of the last masks it read:
+    the penalty that accepts a state is at the masks of the round that
+    built it, and the next round's first ascent step reads the state at
+    those masks again, so that step takes one product.
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y,
@@ -246,6 +253,7 @@ class TrainState:
         self.Kp = grad_stack(kind, params, self.ws.base, out=self.ws.Kp)
         self.post = gram_posterior(kind, params, noise, X, y, self.Kp[0], out=self.ws.factor)
         self.kind, self.params, self.noise, self.X, self.y = kind, params, noise, X, y
+        self._kept = None
 
     @cached_property
     def A_inv(self) -> np.ndarray:
@@ -283,8 +291,18 @@ class TrainState:
         split = float(self.post.alpha_vec @ Cd) / 4.0
         return shared + split, shared - split, d, Cd
 
+    def _terms(self, m0: np.ndarray, m1: np.ndarray
+               ) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """_env_terms at the masks, computed once for the last masks read.
+        Masks are compared by identity, which is sound because _masks makes
+        them read-only."""
+        kept = self._kept
+        if kept is None or kept[0] is not m0 or kept[1] is not m1:
+            self._kept = kept = (m0, m1, self._env_terms(m0, m1))
+        return kept[2]
+
     def penalty(self, m0: np.ndarray, m1: np.ndarray) -> PenaltyReport:
-        g0, g1, _, _ = self._env_terms(m0, m1)
+        g0, g1, _, _ = self._terms(m0, m1)
         return PenaltyReport(g0 * g0 + g1 * g1, (g0, g1))
 
     def grad_q(self, logits: DomainLogits) -> np.ndarray:
@@ -292,10 +310,10 @@ class TrainState:
         with C a_e = (C alpha +- C d) / 2."""
         return self._grad_q(logits.q_tilde)
 
-    def _grad_q(self, q: np.ndarray) -> np.ndarray:
-        """grad_q at the raw logits q."""
-        m0, m1 = _masks(q)
-        g0, g1, _, Cd = self._env_terms(m0, m1)
+    def _grad_q(self, q: np.ndarray, masks=None) -> np.ndarray:
+        """grad_q at the raw logits q, whose masks are given or computed."""
+        m0, m1 = _masks(q) if masks is None else masks
+        g0, g1, _, Cd = self._terms(m0, m1)
         Ainv_C_alpha = self._alpha_terms[1]
         return self.y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * (self.A_inv @ Cd))
 
@@ -325,7 +343,7 @@ class TrainState:
         D = gaussian_scale_direction(self.params, self.ws.base, Kp[1], out=self.ws.scratch)
         shared[1] -= 0.5 * np.einsum("ij,ij->", D, A_inv)
         grad = np.zeros(len(Kp))
-        g0, g1, d, Cd = self._env_terms(m0, m1)
+        g0, g1, d, Cd = self._terms(m0, m1)
         alpha, C_alpha = self.post.alpha_vec, self._alpha_terms[0]
         for g, a, Ca in ((g0, 0.5 * (alpha + d), 0.5 * (C_alpha + Cd)),
                          (g1, 0.5 * (alpha - d), 0.5 * (C_alpha - Cd))):
@@ -370,9 +388,10 @@ def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> D
     return DomainLogits(_ascent_step(logits.q_tilde, state, eta1))
 
 
-def _ascent_step(q: np.ndarray, state: TrainState, eta1: float) -> np.ndarray:
-    """inner_ascent_step on the raw logits q, which it does not validate."""
-    g = state._grad_q(q)
+def _ascent_step(q: np.ndarray, state: TrainState, eta1: float, masks=None) -> np.ndarray:
+    """inner_ascent_step on the raw logits q, which it does not validate, and
+    their masks when the caller has them."""
+    g = state._grad_q(q, masks)
     if not np.isfinite(g).all():
         bad = int(np.flatnonzero(~np.isfinite(g))[0])
         raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
@@ -431,8 +450,12 @@ def _train(spec: ModelSpec, X, y, seed: int
     DomainLogits once per round; a plain GP ignores the seed and descends
     on the -LML alone. Each round reads one TrainState, and the state of the
     accepted step becomes the next round's, so t1 rounds factorize t1 + 1
-    times (plus one per step halving). Returns the last state, whose
-    posterior is the fitted model, the logits (None for a plain GP) and the
+    times (plus one per step halving). The next round's first ascent step
+    reads that state at the masks it was accepted at, with the terms it
+    kept, so t1 rounds of t2 ascent steps evaluate the masks t1 t2 + 1 times
+    and the environment terms t1 (t2 + 1) + 1 times (plus the penalties of
+    rejected trial points). Returns the last state, whose posterior is the
+    fitted model, the logits (None for a plain GP) and the
     trace of completed rounds, which on abort rides on the TrainingAbort.
     All states of the fit write into one Workspace."""
     X, y = check_xy(X, y)
@@ -451,9 +474,11 @@ def _train(spec: ModelSpec, X, y, seed: int
             if partition:
                 q = logits.q_tilde
                 for _ in range(spec.t2):
-                    q = _ascent_step(q, state, spec.eta1)
-                logits = DomainLogits(q)
-                masks = env_masks(logits)
+                    q = _ascent_step(q, state, spec.eta1, masks)
+                    masks = None
+                if masks is None:       # the logits moved, or this is round 1
+                    logits = DomainLogits(q)
+                    masks = env_masks(logits)
             g = state.objective_grad(masks, lam)
             theta = state.params.as_array()
             # Release this point's state: the trial one overwrites its buffers.

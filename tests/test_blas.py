@@ -89,21 +89,40 @@ def test_pin_without_libraries_is_a_no_op(two_threads, monkeypatch):
     assert [lib.get() for lib in real] == before
 
 
-def test_fit_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """Without the pin, 1 and 2 OpenBLAS threads give this fit a different
-    trace from step 10 and a different rmse by step 20."""
+def outputs_at_default_and_one_thread(tmp_path, args, files):
+    """The bytes of files that the CLI command args writes with
+    OPENBLAS_NUM_THREADS unset and set to 1."""
     outputs = []
     for name, threads_env in (("default", None), ("one", "1")):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if threads_env is not None:
             env["OPENBLAS_NUM_THREADS"] = threads_env
         out = tmp_path / name
-        subprocess.run([sys.executable, "-m", "dilgp", "fit-eval", "--dataset", "synthetic_1d",
-                        "--seed", "0", "--t1", "20", "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "dilgp", *args, "--out", str(out)],
                        env=env, check=True, capture_output=True)
-        outputs.append([(out / f).read_bytes() for f in ("report.json", "trace.jsonl")])
+        outputs.append([(out / f).read_bytes() for f in files])
+    return outputs
+
+
+def test_fit_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Without the pin, 1 and 2 OpenBLAS threads give this fit a different
+    trace from step 10 and a different rmse by step 20."""
+    outputs = outputs_at_default_and_one_thread(
+        tmp_path, ["fit-eval", "--dataset", "synthetic_1d", "--seed", "0", "--t1", "20"],
+        ["report.json", "trace.jsonl"])
     assert outputs[0] == outputs[1]
     assert np.isfinite(json.loads(outputs[0][0])["rmse"])
+
+
+def test_pid_tuning_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """A short PID tuning run refits its surrogate, proposes and flies at each
+    step; its summary, history and flown trajectory are the same bytes at
+    either thread count."""
+    outputs = outputs_at_default_and_one_thread(
+        tmp_path, ["bo", "--objective", "quad_pid", "--trajectory", "fig8", "--t-bo", "3"],
+        ["summary.json", "history.jsonl", "trajectory.csv"])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) == 3
 
 
 def test_lapack_routines_are_scipy_linalg_lapacks_own():

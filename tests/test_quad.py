@@ -3,6 +3,7 @@ model, closed-loop tracking scores and the averaged objective."""
 
 import csv
 import math
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from dilgp import quad
-from dilgp.exceptions import DimensionMismatch, NonFiniteInput
+from dilgp.exceptions import DimensionMismatch, InvalidSetting, NonFiniteInput
 from dilgp.quad import (ACCEL_LIMIT, DT, DURATION, INTEGRAL_LIMIT, N_STEPS,
                         WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN, PIDGains, SimResult,
                         TrajectoryKind, WindDomainSpec, dryden_wind, pid_objective,
@@ -232,7 +233,8 @@ BINDS_AT_BOTH_SIGNS = {PIDGains(100.0, 0.0, 0.0): "accel", PIDGains(20.0, 1.0, 0
 ])
 def test_flight_flies_dryden_gusts(kind, spec, seed, gains):
     # simulate reads the gusts dryden_wind makes; its positions must be those
-    # of a flight through that sequence, bit for bit
+    # of a flight through that sequence, bit for bit, and on the flights that
+    # bind a clamp its ACE is the mean squared (N, 3) error's, bit for bit
     res = simulate(gains, kind, spec, seed)
     assert not res.diverged
     binds = set()
@@ -240,6 +242,7 @@ def test_flight_flies_dryden_gusts(kind, spec, seed, gains):
     if gains in BINDS_AT_BOTH_SIGNS:
         clamp = BINDS_AT_BOTH_SIGNS[gains]
         assert {(clamp, True), (clamp, False)} <= binds, binds
+        assert res.ace == np.mean(np.sum((res.positions - res.reference) ** 2, axis=1))
 
 
 def test_flights_share_read_only_inputs_and_keep_their_bits():
@@ -264,6 +267,33 @@ def test_flights_share_read_only_inputs_and_keep_their_bits():
     assert quad._gusts.cache_info().misses == misses + 1       # evicted and rebuilt
     assert again.ace == want_ace
     assert np.array_equal(again.positions, want_pos) and np.array_equal(again.reference, want_ref)
+
+
+@pytest.mark.parametrize("offset", [0.5, [0.5], (0.5, 0.0, 0.0, 0.0), [[0.5, 0.0, 0.0]]])
+def test_start_offset_needs_three_entries(offset):
+    # a scalar or a 1-entry offset would move all three axes by broadcasting
+    with pytest.raises(DimensionMismatch, match="start_offset"):
+        simulate(PIDGains(0, 0, 0), TrajectoryKind.HOVER, CALM, 0, start_offset=offset)
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, -1, 2 ** 64, True, "1", np.float64(1.0), None])
+def test_seed_must_be_an_integer_in_the_64_bit_range(seed):
+    # 1.7 would fly seed 1's gusts, and -1 those of 2**64 - 1
+    for fly in (lambda: simulate(PIDGains(1, 0, 0), TrajectoryKind.HOVER, CALM, seed),
+                lambda: pid_objective(PIDGains(1, 0, 0), CALM, [TrajectoryKind.HOVER], [seed])):
+        with pytest.raises(InvalidSetting, match=f"seed must be .*got {re.escape(repr(seed))}"):
+            fly()
+
+
+def test_numpy_integer_seeds_share_the_cache_entry_of_their_int():
+    g, seed = PIDGains(2.0, 0.5, 1.0), 987654321
+    want = simulate(g, TrajectoryKind.HOVER, WIND_DOMAIN_TRAIN, seed)
+    misses = quad._gusts.cache_info().misses
+    for same in (np.int64(seed), np.uint64(seed), np.int32(seed)):
+        got = simulate(g, TrajectoryKind.HOVER, WIND_DOMAIN_TRAIN, same)
+        assert got.ace == want.ace and np.array_equal(got.positions, want.positions)
+    assert quad._gusts.cache_info().misses == misses
+    assert simulate(g, TrajectoryKind.HOVER, CALM, np.uint64(2 ** 64 - 1)).ace < 1e-12
 
 
 @pytest.mark.parametrize("spec", [CALM, WIND_DOMAIN_TRAIN])

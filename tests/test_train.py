@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dilgp import blas
 from dilgp import data as data_mod
 from dilgp import gp as gp_mod
 from dilgp import kernels as kernels_mod
@@ -45,6 +46,11 @@ def rand_params(rng):
 def test_env_masks_zero_logits():
     m0, m1 = env_masks(DomainLogits(np.zeros(7)))
     assert np.all(m0 == 0.5) and np.all(m1 == 0.5)
+    # read-only: a TrainState keeps the terms of the masks it last read,
+    # keyed on the arrays' identity
+    for m in (m0, m1):
+        with pytest.raises(ValueError):
+            m[0] = 1.0
 
 
 def test_env_masks_saturation():
@@ -400,6 +406,52 @@ def test_one_factorization_per_round(monkeypatch):
         post, _, trace = fit_model(spec, train, seed=11)
         assert len(trace) == 7 and len(calls) == spec.t1 + 1
         assert calls[0] == KernelParams() and calls[-1] == post.params
+
+
+def test_each_state_keeps_its_environment_terms_for_the_next_ascent(monkeypatch):
+    # the penalty that accepts a state is at the round's masks, and the next
+    # round's first ascent step reads that state at the same masks: t1 rounds
+    # of t2 steps evaluate the masks t1 t2 + 1 times (not t1 (t2 + 1)) and the
+    # environment terms t1 (t2 + 1) + 1 times (not t1 (t2 + 2)), and the fit
+    # keeps the bits of a loop that rebuilds everything in every round
+    counts = {"masks": 0, "env_terms": 0}
+    real_masks, real_env_terms = train_mod._masks, TrainState._env_terms
+
+    def counting_masks(q):
+        counts["masks"] += 1
+        return real_masks(q)
+
+    def counting_env_terms(self, m0, m1):
+        counts["env_terms"] += 1
+        return real_env_terms(self, m0, m1)
+
+    monkeypatch.setattr(train_mod, "_masks", counting_masks)
+    monkeypatch.setattr(TrainState, "_env_terms", counting_env_terms)
+    train, _ = gen_synthetic_1d(0)
+    spec = ModelSpec(model="dil_gp", t1=7, t2=3, eta2=0.005, lam=0.01, sigma2=0.4)
+    post, scaler, trace = fit_model(spec, train, seed=0)
+    assert [r["halvings"] for r in trace.records] == [0] * spec.t1
+    assert counts == {"masks": 22, "env_terms": 29}
+    monkeypatch.undo()
+
+    X, y = scaler.transform_x(train.x), scaler.transform_y(train.y)
+    logits, params, records = train_mod.init_logits(len(y), 0), KernelParams(), []
+    with blas.one_thread():
+        for step in range(1, spec.t1 + 1):
+            for _ in range(spec.t2):
+                state = TrainState(GAUSS, params, spec.noise, X, y)
+                logits = inner_ascent_step(logits, state, spec.eta1)
+            g = TrainState(GAUSS, params, spec.noise, X, y).objective_grad(env_masks(logits),
+                                                                           spec.lam)
+            params = KernelParams.from_array(params.as_array() - spec.eta2 * g)
+            state = TrainState(GAUSS, params, spec.noise, X, y)
+            pen = state.penalty(*env_masks(logits))
+            records.append({"step": step, "objective": -state.post.lml + spec.lam * pen.penalty,
+                            "penalty": pen.penalty, "per_env_grad": pen.per_env_grad,
+                            "params": dict(vars(params)), "noise_sigma2": spec.sigma2,
+                            "jitter": float(state.post.jitter), "halvings": 0})
+    assert np.array_equal(post.alpha_vec, state.post.alpha_vec)
+    assert trace.records == records
 
 
 @pytest.mark.parametrize("model", ["dil_gp", "gp_gaussian"])

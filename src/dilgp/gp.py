@@ -24,8 +24,7 @@ import numpy as np
 from . import blas
 from .data import check_xy
 from .exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from .kernels import (KernelKind, KernelParams, base_matrix, grad_stack, kernel_diag,
-                      kernel_matrix)
+from .kernels import KernelKind, KernelParams, _diag, base_matrix, grad_stack, kernel_matrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -50,9 +49,10 @@ def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
     """Lower Cholesky factor of K + sigma^2 I, with adaptive diagonal jitter.
 
     sigma^2 and any jitter go on the diagonal of a copy of the Gram matrix K
-    in out (allocated when None), which potrf factorizes in place; K is
-    never written. potrf reads out.T, the column-major view of the symmetric
-    copy, and returns L as that view. Returns (L, jitter). Jitter starts at
+    in out (a C-contiguous n x n buffer, allocated when None), which potrf
+    factorizes in place; K is never written. potrf reads out.T, the
+    column-major view of the symmetric copy, and returns L as that view.
+    Returns (L, jitter). Jitter starts at
     1e-10 * mean diagonal and grows tenfold until the factorization succeeds
     or 1e-4 * mean diagonal is exceeded, at which point NotPositiveDefinite
     is raised with the kernel params. A failed potrf (info > 0: a leading
@@ -61,9 +61,9 @@ def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
     factorization has failed.
     """
     n = K.shape[0]
-    A = np.empty_like(K) if out is None else out
+    A = np.empty_like(K, order="C") if out is None else out
     np.copyto(A, K)
-    A.flat[::n + 1] += noise.sigma2
+    A.ravel()[::n + 1] += noise.sigma2      # a view of the diagonal, as A is C-contiguous
     if not np.isfinite(A).all():
         raise NonFiniteInput("kernel matrix contains non-finite entries")
     jitter = 0.0
@@ -123,7 +123,8 @@ def gram_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
 
 @blas.one_thread()
 def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at query points, at one BLAS thread.
+    """Posterior mean and variance at query points, at one BLAS thread; the
+    query points are checked once, by kernel_matrix.
 
     The variance subtracts |v|^2 with L v = K(X, Xs), solved by trtrs;
     negative variances produced by round-off are clamped to zero.
@@ -133,7 +134,7 @@ def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     v, info = blas.trtrs(post.chol, Kxs, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"trtrs met a zero on the factor's diagonal (info={info})")
-    var = kernel_diag(post.kind, post.params, np.asarray(Xs, dtype=float)) - np.einsum("ij,ij->j", v, v)
+    var = _diag(post.kind, post.params, np.asarray(Xs, dtype=float)) - np.einsum("ij,ij->j", v, v)
     return mean, np.where(var < 0.0, 0.0, var)
 
 
@@ -141,17 +142,18 @@ def cho_inverse(L: np.ndarray, out: np.ndarray | None = None,
                 work: np.ndarray | None = None) -> np.ndarray:
     """(L L^T)^-1 from the lower Cholesky factor L, by LAPACK potri, made
     exactly symmetric from its lower triangle into out. potri inverts a
-    copy of L in the column-major n x n work in place (both are allocated
-    when None). It writes only the lower triangle and L is zero above its
-    diagonal, so the copy's upper triangle is zero and adding the transpose
-    mirrors the lower one."""
+    copy of L in the column-major n x n work in place, and out is a
+    C-contiguous n x n buffer (both are allocated when None). potri writes
+    only the lower triangle and L is zero above its diagonal, so the copy's
+    upper triangle is zero and adding the transpose mirrors the lower one."""
+    n = L.shape[0]
     work = np.empty_like(L, order="F") if work is None else work
     np.copyto(work, L)
     inv, info = blas.potri(work, lower=1, overwrite_c=1)
     if info != 0:
         raise NotPositiveDefinite(f"potri could not invert the factor (info={info})")
-    out = np.add(inv, inv.T, out=out)
-    np.fill_diagonal(out, inv.diagonal())
+    out = np.add(inv, inv.T, out=np.empty((n, n)) if out is None else out)
+    out.ravel()[:: n + 1] = inv.diagonal()
     return out
 
 
@@ -160,7 +162,7 @@ def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     solved by potrs."""
     alpha = blas.potrs(L, r, lower=1)[0]
     n = r.shape[0]
-    return float(-0.5 * (r @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI), alpha
+    return float(-0.5 * (r @ alpha) - np.log(L.diagonal()).sum() - 0.5 * n * LOG_2PI), alpha
 
 
 def log_marginal_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
@@ -186,12 +188,12 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     return _gaussian_quad_ll(post.chol, y * mask)[0]
 
 
-def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
+def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> list[float]:
     """Gradient of the log marginal likelihood from the trace identity
     d LML / dp = 1/2 (alpha^T K_p alpha - tr(A^-1 K_p)), where grads stacks
-    the K_p, A = K + sigma^2 I and alpha = A^-1 y."""
-    return np.array([0.5 * (alpha @ Kp @ alpha - np.einsum("ij,ij->", A_inv, Kp))
-                     for Kp in grads])
+    the K_p, A = K + sigma^2 I and alpha = A^-1 y, as Python floats."""
+    return [float(0.5 * (alpha @ Kp @ alpha - np.einsum("ij,ij->", A_inv, Kp)))
+            for Kp in grads]
 
 
 def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):
@@ -200,4 +202,4 @@ def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     X, y = check_xy(X, y)
     Kp = grad_stack(kind, params, base_matrix(kind, X, X))
     post = gram_posterior(kind, params, noise, X, y, Kp[0])
-    return post.lml, _lml_grad(Kp, post.alpha_vec, cho_inverse(post.chol))
+    return post.lml, np.array(_lml_grad(Kp, post.alpha_vec, cho_inverse(post.chol)))

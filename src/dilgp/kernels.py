@@ -97,7 +97,7 @@ class KernelParams:
         v = np.asarray(v, dtype=float)
         if v.shape != (4,):
             raise DimensionMismatch(f"expected 4 log-parameters, got shape {v.shape}")
-        return cls(*(float(x) for x in v))
+        return cls(*v.tolist())
 
     def scaled(self, w: float) -> "KernelParams":
         """Multiply every exponentiated parameter by ``w`` (> 0)."""
@@ -125,13 +125,19 @@ def _check_inputs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """||X[i] - Y[j]||^2 summed over the columns from column 0 without FMA,
-    as cdist's sqeuclidean sums them, in one n x m output and one scratch."""
-    out = np.subtract.outer(X[:, 0], Y[:, 0])
-    np.square(out, out=out)
+    as cdist's sqeuclidean sums them, in one n x m output and one scratch.
+    Each column's differences X[i, k] - Y[j, k] are formed by filling the
+    buffer with the X column and subtracting the Y row from it in place:
+    the same subtractions as np.subtract.outer, at a contiguous 2-D
+    subtract's cost."""
+    out = np.empty((X.shape[0], Y.shape[0]))
     diff = np.empty_like(out) if X.shape[1] > 1 else None
-    for k in range(1, X.shape[1]):
-        np.square(np.subtract.outer(X[:, k], Y[:, k], out=diff), out=diff)
-        np.add(out, diff, out=out)
+    for k in range(X.shape[1]):
+        buf = diff if k else out
+        buf[...] = X[:, k, None]
+        np.square(np.subtract(buf, Y[:, k], out=buf), out=buf)
+        if k:
+            np.add(out, buf, out=out)
     return out
 
 
@@ -148,11 +154,12 @@ def base_matrix(kind: KernelKind, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def gram(kind: KernelKind, params: KernelParams, base: np.ndarray,
          out: np.ndarray | None = None) -> np.ndarray:
     """The kernel matrix from its base_matrix, written into out (allocated
-    when None) one ufunc at a time."""
+    when None, and base itself may be given) one ufunc at a time. The
+    Gaussian exponent is base / (-2 l^2): IEEE division is sign-symmetric,
+    so it has the bits of -base / (2 l^2) with one ufunc fewer."""
     out = np.empty_like(base) if out is None else out
     if kind is KernelKind.GAUSSIAN:
-        np.divide(np.negative(base, out=out), 2.0 * params.l ** 2, out=out)
-        np.exp(out, out=out)
+        np.exp(np.divide(base, -2.0 * params.l ** 2, out=out), out=out)
     elif kind is KernelKind.RATIONAL_QUADRATIC:
         a = params.alpha
         np.log1p(np.divide(base, 2.0 * a * params.l ** 2, out=out), out=out)
@@ -166,18 +173,24 @@ def gram(kind: KernelKind, params: KernelParams, base: np.ndarray,
 
 def kernel_matrix(kind: KernelKind, params: KernelParams,
                   X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Cross-covariance matrix K[i, j] = k(X[i], Y[j])."""
-    return gram(kind, params, base_matrix(kind, X, Y))
+    """Cross-covariance matrix K[i, j] = k(X[i], Y[j]), evaluated in place in
+    its freshly built base_matrix."""
+    base = base_matrix(kind, X, Y)
+    return gram(kind, params, base, out=base)
 
 
 def kernel_diag(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
     """Diagonal of kernel_matrix(kind, params, X, X) without the full matrix."""
     X, _ = _check_inputs(X, X)
-    n = X.shape[0]
+    return _diag(kind, params, X)
+
+
+def _diag(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
+    """kernel_diag of an X that _check_inputs has passed."""
     if kind is KernelKind.DOT_PRODUCT:
         return params.s * (np.einsum("ij,ij->i", X, X) + params.sigma_dp ** 2)
     # Stationary kernels: k(x, x) = s.
-    return np.full(n, params.s)
+    return np.full(X.shape[0], params.s)
 
 
 def grad_stack(kind: KernelKind, params: KernelParams, base: np.ndarray,

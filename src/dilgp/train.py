@@ -47,7 +47,7 @@ from .rng import rng_for
 _MAX_HALVINGS = 8
 
 # Positions of each kernel's active log-parameters among PARAM_NAMES.
-_ACTIVE_INDEX = {kind: np.array([PARAM_NAMES.index(name) for name in names])
+_ACTIVE_INDEX = {kind: tuple(PARAM_NAMES.index(name) for name in names)
                  for kind, names in ACTIVE_PARAMS.items()}
 
 # Model names accepted across the package; gp_* are plain GPs with the named
@@ -191,6 +191,9 @@ class PenaltyReport:
     per_env_grad: tuple[float, float]
 
 
+_NO_PENALTY = PenaltyReport(0.0, (0.0, 0.0))
+
+
 @dataclass
 class TrainTrace:
     """One plain dict per completed round, built by _train: step, objective,
@@ -214,11 +217,13 @@ class Workspace:
     into: the base_matrix of X, built once, the K_p stack, the factor, A^-1
     and potri's copy of the factor, C, and one scratch matrix that B = A^-1 C
     and then D_l use in turn. Each state overwrites the previous one's, so
-    at most one state of a workspace is live at a time."""
+    at most one state of a workspace is live at a time. The base is
+    read-only: every state of the fit reads it."""
 
     def __init__(self, kind: KernelKind, X: np.ndarray):
         n, p = X.shape[0], len(ACTIVE_PARAMS[kind])
         self.base = base_matrix(kind, X, X)
+        self.base.flags.writeable = False
         self.Kp = np.empty((p, n, n))
         self.factor, self.A_inv, self.C = (np.empty((n, n)) for _ in range(3))
         self.potri = np.empty((n, n), order="F")
@@ -244,7 +249,8 @@ class TrainState:
     ascent step three. The state keeps the terms of the last masks it read:
     the penalty that accepts a state is at the masks of the round that
     built it, and the next round's first ascent step reads the state at
-    those masks again, so that step takes one product.
+    those masks again, so that step takes one product. ascend takes all of
+    a round's ascent steps in one loop that reads these once.
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y,
@@ -261,18 +267,18 @@ class TrainState:
 
     @cached_property
     def C(self) -> np.ndarray:
-        return self.Kp.sum(axis=0, out=self.ws.C)
+        Kp, out = self.Kp, self.ws.C
+        # a two-slice sum along axis 0 is one addition per entry
+        return np.add(Kp[0], Kp[1], out=out) if len(Kp) == 2 else Kp.sum(axis=0, out=out)
 
     @cached_property
-    def tr_AinvC(self) -> float:
-        return float(np.einsum("ij,ij->", self.A_inv, self.C))
-
-    @cached_property
-    def _alpha_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """C alpha, A^-1 C alpha and alpha^T C alpha, which every environment
-        term at this point shares."""
-        C_alpha = self.C @ self.post.alpha_vec
-        return C_alpha, self.A_inv @ C_alpha, float(self.post.alpha_vec @ C_alpha)
+    def _shared(self) -> tuple:
+        """(A^-1, C, y, alpha, C alpha, A^-1 C alpha, alpha^T C alpha,
+        tr(A^-1 C) / 2): what every environment term at this point reads."""
+        A_inv, C, alpha = self.A_inv, self.C, self.post.alpha_vec
+        C_alpha = C.dot(alpha)
+        return (A_inv, C, self.y, alpha, C_alpha, A_inv.dot(C_alpha), float(alpha.dot(C_alpha)),
+                0.5 * float(np.einsum("ij,ij->", A_inv, C)))
 
     def _env_terms(self, m0: np.ndarray, m1: np.ndarray
                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -285,10 +291,11 @@ class TrainState:
 
         Swapping the masks negates d exactly, so it swaps g0 and g1 bit for bit.
         """
-        d = self.A_inv @ (self.y * (m0 - m1))
-        Cd = self.C @ d
-        shared = (self._alpha_terms[2] + float(d @ Cd)) / 8.0 - 0.5 * self.tr_AinvC
-        split = float(self.post.alpha_vec @ Cd) / 4.0
+        A_inv, C, y, alpha, _, _, aCa, half_tr = self._shared
+        d = A_inv.dot(y * (m0 - m1))
+        Cd = C.dot(d)
+        shared = (aCa + float(d.dot(Cd))) / 8.0 - half_tr
+        split = float(alpha.dot(Cd)) / 4.0
         return shared + split, shared - split, d, Cd
 
     def _terms(self, m0: np.ndarray, m1: np.ndarray
@@ -307,28 +314,48 @@ class TrainState:
 
     def grad_q(self, logits: DomainLogits) -> np.ndarray:
         """Gradient of the penalty in the logits, 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1)
-        with C a_e = (C alpha +- C d) / 2."""
-        return self._grad_q(logits.q_tilde)
-
-    def _grad_q(self, q: np.ndarray, masks=None) -> np.ndarray:
-        """grad_q at the raw logits q, whose masks are given or computed."""
-        m0, m1 = _masks(q) if masks is None else masks
+        with C a_e = (C alpha +- C d) / 2. ascend takes its steps along it."""
+        m0, m1 = env_masks(logits)
         g0, g1, _, Cd = self._terms(m0, m1)
-        Ainv_C_alpha = self._alpha_terms[1]
-        return self.y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * (self.A_inv @ Cd))
+        A_inv, _, y, _, _, Ainv_C_alpha, _, _ = self._shared
+        return y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * A_inv.dot(Cd))
+
+    def ascend(self, q: np.ndarray, t2: int, eta1: float, masks=None) -> np.ndarray:
+        """t2 gradient-ascent steps q <- q + eta1 grad_q(q) on the raw logits q,
+        which it does not validate, with everything the steps share read
+        once. masks are those of q when the caller has them: the first step
+        then reads the terms kept at them. TrainingAbort names the first
+        coordinate of a non-finite gradient."""
+        if t2 == 0:
+            return q
+        A_inv, _, y, _, _, Ainv_C_alpha, _, _ = self._shared
+        for _ in range(t2):
+            if masks is None:
+                m0, m1 = _masks(q)
+                g0, g1, _, Cd = self._env_terms(m0, m1)
+            else:
+                (m0, m1), masks = masks, None
+                g0, g1, _, Cd = self._terms(m0, m1)
+            g = y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * A_inv.dot(Cd))
+            if not np.isfinite(g).all():
+                bad = int(np.flatnonzero(~np.isfinite(g))[0])
+                raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
+            q = q + eta1 * g
+        return q
 
     def objective_grad(self, masks, lam: float) -> np.ndarray:
         """Gradient of -LML + lam * penalty in the four log-parameters at fixed
         masks (m0, m1), zero for those the kernel does not read. With lam = 0
         the masks are not read."""
-        g = -_lml_grad(self.Kp, self.post.alpha_vec, self.A_inv)
+        g = [-v for v in _lml_grad(self.Kp, self.post.alpha_vec, self.A_inv)]
         if lam != 0.0:
-            g = g + lam * self._penalty_theta_grad(*masks)
-        out = np.zeros(len(PARAM_NAMES))
-        out[_ACTIVE_INDEX[self.kind]] = g
-        return out
+            g = [v + lam * p for v, p in zip(g, self._penalty_theta_grad(*masks))]
+        out = [0.0] * len(PARAM_NAMES)
+        for i, v in zip(_ACTIVE_INDEX[self.kind], g):
+            out[i] = v
+        return np.array(out)
 
-    def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> tuple[float, float]:
         """The penalty's gradient in (log s, log l) of the Gaussian kernel, from
         the trace identity applied to g_e (dA/dlog theta_p = K_p,
         dC/dlog theta_p = D_p):
@@ -336,24 +363,27 @@ class TrainState:
             dg_e/dtheta_p = -a^T K_p A^-1 C a + 1/2 a^T D_p a
                             + 1/2 tr(K_p M) - 1/2 tr(A^-1 D_p).
 
-        D_s = C, so for log s the D_p terms add up to g_e itself.
+        D_s = C, so for log s the D_p terms add up to g_e itself. The
+        two-entry vectors are Python floats, whose arithmetic is numpy's
+        elementwise arithmetic entry by entry.
         """
         A_inv, Kp = self.A_inv, self.Kp
-        shared = 0.5 * self.trace_Kp_M()
+        tr_K, tr_Kl = self.trace_Kp_M()
         D = gaussian_scale_direction(self.params, self.ws.base, Kp[1], out=self.ws.scratch)
-        shared[1] -= 0.5 * np.einsum("ij,ij->", D, A_inv)
-        grad = np.zeros(len(Kp))
+        shared_s = 0.5 * tr_K
+        shared_l = 0.5 * tr_Kl - 0.5 * float(np.einsum("ij,ij->", D, A_inv))
+        grad_s = grad_l = 0.0
         g0, g1, d, Cd = self._terms(m0, m1)
-        alpha, C_alpha = self.post.alpha_vec, self._alpha_terms[0]
+        alpha, C_alpha = self.post.alpha_vec, self._shared[4]
         for g, a, Ca in ((g0, 0.5 * (alpha + d), 0.5 * (C_alpha + Cd)),
                          (g1, 0.5 * (alpha - d), 0.5 * (C_alpha - Cd))):
-            dg = -(Kp @ (A_inv @ Ca)) @ a + shared
-            dg[0] += g
-            dg[1] += 0.5 * (D @ a) @ a
-            grad += 2.0 * g * dg
-        return grad
+            dg_s, dg_l = (-(Kp @ (A_inv @ Ca)) @ a).tolist()
+            twice_g = 2.0 * g
+            grad_s += twice_g * ((dg_s + shared_s) + g)
+            grad_l += twice_g * ((dg_l + shared_l) + float(0.5 * (D @ a) @ a))
+        return grad_s, grad_l
 
-    def trace_Kp_M(self) -> np.ndarray:
+    def trace_Kp_M(self) -> tuple[float, float]:
         """tr(K_p M) for log s and log l of the Gaussian kernel, the one kernel
         trained with the penalty (InvalidSetting for any other), from the one
         dense product B = A^-1 C.
@@ -368,8 +398,8 @@ class TrainState:
         A_inv = self.A_inv
         B = np.matmul(A_inv, self.C, out=self.ws.scratch)
         tau = self.noise.sigma2 + self.post.jitter
-        tr_K = np.trace(B) - tau * np.einsum("ij,ij->", A_inv, B)
-        return np.array([tr_K, np.einsum("ij,ji->", B, B) - tr_K])
+        tr_K = float(B.trace() - tau * np.einsum("ij,ij->", A_inv, B))
+        return tr_K, float(np.einsum("ij,ji->", B, B)) - tr_K
 
 
 def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
@@ -385,17 +415,7 @@ def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
 
 def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> DomainLogits:
     """One gradient-ascent step on the penalty in the logits."""
-    return DomainLogits(_ascent_step(logits.q_tilde, state, eta1))
-
-
-def _ascent_step(q: np.ndarray, state: TrainState, eta1: float, masks=None) -> np.ndarray:
-    """inner_ascent_step on the raw logits q, which it does not validate, and
-    their masks when the caller has them."""
-    g = state._grad_q(q, masks)
-    if not np.isfinite(g).all():
-        bad = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
-    return q + eta1 * g
+    return DomainLogits(state.ascend(logits.q_tilde, 1, eta1))
 
 
 def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
@@ -410,7 +430,7 @@ def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
     for halvings in range(_MAX_HALVINGS + 1):
         try:
             state = TrainState(kind, KernelParams.from_array(theta - eta * g), noise, X, y, ws)
-            pen = state.penalty(*masks) if masks else PenaltyReport(0.0, (0.0, 0.0))
+            pen = state.penalty(*masks) if masks else _NO_PENALTY
             obj = -state.post.lml
             if lam != 0.0:
                 obj += lam * pen.penalty
@@ -472,11 +492,8 @@ def _train(spec: ModelSpec, X, y, seed: int
     for t in range(1, spec.t1 + 1):
         try:
             if partition:
-                q = logits.q_tilde
-                for _ in range(spec.t2):
-                    q = _ascent_step(q, state, spec.eta1, masks)
-                    masks = None
-                if masks is None:       # the logits moved, or this is round 1
+                q = state.ascend(logits.q_tilde, spec.t2, spec.eta1, masks)
+                if spec.t2 or masks is None:    # the logits moved, or this is round 1
                     logits = DomainLogits(q)
                     masks = env_masks(logits)
             g = state.objective_grad(masks, lam)

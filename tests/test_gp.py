@@ -368,3 +368,61 @@ def test_predict_singular_factor_raises():
     L[1, 1] = 0.0
     with pytest.raises(NotPositiveDefinite, match="diagonal"):
         predict(dataclasses.replace(post, chol=L), X)
+
+
+# ---------------------------------------------------------------- exact rewrites
+
+@pytest.mark.parametrize("n", [1, 2, 30, 115])
+def test_ravel_diagonal_add_matches_flat(n):
+    # _factor adds sigma^2 to the diagonal, and cho_inverse writes it,
+    # through a view of the raveled buffer: the bits of .flat and of
+    # np.fill_diagonal
+    rng = np.random.default_rng(n)
+    K = rng.normal(size=(n, n))
+    for sigma2 in (0.0, 0.3, 1e-20, 1e10):
+        want, got = K.copy(), K.copy()
+        want.flat[::n + 1] += sigma2
+        got.ravel()[::n + 1] += sigma2
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    diag = rng.normal(size=n)
+    want, got = K.copy(), K.copy()
+    np.fill_diagonal(want, diag)
+    got.ravel()[::n + 1] = diag
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 30, 115])
+def test_log_determinant_from_the_diagonal_view(n):
+    # _gaussian_quad_ll sums log L.diagonal() with the array method, as
+    # np.sum(np.log(np.diag(L))) does
+    rng = np.random.default_rng(n)
+    X, y = rng.normal(size=(n, 2)), rng.normal(size=n)
+    post = fit_posterior(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.2), X, y)
+    L = post.chol
+    want = float(-0.5 * (y @ cho_solve((L, True), y)) - np.sum(np.log(np.diag(L)))
+                 - 0.5 * n * LOG_2PI)
+    assert post.lml == want
+
+
+def test_predict_checks_the_query_rows_once(monkeypatch):
+    from dilgp import kernels as kernels_mod
+    calls = []
+    real_check = kernels_mod._check_inputs
+
+    def counting_check(X, Y):
+        calls.append((len(X), len(Y)))
+        return real_check(X, Y)
+
+    rng = np.random.default_rng(2)
+    X, y, Xs = rng.normal(size=(6, 2)), rng.normal(size=6), rng.normal(size=(9, 2))
+    for kind in KernelKind:
+        post = fit_posterior(kind, KernelParams(), NoiseSpec(0.1), X, y)
+        want = predict(post, Xs)
+        monkeypatch.setattr(kernels_mod, "_check_inputs", counting_check)
+        calls.clear()
+        got = predict(post, Xs.tolist())
+        monkeypatch.undo()
+        assert calls == [(6, 9)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(NonFiniteInput):
+        predict(post, np.full((2, 2), np.inf))

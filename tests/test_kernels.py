@@ -220,3 +220,69 @@ def test_squared_distances_equal_cdist(d, scale):
             want = cdist(A, B, "sqeuclidean")
             for kind in (KernelKind.GAUSSIAN, KernelKind.RATIONAL_QUADRATIC):
                 assert np.array_equal(base_matrix(kind, A, B), want), (n, m, kind)
+
+
+# ---------------------------------------------------------------- exact rewrites
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_gaussian_single_divide_keeps_negate_then_divide_bits():
+    # gram divides the base by -2 l^2; as IEEE division is sign-symmetric,
+    # negating the base and dividing by 2 l^2 gives every entry the same
+    # bits, signed zeros and infinities included
+    rng = np.random.default_rng(0)
+    base = np.concatenate([[0.0, np.inf, 5e-324, 1e-300, 1e300, np.finfo(float).max],
+                           rng.exponential(size=200), 1e3 * rng.exponential(size=50)])
+    for log_l in (-3.0, -0.7, 0.0, 0.4, 2.5, 300.0):
+        l2 = math.exp(log_l) ** 2
+        params = KernelParams(log_s=0.3, log_l=log_l)
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.divide(np.negative(base), 2.0 * l2)
+            got = np.divide(base, -2.0 * l2)
+            K = gram(KernelKind.GAUSSIAN, params, base)
+        assert np.array_equal(_bits(got), _bits(want)), log_l
+        assert np.array_equal(_bits(K), _bits(params.s * np.exp(want))), log_l
+
+
+def _sq_distances_outer(X, Y):
+    # the reference: each column's differences from np.subtract.outer
+    out = np.square(np.subtract.outer(X[:, 0], Y[:, 0]))
+    for k in range(1, X.shape[1]):
+        out = out + np.square(np.subtract.outer(X[:, k], Y[:, k]))
+    return out
+
+
+@pytest.mark.parametrize("n,m,d", [(1, 1, 1), (30, 1088, 3), (55, 1088, 3), (115, 115, 1),
+                                   (115, 80, 2), (7, 3, 8)])
+def test_fill_then_subtract_keeps_subtract_outer_bits(n, m, d):
+    rng = np.random.default_rng([n, m, d])
+    X, Y = rng.normal(size=(n, d)), 10.0 * rng.normal(size=(m, d))
+    for kind in (KernelKind.GAUSSIAN, KernelKind.RATIONAL_QUADRATIC):
+        assert np.array_equal(_bits(base_matrix(kind, X, Y)), _bits(_sq_distances_outer(X, Y)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_kernel_matrix_in_place_keeps_the_bits_of_a_second_buffer(kind):
+    # kernel_matrix evaluates the kernel in its own base; gram into a fresh
+    # buffer leaves the base as it was and gives the same matrix
+    rng = np.random.default_rng(3)
+    X, Y = rng.normal(size=(9, 2)), rng.normal(size=(13, 2))
+    params = KernelParams(0.2, -0.4, 0.3, 0.1)
+    base = base_matrix(kind, X, Y)
+    base0 = base.copy()
+    K = gram(kind, params, base)
+    assert np.array_equal(base, base0) and not np.shares_memory(K, base)
+    assert np.array_equal(_bits(kernel_matrix(kind, params, X, Y)), _bits(K))
+
+
+def test_from_array_tolist_is_float_of_each_entry():
+    rng = np.random.default_rng(6)
+    for v in [rng.normal(size=4), np.array([0.0, -0.0, 5e-324, -700.0]),
+              np.array([1, 2, 3, 4], dtype=np.int32)]:
+        p = KernelParams.from_array(v)
+        want = [float(x) for x in np.asarray(v, dtype=float)]
+        got = [getattr(p, name) for name in PARAM_NAMES]
+        assert all(type(g) is float for g in got)
+        assert np.array_equal(_bits(got), _bits(want))

@@ -635,3 +635,124 @@ def test_dil_beats_vanilla_on_shifted_1d():
         van, _ = fit_eval(train, test, settings_for("synthetic_1d", "gp_gaussian"), seed=s)
         wins += dil.rmse < van.rmse
     assert wins >= 4
+
+
+# ---------------------------------------------------------------- exact rewrites
+# Each reference below is the literal form of what training computes with
+# its one ascent loop, .dot products and Python-float 2-vectors: @
+# products, the stack sum for C and numpy 2-vectors. Equality is bit for
+# bit.
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _standardized(dataset, n):
+    train, _ = data_mod.GENERATORS[dataset](0)
+    part = data_mod.Dataset(train.x[:n], train.y[:n], None)
+    scaler = fit_standardizer(part)
+    return scaler.transform_x(part.x), scaler.transform_y(part.y)
+
+
+def _reference_terms(state, m0, m1):
+    A_inv, y, alpha = state.A_inv, state.y, state.post.alpha_vec
+    C = state.Kp.sum(axis=0)
+    C_alpha = C @ alpha
+    d = A_inv @ (y * (m0 - m1))
+    Cd = C @ d
+    shared = ((float(alpha @ C_alpha) + float(d @ Cd)) / 8.0
+              - 0.5 * float(np.einsum("ij,ij->", A_inv, C)))
+    split = float(alpha @ Cd) / 4.0
+    return shared + split, shared - split, d, Cd, C, C_alpha
+
+
+def _reference_ascent_step(state, q, eta1):
+    m0, m1 = env_masks(DomainLogits(q))
+    g0, g1, _, Cd, _, C_alpha = _reference_terms(state, m0, m1)
+    A_inv = state.A_inv
+    g = state.y * (m0 * m1) * ((g0 - g1) * (A_inv @ C_alpha) + (g0 + g1) * (A_inv @ Cd))
+    return q + eta1 * g
+
+
+def _reference_objective_grad(state, masks, lam):
+    A_inv, Kp, alpha = state.A_inv, state.Kp, state.post.alpha_vec
+    g = -np.array([0.5 * (alpha @ K @ alpha - np.einsum("ij,ij->", A_inv, K)) for K in Kp])
+    if lam != 0.0:
+        g0, g1, d, Cd, C, C_alpha = _reference_terms(state, *masks)
+        B = A_inv @ C
+        tau = state.noise.sigma2 + state.post.jitter
+        tr_K = np.trace(B) - tau * np.einsum("ij,ij->", A_inv, B)
+        shared = 0.5 * np.array([tr_K, np.einsum("ij,ji->", B, B) - tr_K])
+        D = kernels_mod.gaussian_scale_direction(state.params, state.ws.base, Kp[1])
+        shared[1] -= 0.5 * np.einsum("ij,ij->", D, A_inv)
+        pen = np.zeros(len(Kp))
+        for ge, a, Ca in ((g0, 0.5 * (alpha + d), 0.5 * (C_alpha + Cd)),
+                          (g1, 0.5 * (alpha - d), 0.5 * (C_alpha - Cd))):
+            dg = -(Kp @ (A_inv @ Ca)) @ a + shared
+            dg[0] += ge
+            dg[1] += 0.5 * (D @ a) @ a
+            pen += 2.0 * ge * dg
+        g = g + lam * pen
+    out = np.zeros(len(PARAM_NAMES))
+    out[[PARAM_NAMES.index(name) for name in ACTIVE_PARAMS[state.kind]]] = g
+    return out
+
+
+@pytest.mark.parametrize("dataset", ["synthetic_1d", "synthetic_2d"])
+@pytest.mark.parametrize("n", [30, 115])
+def test_ascend_is_t2_inner_ascent_steps(dataset, n):
+    # one loop over a round's t2 steps gives the logits of t2 separate
+    # steps, with or without the masks whose terms the state kept
+    from dilgp.experiments import settings_for
+    spec = settings_for(dataset, "dil_gp")
+    X, y = _standardized(dataset, n)
+    q0 = train_mod.init_logits(n, 0).q_tilde
+    for params in (KernelParams(), KernelParams(0.3, -0.5)):
+        with blas.one_thread():
+            state = TrainState(GAUSS, params, spec.noise, X, y)
+            got = state.ascend(q0, spec.t2, spec.eta1)
+            logits, want = DomainLogits(q0), q0
+            for _ in range(spec.t2):
+                logits = inner_ascent_step(logits, state, spec.eta1)
+                want = _reference_ascent_step(state, want, spec.eta1)
+            masks = env_masks(DomainLogits(q0))
+            state.penalty(*masks)       # as the penalty that accepts a state does
+            kept = state.ascend(q0, spec.t2, spec.eta1, masks)
+        assert not np.array_equal(got, q0)
+        for other in (logits.q_tilde, want, kept):
+            assert np.array_equal(_bits(got), _bits(other)), params
+
+
+def test_one_ascent_step_is_a_step_along_grad_q():
+    X, y, logits = toy(12, n=20)
+    state = TrainState(GAUSS, KernelParams(0.1, -0.2), NoiseSpec(0.2), X, y)
+    want = logits.q_tilde + 0.3 * state.grad_q(logits)
+    assert np.array_equal(_bits(state.ascend(logits.q_tilde, 1, 0.3)), _bits(want))
+    assert state.ascend(logits.q_tilde, 0, 0.3) is logits.q_tilde
+
+
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+def test_float_objective_gradient_is_the_numpy_vector_one(kind):
+    # the 2-vector arithmetic of the penalty's parameter gradient and of the
+    # objective gradient is done in Python floats, entry by entry as numpy
+    # does it; C is one addition of the two K_p slices
+    rng = rng_for(13, "float-grad")
+    for n in (8, 30):
+        X, y, logits = toy(n, n=n, d=2)
+        state = TrainState(kind, rand_params(rng), NoiseSpec(0.3), X, y)
+        assert np.array_equal(_bits(state.C), _bits(state.Kp.sum(axis=0)))
+        masks = env_masks(logits)
+        for lam in ((0.0, 0.01, 1.0) if kind is GAUSS else (0.0,)):
+            got = state.objective_grad(masks, lam)
+            assert np.array_equal(_bits(got), _bits(_reference_objective_grad(state, masks, lam)))
+
+
+def test_workspace_base_is_read_only():
+    # every state of a fit reads the one base; none may write it
+    X, y, _ = toy(14, n=10)
+    ws = train_mod.Workspace(GAUSS, X)
+    base = ws.base.copy()
+    assert not ws.base.flags.writeable
+    state = TrainState(GAUSS, KernelParams(0.2, 0.1), NoiseSpec(0.2), X, y, ws)
+    state.objective_grad(env_masks(DomainLogits(np.linspace(-1.0, 1.0, 10))), 0.5)
+    assert np.array_equal(ws.base, base)

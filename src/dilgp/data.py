@@ -160,7 +160,8 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None,
              domain_column: str | None = None) -> Dataset:
     """Read a dataset from CSV with a header row.
 
-    Rows with unparseable numeric cells are dropped and counted in
+    Rows with unparseable or non-finite numeric cells, or a domain tag that
+    is not an integer an int64 holds (1.5, 1e20), are dropped and counted in
     Dataset.dropped_rows. A file that cannot be opened, or unknown column
     names, raise an error (the latter listing the columns that are present).
     """
@@ -188,17 +189,17 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None,
             try:
                 fx = [float(row[c]) for c in feature_columns]
                 fy = float(row[target_column])
-                tag = int(float(row[domain_column])) if domain_column else None
-            except (TypeError, ValueError, OverflowError):   # int(inf) overflows
+                tag = float(row[domain_column]) if domain_column else 0.0
+            except (TypeError, ValueError):
                 dropped += 1
                 continue
-            if not all(math.isfinite(v) for v in fx + [fy]):
+            if not (all(math.isfinite(v) for v in fx + [fy]) and tag.is_integer()
+                    and -2.0 ** 63 <= tag < 2.0 ** 63):
                 dropped += 1
                 continue
             xs.append(fx)
             ys.append(fy)
-            if tag is not None:
-                tags.append(tag)
+            tags.append(int(tag))
     if not xs:
         raise DilgpError(f"{path}: no parseable data rows (dropped {dropped})")
     return Dataset(np.array(xs), np.array(ys),

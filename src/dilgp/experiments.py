@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .bo import SearchSpace, bo_run
-from .data import Dataset, EvalReport, GENERATORS, coverage_rate, rmse
+from .data import Dataset, EvalReport, coverage_rate, rmse
 from .exceptions import InvalidSetting
 from .quad import (TrajectoryKind, WIND_DOMAIN_HELDOUT, WIND_DOMAIN_TRAIN,
                    PIDGains, pid_objective)
@@ -56,16 +56,14 @@ def fit_eval(train: Dataset, test: Dataset, settings: ModelSpec, seed: int = 0):
     return report, fit.trace
 
 
-def sweep_seeds(dataset: str | Callable[[int], tuple[Dataset, Dataset]],
+def sweep_seeds(load: Callable[[int], tuple[Dataset, Dataset]],
                 settings: ModelSpec, seeds=(0, 1, 2, 3, 4)):
-    """Refit across seeds: per seed, load (train, test) and fit with that
-    training seed. dataset names a built-in generator (a fresh draw per
-    seed) or is a loader called with the seed.
+    """Refit across seeds: per seed, load(seed) gives (train, test), and the
+    fit takes that training seed.
 
     Returns (reports, summary) where summary reports mean and max absolute
     deviation from the mean, the convention used for multi-run tables.
     """
-    load = GENERATORS[dataset] if isinstance(dataset, str) else dataset
     seeds = list(seeds)
     if not seeds:
         raise InvalidSetting("a sweep needs at least one seed")

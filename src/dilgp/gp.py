@@ -89,7 +89,6 @@ class GPPosterior:
 
     kind: KernelKind
     params: KernelParams
-    noise: NoiseSpec
     train_x: np.ndarray
     chol: np.ndarray          # lower triangular L with L L^T = K + sigma^2 I (+ jitter)
     alpha_vec: np.ndarray     # (K + sigma^2 I)^-1 y
@@ -118,7 +117,7 @@ def gram_posterior(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
     X = X.view()
     for a in (X, L, alpha):
         a.flags.writeable = False
-    return GPPosterior(kind, params, noise, X, L, alpha, jitter, lml)
+    return GPPosterior(kind, params, X, L, alpha, jitter, lml)
 
 
 @blas.one_thread()
@@ -165,27 +164,21 @@ def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     return float(-0.5 * (r @ alpha) - np.log(L.diagonal()).sum() - 0.5 * n * LOG_2PI), alpha
 
 
-def log_marginal_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                            X, y) -> float:
-    return fit_posterior(kind, params, noise, X, y).lml
-
-
 def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
                        X, y, mask) -> float:
     """Log-likelihood with the residual soft-masked by per-point weights.
 
     The mask multiplies the residual in both factors of the quadratic form;
     the log-determinant and the normalizer stay those of the full data, so an
-    all-ones mask recovers log_marginal_likelihood exactly.
+    all-ones mask recovers fit_posterior's lml exactly.
     """
-    X, y = check_xy(X, y)
+    post = fit_posterior(kind, params, noise, X, y)
     mask = np.asarray(mask, dtype=float)
-    if mask.shape != y.shape:
-        raise DimensionMismatch(f"mask shape {mask.shape} != y shape {y.shape}")
+    if mask.shape != post.alpha_vec.shape:
+        raise DimensionMismatch(f"mask shape {mask.shape} != y shape {post.alpha_vec.shape}")
     if not np.isfinite(mask).all() or np.any(mask < 0.0) or np.any(mask > 1.0):
         raise NonFiniteInput("mask entries must lie in [0, 1]")
-    post = gram_posterior(kind, params, noise, X, y, kernel_matrix(kind, params, X, X))
-    return _gaussian_quad_ll(post.chol, y * mask)[0]
+    return _gaussian_quad_ll(post.chol, np.asarray(y, dtype=float) * mask)[0]
 
 
 def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> list[float]:

@@ -16,7 +16,7 @@ derivatives are elementwise in it, so a caller that needs several of them
 builds the base once. grad_stack holds only the parameters the kernel reads
 (ACTIVE_PARAMS); gaussian_scale_direction serves the invariance penalty, which
 only a Gaussian kernel trains with. All three write into a caller's out
-buffer, or allocate one when it is None, with the same operations.
+buffer; grad_stack allocates one when it is None, with the same operations.
 """
 
 from __future__ import annotations
@@ -151,13 +151,11 @@ def base_matrix(kind: KernelKind, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _sq_distances(X, Y)
 
 
-def gram(kind: KernelKind, params: KernelParams, base: np.ndarray,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """The kernel matrix from its base_matrix, written into out (allocated
-    when None, and base itself may be given) one ufunc at a time. The
-    Gaussian exponent is base / (-2 l^2): IEEE division is sign-symmetric,
-    so it has the bits of -base / (2 l^2) with one ufunc fewer."""
-    out = np.empty_like(base) if out is None else out
+def gram(kind: KernelKind, params: KernelParams, base: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The kernel matrix from its base_matrix, written into out (which may
+    be base itself) one ufunc at a time. The Gaussian exponent is
+    base / (-2 l^2): IEEE division is sign-symmetric, so it has the bits of
+    -base / (2 l^2) with one ufunc fewer."""
     if kind is KernelKind.GAUSSIAN:
         np.exp(np.divide(base, -2.0 * params.l ** 2, out=out), out=out)
     elif kind is KernelKind.RATIONAL_QUADRATIC:
@@ -179,14 +177,8 @@ def kernel_matrix(kind: KernelKind, params: KernelParams,
     return gram(kind, params, base, out=base)
 
 
-def kernel_diag(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
-    """Diagonal of kernel_matrix(kind, params, X, X) without the full matrix."""
-    X, _ = _check_inputs(X, X)
-    return _diag(kind, params, X)
-
-
 def _diag(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.ndarray:
-    """kernel_diag of an X that _check_inputs has passed."""
+    """Diagonal of kernel_matrix(kind, params, X, X) of an X that _check_inputs passed."""
     if kind is KernelKind.DOT_PRODUCT:
         return params.s * (np.einsum("ij,ij->i", X, X) + params.sigma_dp ** 2)
     # Stationary kernels: k(x, x) = s.
@@ -219,12 +211,11 @@ def kernel_grads(kind: KernelKind, params: KernelParams, X: np.ndarray) -> np.nd
 
 
 def gaussian_scale_direction(params: KernelParams, base: np.ndarray, K_l: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
+                             out: np.ndarray) -> np.ndarray:
     """D_l = dC/dlog l of the Gaussian kernel from its base_matrix and
-    K_l = dK/dlog l, written into out (allocated when None).
+    K_l = dK/dlog l, written into out.
     C = d/dw K(w * theta) at w = 1, with w multiplying every exponentiated
     parameter, is K + K_l, so D_s = C. With r = d^2 / l^2, K_l = K r and
     dr/dlog l = -2 r, so D_l = K_l (r - 1)."""
-    out = np.empty_like(base) if out is None else out
     np.subtract(np.divide(base, params.l ** 2, out=out), 1.0, out=out)
     return np.multiply(K_l, out, out=out)

@@ -210,17 +210,16 @@ def _track_axis(ref: list, gust, kp: float, ki: float, kd: float, p0: float) -> 
 
 
 def simulate(gains: PIDGains, kind: TrajectoryKind, wind_spec: WindDomainSpec,
-             seed: int, start_offset=None) -> SimResult:
-    """Fly one 20 s trajectory and score the mean squared position error.
+             seed: int) -> SimResult:
+    """Fly one 20 s trajectory from the reference's initial point at zero
+    velocity and score the mean squared position error.
 
     seed is an integer in [0, 2**64) (a numpy integer too); anything else
-    raises InvalidSetting. The vehicle starts at the reference's initial
-    point (plus start_offset, None or 3 entries, if given) with zero
-    velocity. With finite inputs the clamps keep the state finite, so only a
-    non-finite or overflowing start offset diverges: the run is cut before
-    its first non-finite step (or kept whole if its ACE overflows), and ace
-    is the +inf sentinel with diverged set. The reference returned is a
-    read-only view of the array every flight of the kind shares.
+    raises InvalidSetting. The clamps bound the command but not the gusts,
+    so a regime whose gusts near the float range diverges: the run is cut
+    before its first non-finite step (or kept whole if only its ACE
+    overflows), and ace is the +inf sentinel with diverged set. The returned
+    reference is a read-only view of the array all flights of the kind share.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
             or not 0 <= int(seed) < 2 ** 64:
@@ -228,15 +227,9 @@ def simulate(gains: PIDGains, kind: TrajectoryKind, wind_spec: WindDomainSpec,
     ref, ref_cols = _reference(kind)
     ref = ref.view()      # unlike the shared array, a view cannot be made writeable
     gusts = _gusts(wind_spec, int(seed))
-    p0 = ref[0]
-    if start_offset is not None:
-        offset = np.asarray(start_offset, dtype=float)
-        if offset.shape != (3,):
-            raise DimensionMismatch(f"start_offset must have 3 entries, got shape {offset.shape}")
-        p0 = p0 + offset
     # a memoryview yields the cached row's floats without the copy .tolist() makes
     axes = np.array([_track_axis(ref_cols[j], memoryview(gusts[j]), gains.kp, gains.ki,
-                                 gains.kd, float(p0[j])) for j in range(3)], dtype=float)
+                                 gains.kd, ref_cols[j][0]) for j in range(3)], dtype=float)
     positions = axes.T
     if not np.isfinite(axes).all():
         m = int(np.isfinite(axes).all(axis=0).argmin())

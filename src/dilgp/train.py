@@ -160,22 +160,17 @@ class DomainLogits:
         self.q_tilde = q
 
 
-def env_masks(logits: DomainLogits) -> tuple[np.ndarray, np.ndarray]:
-    """Soft membership masks (m0, m1) = (sigmoid(q_tilde), 1 - sigmoid(q_tilde)).
+def env_masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Soft membership masks (m0, m1) = (sigmoid(q), 1 - sigmoid(q)) of the
+    raw logits q, as read-only arrays.
 
-    Computed through sigmoid(|q|), whose complement against 1 is exact in
-    floating point, so that negating the logits swaps the two masks
-    bit-for-bit and m0 + m1 == 1 holds exactly.
+    Computed through sigmoid(|q|), whose complement against 1 is exact, so
+    negating q swaps the masks bit for bit and m0 + m1 == 1 holds exactly.
+    sigmoid(|q|) keeps scipy.special.expit's bits: both take exp from libm,
+    as numpy's exp of a complex array does (libm's cexp, whose real part at
+    a zero imaginary part is exp), while numpy's exp of a real array is its
+    own and differs in the last bit on some inputs.
     """
-    return _masks(logits.q_tilde)
-
-
-def _masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """env_masks of the raw logits q, with sigmoid(|q|) = 1 / (1 + exp(-|q|))
-    as scipy.special.expit computes it, bit for bit. expit takes exp from
-    libm. numpy's own exp of a real array differs from it in the last bit on
-    some inputs, but of a complex array numpy calls libm's cexp, whose real
-    part at a zero imaginary part is exp(x) cos(0) = exp(x)."""
     p = 1.0 / (1.0 + np.exp(-np.abs(q) + 0j).real)
     m0 = np.where(q >= 0, p, 1.0 - p)
     m1 = 1.0 - m0
@@ -301,8 +296,8 @@ class TrainState:
     def _terms(self, m0: np.ndarray, m1: np.ndarray
                ) -> tuple[float, float, np.ndarray, np.ndarray]:
         """_env_terms at the masks, computed once for the last masks read.
-        Masks are compared by identity, which is sound because _masks makes
-        them read-only."""
+        Masks are compared by identity, which is sound because env_masks
+        makes them read-only."""
         kept = self._kept
         if kept is None or kept[0] is not m0 or kept[1] is not m1:
             self._kept = kept = (m0, m1, self._env_terms(m0, m1))
@@ -312,26 +307,19 @@ class TrainState:
         g0, g1, _, _ = self._terms(m0, m1)
         return PenaltyReport(g0 * g0 + g1 * g1, (g0, g1))
 
-    def grad_q(self, logits: DomainLogits) -> np.ndarray:
-        """Gradient of the penalty in the logits, 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1)
-        with C a_e = (C alpha +- C d) / 2. ascend takes its steps along it."""
-        m0, m1 = env_masks(logits)
-        g0, g1, _, Cd = self._terms(m0, m1)
-        A_inv, _, y, _, _, Ainv_C_alpha, _, _ = self._shared
-        return y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * A_inv.dot(Cd))
-
     def ascend(self, q: np.ndarray, t2: int, eta1: float, masks=None) -> np.ndarray:
-        """t2 gradient-ascent steps q <- q + eta1 grad_q(q) on the raw logits q,
-        which it does not validate, with everything the steps share read
-        once. masks are those of q when the caller has them: the first step
-        then reads the terms kept at them. TrainingAbort names the first
-        coordinate of a non-finite gradient."""
+        """t2 gradient-ascent steps q <- q + eta1 g on the raw logits q, which
+        it does not validate, with everything the steps share read once; g is
+        the penalty's logit gradient 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1). masks
+        are those of q when the caller has them: the first step then reads
+        the terms kept at them. TrainingAbort names the first coordinate of a
+        non-finite gradient."""
         if t2 == 0:
             return q
         A_inv, _, y, _, _, Ainv_C_alpha, _, _ = self._shared
         for _ in range(t2):
             if masks is None:
-                m0, m1 = _masks(q)
+                m0, m1 = env_masks(q)
                 g0, g1, _, Cd = self._env_terms(m0, m1)
             else:
                 (m0, m1), masks = masks, None
@@ -402,17 +390,6 @@ class TrainState:
         return tr_K, float(np.einsum("ij,ji->", B, B)) - tr_K
 
 
-def irm_penalty(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
-                X, y, logits: DomainLogits) -> PenaltyReport:
-    """Invariance penalty g0^2 + g1^2 with the per-environment derivatives.
-
-    g_e is the derivative, at w = 1, of the environment-masked likelihood
-    when every exponentiated kernel parameter is multiplied by the scalar w.
-    """
-    X, y = check_xy(X, y)
-    return TrainState(kind, params, noise, X, y).penalty(*env_masks(logits))
-
-
 def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> DomainLogits:
     """One gradient-ascent step on the penalty in the logits."""
     return DomainLogits(state.ascend(logits.q_tilde, 1, eta1))
@@ -448,7 +425,7 @@ def outer_descent_step(params: KernelParams, logits: DomainLogits, state: TrainS
                        eta2: float, lam: float) -> KernelParams:
     """One parameter update on NLL + lam * penalty at fixed logits, from the
     state built at params."""
-    masks = env_masks(logits)
+    masks = env_masks(logits.q_tilde)
     g = state.objective_grad(masks, lam)
     new = _descend(state.kind, state.noise, state.X, state.y, params.as_array(),
                    g, eta2, lam, masks)[0]
@@ -495,7 +472,7 @@ def _train(spec: ModelSpec, X, y, seed: int
                 q = state.ascend(logits.q_tilde, spec.t2, spec.eta1, masks)
                 if spec.t2 or masks is None:    # the logits moved, or this is round 1
                     logits = DomainLogits(q)
-                    masks = env_masks(logits)
+                    masks = env_masks(q)
             g = state.objective_grad(masks, lam)
             theta = state.params.as_array()
             # Release this point's state: the trial one overwrites its buffers.

@@ -14,17 +14,17 @@ import pytest
 
 from dilgp.bo import bo_run
 from dilgp.cli import main as cli_main
+from dilgp.data import GENERATORS
 from dilgp.experiments import (QUADRATIC_OPTIMUM, QUADRATIC_SPACE,
                                compare_tuners, quadratic_objective,
                                settings_for, sweep_seeds)
-from dilgp.gp import (NoiseSpec, env_log_likelihood, fit_posterior,
-                      log_marginal_likelihood, predict)
+from dilgp.gp import NoiseSpec, env_log_likelihood, fit_posterior, predict
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, kernel_matrix)
 from dilgp.quad import TrajectoryKind
 from dilgp.rng import rng_for
 from dilgp.train import (DomainLogits, ModelSpec, TrainState, env_masks,
-                         irm_penalty, outer_descent_step)
+                         outer_descent_step)
 
 
 def emit(line: str):
@@ -45,16 +45,16 @@ def rand_instance(seed: int, n: int, d: int = 1):
 @pytest.fixture(scope="module")
 def synth_1d_runs():
     t0 = perf_counter()
-    _, dil = sweep_seeds("synthetic_1d", settings_for("synthetic_1d", "dil_gp"))
-    _, gp = sweep_seeds("synthetic_1d", settings_for("synthetic_1d", "gp_gaussian"))
+    _, dil = sweep_seeds(GENERATORS["synthetic_1d"], settings_for("synthetic_1d", "dil_gp"))
+    _, gp = sweep_seeds(GENERATORS["synthetic_1d"], settings_for("synthetic_1d", "gp_gaussian"))
     return dil, gp, perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def synth_2d_runs():
     t0 = perf_counter()
-    _, dil = sweep_seeds("synthetic_2d", settings_for("synthetic_2d", "dil_gp"))
-    _, gp = sweep_seeds("synthetic_2d", settings_for("synthetic_2d", "gp_gaussian"))
+    _, dil = sweep_seeds(GENERATORS["synthetic_2d"], settings_for("synthetic_2d", "dil_gp"))
+    _, gp = sweep_seeds(GENERATORS["synthetic_2d"], settings_for("synthetic_2d", "gp_gaussian"))
     return dil, gp, perf_counter() - t0
 
 
@@ -72,7 +72,7 @@ def test_criterion_01_posterior_matches_dense_inverse():
 
         post = fit_posterior(kind, params, noise, X, y)
         mean, var = predict(post, Xs)
-        lml = log_marginal_likelihood(kind, params, noise, X, y)
+        lml = post.lml
 
         A = kernel_matrix(kind, params, X, X) + noise.sigma2 * np.eye(n)
         Ainv = np.linalg.inv(A)
@@ -100,7 +100,7 @@ def test_criterion_02_unit_mask_reduces_to_marginal_likelihood():
         X, y, params, noise, _ = rand_instance(seed, n)
         kind = list(KernelKind)[seed % 3]
         a = env_log_likelihood(kind, params, noise, X, y, np.ones(n))
-        b = log_marginal_likelihood(kind, params, noise, X, y)
+        b = fit_posterior(kind, params, noise, X, y).lml
         worst_equal = worst_equal and (a == b)
     emit("criterion 2: all-ones mask reproduces the marginal likelihood "
          f"exactly on 20 instances: {worst_equal}")
@@ -116,15 +116,18 @@ def test_criterion_03_gradient_suite_matches_finite_differences():
     for seed in range(20):
         X, y, params, noise, rng = rand_instance(seed, 8)
         logits = DomainLogits(rng.standard_normal(8))
+        q = logits.q_tilde
         state = TrainState(kind, params, noise, X, y)
 
         # parameter gradient of NLL + lam * penalty, via the implied step
         after = outer_descent_step(params, logits, state, eta, lam)
         implied = (params.as_array() - after.as_array()) / eta
 
+        def penalty(p, q_at):
+            return TrainState(kind, p, noise, X, y).penalty(*env_masks(q_at))
+
         def objective(p):
-            return (-log_marginal_likelihood(kind, p, noise, X, y)
-                    + lam * irm_penalty(kind, p, noise, X, y, logits).penalty)
+            return -fit_posterior(kind, p, noise, X, y).lml + lam * penalty(p, q).penalty
 
         for idx, name in enumerate(PARAM_NAMES):
             if name not in ACTIVE_PARAMS[kind]:
@@ -133,21 +136,19 @@ def test_criterion_03_gradient_suite_matches_finite_differences():
                     - objective(params.shifted(name, -h_theta))) / (2 * h_theta)
             worst = max(worst, abs(implied[idx] - want) / max(1.0, abs(want)))
 
-        # partition gradient of the penalty
-        got_q = state.grad_q(logits)
+        # partition gradient of the penalty, via one ascent step at rate 1
+        got_q = state.ascend(q, 1, 1.0) - q
         for i in range(8):
-            qp, qm = logits.q_tilde.copy(), logits.q_tilde.copy()
+            qp, qm = q.copy(), q.copy()
             qp[i] += h_q
             qm[i] -= h_q
-            want = (irm_penalty(kind, params, noise, X, y, DomainLogits(qp)).penalty
-                    - irm_penalty(kind, params, noise, X, y, DomainLogits(qm)).penalty
-                    ) / (2 * h_q)
+            want = (penalty(params, qp).penalty - penalty(params, qm).penalty) / (2 * h_q)
             worst = max(worst, abs(got_q[i] - want) / max(1.0, abs(want)))
 
         # per-environment derivative in the common rescaling of the
         # exponentiated parameters
-        rep = irm_penalty(kind, params, noise, X, y, logits)
-        for g, mask in zip(rep.per_env_grad, env_masks(logits)):
+        rep = penalty(params, q)
+        for g, mask in zip(rep.per_env_grad, env_masks(q)):
             want = (env_log_likelihood(kind, params.scaled(1 + h_w), noise, X, y, mask)
                     - env_log_likelihood(kind, params.scaled(1 - h_w), noise, X, y, mask)
                     ) / (2 * h_w)

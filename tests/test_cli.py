@@ -16,6 +16,7 @@ from dilgp import blas
 from dilgp.bo import bo_run
 from dilgp.cli import (COMMANDS, FitEvalConfig, build_parser, declared, load_config,
                        main)
+from dilgp.data import GENERATORS
 from dilgp.exceptions import InvalidSetting
 from dilgp.experiments import (BO_SPEC, QUADRATIC_SPACE, quadratic_objective,
                                settings_for, sweep_seeds)
@@ -145,23 +146,24 @@ def test_fit_eval_sweep_summary(tmp_path):
 
 def test_sweep_needs_a_seed():
     with pytest.raises(InvalidSetting, match="at least one seed"):
-        sweep_seeds("synthetic_1d", settings_for("synthetic_1d", "gp_gaussian"), seeds=())
+        sweep_seeds(GENERATORS["synthetic_1d"], ModelSpec(model="gp_gaussian"), seeds=())
 
 
 def test_fit_eval_from_csv_with_domain_column(gen_dir, tmp_path, capsys):
-    # one unparseable row, which is dropped and reported
-    train_csv = tmp_path / "train.csv"
+    # unparseable rows are dropped and reported, as are domain tags that an
+    # int64 cannot hold: 1.5 would be scored as domain 1, and 1e20 overflows
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
     train_csv.write_text((gen_dir / "train.csv").read_text() + "1.0,oops,0\n")
+    test_csv.write_text((gen_dir / "test.csv").read_text() + "6.5,0.5,1.5\n6.5,0.5,1e20\n")
     out = tmp_path / "csvfit"
     run_ok(["fit-eval", "--train-csv", str(train_csv),
-            "--test-csv", str(gen_dir / "test.csv"), "--domain-column", "domain",
+            "--test-csv", str(test_csv), "--domain-column", "domain",
             "--model", "gp_gaussian", "--t1", "20", "--sigma2", "0.4",
             "--out", str(out)])
     report = read_json(out / "report.json")
-    assert "per_domain_rmse" in report
-    assert "1" in report["per_domain_rmse"]
-    assert report["dropped_rows"] == {"train": 1, "test": 0}
-    assert "dropped 1 train and 0 test rows" in capsys.readouterr().out
+    assert list(report["per_domain_rmse"]) == ["1"] and report["n_test"] == 80
+    assert report["dropped_rows"] == {"train": 1, "test": 2}
+    assert "dropped 1 train and 2 test rows" in capsys.readouterr().out
 
 
 def test_fit_eval_from_csv_with_default_settings(gen_dir, tmp_path):

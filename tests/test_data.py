@@ -128,12 +128,14 @@ def test_load_csv_drops_bad_rows(tmp_path):
 
 
 def test_load_csv_drops_infinite_domain_tags(tmp_path):
+    # and every tag an int64 cannot hold: 1.5 (not domain 1) and 1e20 alike
     path = tmp_path / "d.csv"
-    path.write_text("x0,y,domain\n1.0,2.0,0\n3.0,4.0,inf\n5.0,6.0,-inf\n7.0,8.0,1\n")
+    path.write_text("x0,y,domain\n1.0,2.0,0\n3.0,4.0,inf\n5.0,6.0,-inf\n7.0,8.0,1\n"
+                    "1.0,3.0,1.5\n1.0,5.0,1e20\n1.0,7.0,nan\n1.0,9.0,-3.0\n")
     ds = load_csv(path, "y", domain_column="domain")
-    assert ds.dropped_rows == 2
-    assert np.array_equal(ds.y, [2.0, 8.0])
-    assert np.array_equal(ds.domain_tag, [0, 1])
+    assert ds.dropped_rows == 5
+    assert np.array_equal(ds.y, [2.0, 8.0, 9.0])
+    assert np.array_equal(ds.domain_tag, [0, 1, -3])
 
 
 def test_load_csv_errors(tmp_path):

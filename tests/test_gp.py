@@ -11,9 +11,8 @@ from dilgp import gp as gp_mod
 from dilgp.data import check_xy
 from dilgp.exceptions import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from dilgp.gp import (NoiseSpec, _factor, cho_inverse, env_log_likelihood, fit_posterior,
-                      lml_value_and_grad, log_marginal_likelihood, predict)
-from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams, kernel_diag,
-                           kernel_matrix)
+                      lml_value_and_grad, predict)
+from dilgp.kernels import ACTIVE_PARAMS, PARAM_NAMES, KernelKind, KernelParams, _diag, kernel_matrix
 from dilgp.train import TrainState
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -47,8 +46,7 @@ def test_posterior_matches_dense_inverse():
         omean, ovar, olml = _dense_oracle(KernelKind.GAUSSIAN, p, 0.3, X, y, Xs)
         assert_allclose(mean, omean, atol=1e-8)
         assert_allclose(var, ovar, atol=1e-8)
-        lml = log_marginal_likelihood(KernelKind.GAUSSIAN, p, NoiseSpec(0.3), X, y)
-        assert_allclose(lml, olml, atol=1e-8)
+        assert_allclose(post.lml, olml, atol=1e-8)
 
 
 def test_single_point_zero_residual():
@@ -56,15 +54,14 @@ def test_single_point_zero_residual():
     y = np.zeros(1)
     post = fit_posterior(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.0), X, y)
     assert_allclose(post.alpha_vec, [0.0], atol=1e-12)
-    lml = log_marginal_likelihood(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(0.0), X, y)
-    assert_allclose(lml, -0.5 * LOG_2PI, atol=1e-9)
+    assert_allclose(post.lml, -0.5 * LOG_2PI, atol=1e-9)
 
 
 def test_single_point_unit_noise():
     # scalar case: -1/2 log 2 - 1/2 log 2pi
     X = np.zeros((1, 1))
     y = np.zeros(1)
-    lml = log_marginal_likelihood(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(1.0), X, y)
+    lml = fit_posterior(KernelKind.GAUSSIAN, KernelParams(), NoiseSpec(1.0), X, y).lml
     assert_allclose(lml, -0.5 * math.log(2.0) - 0.5 * LOG_2PI, atol=1e-12)
     assert_allclose(lml, -1.26551, atol=5e-6)
 
@@ -121,7 +118,7 @@ def test_variance_clamped_nonnegative():
     post = dataclasses.replace(post, chol=0.5 * post.chol)
     Xs = np.vstack([X, rng.normal(size=(8, 1)), [[50.0]]])
     v = solve_triangular(post.chol, kernel_matrix(kind, params, X, Xs), lower=True)
-    raw = kernel_diag(kind, params, Xs) - np.einsum("ij,ij->j", v, v)
+    raw = _diag(kind, params, Xs) - np.einsum("ij,ij->j", v, v)
     n_negative = int(np.count_nonzero(raw < 0.0))
     assert n_negative >= len(X)
     _, var = predict(post, Xs)
@@ -191,7 +188,7 @@ def test_factor_solves_and_prediction_keep_scipy_linalg_bits(n):
     mean, var = predict(post, Xs)
     Kxs = kernel_matrix(kind, params, X, Xs)
     v = solve_triangular(L, Kxs, lower=True)
-    raw = kernel_diag(kind, params, Xs) - np.einsum("ij,ij->j", v, v)
+    raw = _diag(kind, params, Xs) - np.einsum("ij,ij->j", v, v)
     assert np.array_equal(mean, Kxs.T @ post.alpha_vec)
     assert np.array_equal(var, np.where(raw < 0.0, 0.0, raw))
 
@@ -212,7 +209,7 @@ def test_env_ll_ones_mask_is_lml_bitwise():
         X = rng.normal(size=(n, 2))
         y = rng.normal(size=n)
         p = KernelParams(log_s=0.1 * rng.normal(), log_l=0.1 * rng.normal())
-        lml = log_marginal_likelihood(KernelKind.GAUSSIAN, p, NoiseSpec(0.2), X, y)
+        lml = fit_posterior(KernelKind.GAUSSIAN, p, NoiseSpec(0.2), X, y).lml
         ell = env_log_likelihood(KernelKind.GAUSSIAN, p, NoiseSpec(0.2), X, y, np.ones(n))
         assert ell == lml
 
@@ -314,8 +311,8 @@ def test_lml_value_and_grad_matches_fit_and_train_state(kind):
     want = -TrainState(kind, params, noise, X, y).objective_grad(None, 0.0)[active]
     assert np.array_equal(grad, want)
     h = 1e-5
-    fd = [(log_marginal_likelihood(kind, params.shifted(name, h), noise, X, y)
-           - log_marginal_likelihood(kind, params.shifted(name, -h), noise, X, y)) / (2 * h)
+    fd = [(fit_posterior(kind, params.shifted(name, h), noise, X, y).lml
+           - fit_posterior(kind, params.shifted(name, -h), noise, X, y).lml) / (2 * h)
           for name in ACTIVE_PARAMS[kind]]
     assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
 

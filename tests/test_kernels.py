@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 from dilgp.exceptions import DimensionMismatch, NonFiniteInput
 from dilgp.kernels import (ACTIVE_PARAMS, PARAM_NAMES, KernelKind,
                            KernelParams, base_matrix, gaussian_scale_direction,
-                           gram, grad_stack, kernel_diag, kernel_grads,
-                           kernel_matrix)
+                           _diag, gram, grad_stack, kernel_grads, kernel_matrix)
 
 ALL_KINDS = list(KernelKind)
 
@@ -127,7 +126,7 @@ def test_params_validation():
 def test_gram_rejects_unknown_kind():
     base = base_matrix(KernelKind.GAUSSIAN, np.zeros((2, 1)), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="unknown kernel kind"):
-        gram("gaussian", KernelParams(), base)
+        gram("gaussian", KernelParams(), base, np.empty_like(base))
 
 
 def test_params_roundtrip_bit_exact():
@@ -150,7 +149,7 @@ def test_kernel_diag_matches_full_matrix():
     p = KernelParams(log_s=0.3, log_l=0.1, log_alpha=-0.2, log_sigma_dp=0.4)
     for kind in ALL_KINDS:
         want = np.diag(kernel_matrix(kind, p, X, X))
-        got = kernel_diag(kind, p, X)
+        got = _diag(kind, p, X)
         assert_allclose(got, want, rtol=1e-12)
 
 
@@ -176,7 +175,8 @@ def test_kernel_grads_match_finite_differences():
                 fd = _fd_param_grad(lambda q: kernel_matrix(kind, q, X, X), p, name)
                 assert_allclose(grads[i], fd, rtol=2e-5, atol=1e-8)
         base = base_matrix(KernelKind.GAUSSIAN, X, X)
-        D = gaussian_scale_direction(p, base, grad_stack(KernelKind.GAUSSIAN, p, base)[1])
+        D = gaussian_scale_direction(p, base, grad_stack(KernelKind.GAUSSIAN, p, base)[1],
+                                     np.empty_like(base))
         fd = _fd_param_grad(lambda q: kernel_grads(KernelKind.GAUSSIAN, q, X).sum(0), p, "log_l")
         assert_allclose(D, fd, rtol=2e-5, atol=1e-8)
 
@@ -241,7 +241,7 @@ def test_gaussian_single_divide_keeps_negate_then_divide_bits():
         with np.errstate(over="ignore", under="ignore"):
             want = np.divide(np.negative(base), 2.0 * l2)
             got = np.divide(base, -2.0 * l2)
-            K = gram(KernelKind.GAUSSIAN, params, base)
+            K = gram(KernelKind.GAUSSIAN, params, base, np.empty_like(base))
         assert np.array_equal(_bits(got), _bits(want)), log_l
         assert np.array_equal(_bits(K), _bits(params.s * np.exp(want))), log_l
 
@@ -272,7 +272,7 @@ def test_kernel_matrix_in_place_keeps_the_bits_of_a_second_buffer(kind):
     params = KernelParams(0.2, -0.4, 0.3, 0.1)
     base = base_matrix(kind, X, Y)
     base0 = base.copy()
-    K = gram(kind, params, base)
+    K = gram(kind, params, base, np.empty_like(base))
     assert np.array_equal(base, base0) and not np.shares_memory(K, base)
     assert np.array_equal(_bits(kernel_matrix(kind, params, X, Y)), _bits(K))
 

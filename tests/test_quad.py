@@ -161,11 +161,11 @@ def test_hover_in_calm_air_is_perfect():
 
 
 def test_uncontrolled_offset_gives_exact_error():
-    # no gains, no wind, no velocity: the craft just sits 0.5 m off in x
-    res = simulate(PIDGains(0, 0, 0), TrajectoryKind.HOVER, CALM, 0,
-                   start_offset=(0.5, 0.0, 0.0))
-    assert res.ace == 0.25
-    assert np.all(res.positions == res.positions[0])
+    # no gains, no wind, no velocity: an axis started 0.5 m off just sits there
+    ref, ref_cols = quad._reference(TrajectoryKind.HOVER)
+    x = quad._track_axis(ref_cols[0], [0.0] * N_STEPS, 0.0, 0.0, 0.0, 0.5)
+    assert x == [0.5] * N_STEPS
+    assert np.mean((np.array(x) - ref[:, 0]) ** 2) == 0.25
 
 
 def test_control_beats_no_control_under_wind():
@@ -206,12 +206,12 @@ def _fly_axis(ref, wind, gains, p0, binds):
     return out
 
 
-def _oracle_positions(kind, spec, seed, gains, offset=(0.0, 0.0, 0.0), binds=None):
+def _oracle_positions(kind, spec, seed, gains, binds=None):
     h, v = dryden_wind(spec, seed, DT, N_STEPS)
     ref = reference_trajectory(kind, np.arange(N_STEPS) * DT)
     binds = set() if binds is None else binds
     return np.column_stack([_fly_axis(ref[:, j].tolist(), w.tolist(), gains,
-                                      float(ref[0, j] + offset[j]), binds)
+                                      float(ref[0, j]), binds)
                             for j, w in enumerate([h[:, 0], h[:, 1], v])])
 
 
@@ -269,13 +269,6 @@ def test_flights_share_read_only_inputs_and_keep_their_bits():
     assert np.array_equal(again.positions, want_pos) and np.array_equal(again.reference, want_ref)
 
 
-@pytest.mark.parametrize("offset", [0.5, [0.5], (0.5, 0.0, 0.0, 0.0), [[0.5, 0.0, 0.0]]])
-def test_start_offset_needs_three_entries(offset):
-    # a scalar or a 1-entry offset would move all three axes by broadcasting
-    with pytest.raises(DimensionMismatch, match="start_offset"):
-        simulate(PIDGains(0, 0, 0), TrajectoryKind.HOVER, CALM, 0, start_offset=offset)
-
-
 @pytest.mark.parametrize("seed", [1.7, 1.0, -1, 2 ** 64, True, "1", np.float64(1.0), None])
 def test_seed_must_be_an_integer_in_the_64_bit_range(seed):
     # 1.7 would fly seed 1's gusts, and -1 those of 2**64 - 1
@@ -299,29 +292,32 @@ def test_numpy_integer_seeds_share_the_cache_entry_of_their_int():
 @pytest.mark.parametrize("spec", [CALM, WIND_DOMAIN_TRAIN])
 def test_nan_command_clamps_to_positive_limit(spec):
     # kp e + kd de/dt overflows to inf - inf = NaN on tens of steps of this
-    # flight; max(-L, min(L, NaN)) is +L, which keeps it finite (ACE about
-    # 1.3), where a clamp that lets NaN through goes non-finite near step 19
-    gains, offset = PIDGains(1e308, 0.0, 1e308), (5.0, 0.0, 0.0)
-    res = simulate(gains, TrajectoryKind.HOVER, spec, 0, start_offset=offset)
-    assert not res.diverged and math.isfinite(res.ace)
-    assert np.array_equal(res.positions,
-                          _oracle_positions(TrajectoryKind.HOVER, spec, 0, gains, offset))
+    # axis, started 5 m off; max(-L, min(L, NaN)) is +L, which keeps it
+    # finite, where a clamp that lets NaN through goes non-finite near step 19
+    gains = PIDGains(1e308, 0.0, 1e308)
+    _, ref_cols = quad._reference(TrajectoryKind.HOVER)
+    gust = dryden_wind(spec, 0, DT, N_STEPS)[0][:, 0].tolist()
+    x = quad._track_axis(ref_cols[0], gust, gains.kp, gains.ki, gains.kd, 5.0)
+    assert np.isfinite(x).all() and x == _fly_axis(ref_cols[0], gust, gains, 5.0, set())
 
 
 def test_nonfinite_state_hits_divergence_sentinel():
-    # a non-finite start stays non-finite, so the flight keeps no row at all
-    for offset in [(math.inf, 0.0, 0.0), (0.0, math.nan, 0.0)]:
-        res = simulate(PIDGains(1.0, 0.0, 0.0), TrajectoryKind.HOVER, CALM, 0,
-                       start_offset=offset)
-        assert res.ace == math.inf and res.diverged
-        assert res.positions.shape == (0, 3) and res.reference.shape == (0, 3)
+    # gusts near the float range push the state past it (the clamps bound only
+    # the command); the flight keeps the rows before its first non-finite one
+    gains, spec = PIDGains(1.0, 0.0, 0.0), WindDomainSpec(1.7e308, 0.0, 1.0, 1.0, 0.5)
+    res = simulate(gains, TrajectoryKind.HOVER, spec, 0)
+    assert res.ace == math.inf and res.diverged
+    want = _oracle_positions(TrajectoryKind.HOVER, spec, 0, gains)
+    m = int(np.flatnonzero(~np.isfinite(want).all(axis=1))[0])
+    assert m == 106 and res.reference.shape == (m, 3)
+    assert np.array_equal(res.positions, want[:m])
 
 
 def test_overflowing_error_hits_divergence_sentinel():
-    # a finite start whose squared error overflows keeps the whole flight
-    res = simulate(PIDGains(1.0, 0.0, 0.0), TrajectoryKind.HOVER, CALM, 0,
-                   start_offset=(1e200, 0.0, 0.0))
-    assert res.ace == math.inf and res.diverged
+    # a finite flight whose squared error overflows keeps the whole flight
+    res = simulate(PIDGains(1.0, 0.0, 0.0), TrajectoryKind.HOVER,
+                   WindDomainSpec(1e300, 0.0, 1.0, 1.0, 0.5), 0)
+    assert res.ace == math.inf and res.diverged and np.isfinite(res.positions).all()
     assert res.positions.shape == (N_STEPS, 3) and res.reference.shape == (N_STEPS, 3)
 
 

@@ -3,8 +3,10 @@ four LAPACK routines that a fit calls.
 
 At dilgp's problem sizes OpenBLAS threads cost more than they save, and how
 a solve is split over threads decides the last digits of its result. The
-pin is process-wide, so pinned calls must not run from several Python
-threads at once. With no OpenBLAS found it does nothing.
+pin sets a process-wide count and restores the count it found, so only one
+Python thread at a time may enter or leave it. A BLAS call that another
+thread makes while the pin is held, such as training's helper forming
+A^-1 C, also runs at one thread. With no OpenBLAS found it does nothing.
 
 potrf, potrs, potri and trtrs are scipy.linalg.lapack's own dpotrf, dpotrs,
 dpotri and dtrtrs, the routines behind scipy.linalg's cholesky, cho_solve

@@ -57,7 +57,7 @@ def fit_eval(train: Dataset, test: Dataset, settings: ModelSpec, seed: int = 0):
 
 
 def sweep_seeds(load: Callable[[int], tuple[Dataset, Dataset]],
-                settings: ModelSpec, seeds=(0, 1, 2, 3, 4)):
+                settings: ModelSpec, seeds):
     """Refit across seeds: per seed, load(seed) gives (train, test), and the
     fit takes that training seed.
 

@@ -27,6 +27,10 @@ from dilgp.train import (DomainLogits, ModelSpec, TrainState, env_masks,
                          outer_descent_step)
 
 
+# The seeds that criteria 4 and 5 sweep.
+GATED_SEEDS = (0, 1, 2, 3, 4)
+
+
 def emit(line: str):
     print(line)
 
@@ -45,16 +49,20 @@ def rand_instance(seed: int, n: int, d: int = 1):
 @pytest.fixture(scope="module")
 def synth_1d_runs():
     t0 = perf_counter()
-    _, dil = sweep_seeds(GENERATORS["synthetic_1d"], settings_for("synthetic_1d", "dil_gp"))
-    _, gp = sweep_seeds(GENERATORS["synthetic_1d"], settings_for("synthetic_1d", "gp_gaussian"))
+    _, dil = sweep_seeds(GENERATORS["synthetic_1d"], settings_for("synthetic_1d", "dil_gp"),
+                         GATED_SEEDS)
+    _, gp = sweep_seeds(GENERATORS["synthetic_1d"], settings_for("synthetic_1d", "gp_gaussian"),
+                        GATED_SEEDS)
     return dil, gp, perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def synth_2d_runs():
     t0 = perf_counter()
-    _, dil = sweep_seeds(GENERATORS["synthetic_2d"], settings_for("synthetic_2d", "dil_gp"))
-    _, gp = sweep_seeds(GENERATORS["synthetic_2d"], settings_for("synthetic_2d", "gp_gaussian"))
+    _, dil = sweep_seeds(GENERATORS["synthetic_2d"], settings_for("synthetic_2d", "dil_gp"),
+                         GATED_SEEDS)
+    _, gp = sweep_seeds(GENERATORS["synthetic_2d"], settings_for("synthetic_2d", "gp_gaussian"),
+                        GATED_SEEDS)
     return dil, gp, perf_counter() - t0
 
 

@@ -4,6 +4,7 @@ oracles computed here), the descent/ascent steps, and the full loop's
 reduction, determinism and abort behavior."""
 
 import itertools
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -755,3 +756,110 @@ def test_workspace_base_is_read_only():
     state = TrainState(GAUSS, KernelParams(0.2, 0.1), NoiseSpec(0.2), X, y, ws)
     state.objective_grad(env_masks(np.linspace(-1.0, 1.0, 10)), 0.5)
     assert np.array_equal(ws.base, base)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+def test_workspace_buffers_are_aligned_with_their_layouts(kind):
+    # each buffer starts on a 64-byte boundary in an allocation of its own,
+    # potri's column-major and the others row-major; the scratch is potri's
+    # buffer, which is free once A^-1 is formed
+    n = 13
+    X, _, _ = toy(15, n=n, d=2)
+    ws = train_mod.Workspace(kind, X)
+    p = len(ACTIVE_PARAMS[kind])
+    buffers = {"base": (n, n), "Kp": (p, n, n), "factor": (n, n), "A_inv": (n, n),
+               "C": (n, n), "potri": (n, n)}
+    for name, shape in buffers.items():
+        buf = getattr(ws, name)
+        assert buf.shape == shape and buf.dtype == np.float64, name
+        assert buf.ctypes.data % 64 == 0, name
+        assert buf.flags.f_contiguous != buf.flags.c_contiguous, name
+        assert buf.flags.f_contiguous == (name == "potri"), name
+    for a, b in itertools.combinations(buffers, 2):
+        assert not np.shares_memory(getattr(ws, a), getattr(ws, b)), (a, b)
+    assert ws.scratch.ctypes.data == ws.potri.ctypes.data and ws.scratch.flags.c_contiguous
+    assert ws.scratch.shape == (n, n)
+    assert not ws.base.flags.writeable
+    assert np.array_equal(ws.base, kernels_mod.base_matrix(kind, X, X))
+
+
+# ---------------------------------------------------------------- overlap
+# From train._OVERLAP_N points a penalized fit forms B = A^-1 C on a helper
+# thread while the partition ascent runs. The tests lower the threshold to
+# take that path at a small n.
+
+def _counting_start_B(monkeypatch):
+    calls = []
+    start_B = TrainState.start_B
+
+    def counting(self, helper):
+        calls.append(threading.active_count())
+        return start_B(self, helper)
+
+    monkeypatch.setattr(TrainState, "start_B", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dataset", ["synthetic_1d", "synthetic_2d"])
+def test_overlapped_fit_is_the_serial_fit_bitwise(dataset, monkeypatch):
+    from dilgp.experiments import settings_for
+    train, _ = data_mod.GENERATORS[dataset](0)
+    spec = settings_for(dataset, "dil_gp", t1=8)
+    calls = _counting_start_B(monkeypatch)
+    serial = fit_model(spec, train, seed=3)
+    assert calls == []
+    monkeypatch.setattr(train_mod, "_OVERLAP_N", 4)
+    before = threading.active_count()
+    overlapped = fit_model(spec, train, seed=3)
+    # one start per round, with the helper thread alive from the second on
+    assert len(calls) == spec.t1 and calls[1:] == [before + 1] * (spec.t1 - 1)
+    assert threading.active_count() == before
+    assert to_jsonl(overlapped.trace.records) == to_jsonl(serial.trace.records)
+    for name in ("alpha_vec", "chol"):
+        assert np.array_equal(_bits(getattr(overlapped.post, name)),
+                              _bits(getattr(serial.post, name))), name
+
+
+def test_bo_sized_fit_starts_no_thread(monkeypatch):
+    from dilgp.experiments import BO_SPEC
+    calls = _counting_start_B(monkeypatch)
+    counts = []
+    ascend = TrainState.ascend
+
+    def counting_ascend(self, *args):
+        counts.append(threading.active_count())
+        return ascend(self, *args)
+
+    monkeypatch.setattr(TrainState, "ascend", counting_ascend)
+    X, y, _ = toy(16, n=55, d=3)
+    before = threading.active_count()
+    fit_model(BO_SPEC, data_mod.Dataset(X, y, None), seed=0)
+    assert calls == [] and counts == [before] * BO_SPEC.t1
+    assert threading.active_count() == before
+
+
+def test_abort_in_an_overlapped_round_joins_the_helper(monkeypatch):
+    # the 1e200 targets make the first ascent step non-finite while the
+    # helper forms B; the abort must return and leave no thread behind
+    monkeypatch.setattr(train_mod, "_OVERLAP_N", 4)
+    calls = _counting_start_B(monkeypatch)
+    X = rng_for(0, "abort-q").uniform(-1, 1, (40, 1))
+    y = np.full(40, 1e200)
+    spec = ModelSpec(t1=5, t2=3, lam=0.5)
+    raised = []
+
+    def fit():
+        with np.errstate(over="ignore", invalid="ignore"), blas.one_thread():
+            try:
+                _train(spec, X, y, 0)
+            except TrainingAbort as exc:
+                raised.append(exc)
+
+    before = threading.active_count()
+    worker = threading.Thread(target=fit)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(calls) == 1 and len(raised) == 1
+    assert "coordinate" in str(raised[0]) and len(raised[0].trace) == 0
+    assert threading.active_count() == before

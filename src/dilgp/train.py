@@ -48,11 +48,13 @@ from .rng import rng_for
 _MAX_HALVINGS = 8
 
 # Training size from which a round forms B = A^-1 C on a helper thread while
-# its partition ascent runs. The measured crossover, as the change in a
-# 10-round dil_gp fit's time on a 2-core host: +9 % at n = 115, +7 % at 150,
-# +2 % at 200, -1 to -3 % at 250, -3.5 % at 300, -8 to -10 % at 345-400,
-# -12 % at 460 and -13.5 % at 690.
-_OVERLAP_N = 300
+# its partition ascent and the rest of its gradient run. The measured
+# crossover, as the change in a 10-round dil_gp fit's time with the helper
+# on against off on a 2-core host (medians of 11 or 15 alternating pairs):
+# +15 % at n = 115, +9 % at 150, +0.5 to +2.4 % at 200, -3 to -3.5 % at
+# 215, -3.5 % at 230, -5 to -7 % at 250, -11 % at 300, -14 % at 345, -17 %
+# at 400 and -20 % at 460.
+_OVERLAP_N = 250
 
 # Byte boundary of each Workspace buffer. np.empty guarantees only 16, and
 # at n = 460 cho_inverse takes 2.82 ms instead of 2.58 ms, and a gemv 21-22
@@ -236,9 +238,11 @@ class Workspace:
     previous one's, so at most one state of a workspace is live at a time.
     The base is read-only: every state of the fit reads it. potri's buffer
     is free once A^-1 is formed, so its row-major transpose is the scratch
-    that B = A^-1 C and then D_l use in turn, after A^-1 and before the next
-    state's. Each buffer is _aligned in an allocation of its own, so the
-    factor that a posterior keeps holds no other buffer alive."""
+    that holds B = A^-1 C, after A^-1 and before the next state's. The
+    factor is free once A^-1 is formed too, so D_l takes the factor's
+    buffer: objective_grad is a state's last read of its factor. Each buffer
+    is _aligned in an allocation of its own, so the factor that a posterior
+    keeps holds no other buffer alive."""
 
     def __init__(self, kind: KernelKind, X: np.ndarray):
         n, p = X.shape[0], len(ACTIVE_PARAMS[kind])
@@ -264,7 +268,9 @@ class TrainState:
     dense A^-1, C = sum_p K_p and tr(A^-1 C) are formed once each, on first
     use, so a plain-GP round never builds C; so are C alpha and A^-1 C alpha,
     which every environment term shares. B = A^-1 C and the Gaussian
-    kernel's D_l = dC/dlog l live only in the call that reads them. Both
+    kernel's D_l = dC/dlog l live only in the call that reads them, and
+    D_l is written over the factor: with lam != 0, objective_grad is the
+    state's last read of its factor, and post.chol holds D_l after it. Both
     environments' terms come from these and one difference
     d = A^-1 (y (m0 - m1)), so a penalty takes two O(n^2) products and an
     ascent step three. The state keeps the terms of the last masks it read:
@@ -370,32 +376,48 @@ class TrainState:
         return np.array(out)
 
     def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> tuple[float, float]:
-        """The penalty's gradient in (log s, log l) of the Gaussian kernel, from
-        the trace identity applied to g_e (dA/dlog theta_p = K_p,
-        dC/dlog theta_p = D_p):
+        """The penalty's gradient in (log s, log l) of the Gaussian kernel, the
+        one kernel trained with the penalty (InvalidSetting for any other, with
+        no buffer written), from the trace identity applied to g_e
+        (dA/dlog theta_p = K_p, dC/dlog theta_p = D_p):
 
             dg_e/dtheta_p = -a^T K_p A^-1 C a + 1/2 a^T D_p a
                             + 1/2 tr(K_p M) - 1/2 tr(A^-1 D_p).
 
-        D_s = C, so for log s the D_p terms add up to g_e itself. The
-        two-entry vectors are Python floats, whose arithmetic is numpy's
+        D_s = C, so for log s the D_p terms add up to g_e itself. Every term
+        but tr(K_p M) is formed first, and trace_Kp_M, the one reader of
+        B = A^-1 C, comes last, so a B that start_B submitted has until then.
+        D_l goes into the factor's buffer, which is free once A^-1 is formed.
+        The two-entry vectors are Python floats, whose arithmetic is numpy's
         elementwise arithmetic entry by entry.
         """
-        A_inv, Kp = self.A_inv, self.Kp
-        tr_K, tr_Kl = self.trace_Kp_M()
-        D = gaussian_scale_direction(self.params, self.ws.base, Kp[1], out=self.ws.scratch)
-        shared_s = 0.5 * tr_K
-        shared_l = 0.5 * tr_Kl - 0.5 * float(np.einsum("ij,ij->", D, A_inv))
-        grad_s = grad_l = 0.0
+        if self.kind is not KernelKind.GAUSSIAN:
+            raise InvalidSetting("the penalty's parameter gradient is derived for the "
+                                 f"gaussian kernel only, not {self.kind.value}")
+        A_inv = self.A_inv      # formed from the factor before D_l is written over it
+        D = gaussian_scale_direction(self.params, self.ws.base, self.Kp[1], out=self.ws.factor)
+        tr_AD = float(np.einsum("ij,ij->", D, A_inv))
         g0, g1, d, Cd = self._terms(m0, m1)
         alpha, C_alpha = self.post.alpha_vec, self._shared[4]
-        for g, a, Ca in ((g0, 0.5 * (alpha + d), 0.5 * (C_alpha + Cd)),
-                         (g1, 0.5 * (alpha - d), 0.5 * (C_alpha - Cd))):
-            dg_s, dg_l = (-(Kp @ (A_inv @ Ca)) @ a).tolist()
+        env0 = self._env_theta_terms(0.5 * (alpha + d), 0.5 * (C_alpha + Cd), D)
+        env1 = self._env_theta_terms(0.5 * (alpha - d), 0.5 * (C_alpha - Cd), D)
+        tr_K, tr_Kl = self.trace_Kp_M()
+        shared_s = 0.5 * tr_K
+        shared_l = 0.5 * tr_Kl - 0.5 * tr_AD
+        grad_s = grad_l = 0.0
+        for g, (dg_s, dg_l, aDa) in ((g0, env0), (g1, env1)):
             twice_g = 2.0 * g
             grad_s += twice_g * ((dg_s + shared_s) + g)
-            grad_l += twice_g * ((dg_l + shared_l) + float(0.5 * (D @ a) @ a))
+            grad_l += twice_g * ((dg_l + shared_l) + aDa)
         return grad_s, grad_l
+
+    def _env_theta_terms(self, a: np.ndarray, Ca: np.ndarray, D: np.ndarray
+                         ) -> tuple[float, float, float]:
+        """(-a^T K_s A^-1 C a, -a^T K_l A^-1 C a, 1/2 a^T D_l a) for one
+        environment's a = a_e and Ca = C a_e: its terms of the penalty's
+        parameter gradient that do not read B."""
+        dg_s, dg_l = (-(self.Kp @ (self.A_inv @ Ca)) @ a).tolist()
+        return dg_s, dg_l, float(0.5 * (D @ a) @ a)
 
     def start_B(self, helper) -> None:
         """Submit B = A^-1 C, into the workspace's scratch, to the executor
@@ -405,19 +427,15 @@ class TrainState:
         self._B = helper.submit(np.matmul, self.A_inv, self.C, out=self.ws.scratch)
 
     def trace_Kp_M(self) -> tuple[float, float]:
-        """tr(K_p M) for log s and log l of the Gaussian kernel, the one kernel
-        trained with the penalty (InvalidSetting for any other), from the one
+        """tr(K_p M) for log s and log l of the Gaussian kernel from the one
         dense product B = A^-1 C, formed here or, after start_B, waited for.
 
         A^-1 K = I - tau A^-1, so tr(K M) = tr(B) - tau tr(A^-1 B). As
         C = K + K_l, tr(C M) = tr(B B) leaves tr(K_l M). A^-1 is symmetric,
         so tr(A^-1 B) = <A^-1, B>.
         """
-        if self.kind is not KernelKind.GAUSSIAN:
-            raise InvalidSetting("the penalty's parameter gradient is derived for the "
-                                 f"gaussian kernel only, not {self.kind.value}")
         A_inv, pending = self.A_inv, self._B
-        self._B = None      # the scratch holds B only until D_l overwrites it
+        self._B = None      # a submitted B is waited for once
         B = np.matmul(A_inv, self.C, out=self.ws.scratch) if pending is None else pending.result()
         tau = self.noise.sigma2 + self.post.jitter
         tr_K = float(B.trace() - tau * np.einsum("ij,ij->", A_inv, B))
@@ -486,14 +504,16 @@ def _train(spec: ModelSpec, X, y, seed: int
     kept, so t1 rounds of t2 ascent steps evaluate the masks t1 t2 + 1 times
     and the environment terms t1 (t2 + 1) + 1 times (plus the penalties of
     rejected trial points). Returns the last state, whose posterior is the
-    fitted model, the logits (None for a plain GP) and the
+    fitted model (it never runs objective_grad, a state's last read of its
+    factor), the logits (None for a plain GP) and the
     trace of completed rounds, which on abort rides on the TrainingAbort.
     All states of the fit write into one Workspace.
 
     From _OVERLAP_N training points, a fit with a penalty (lam != 0) forms
     each round's B = A^-1 C on one helper thread of its own while the round
-    ascends: the same numpy call on the same buffers, so every output keeps
-    its bits. The helper runs no dilgp code."""
+    ascends and forms every other term of its gradient: the same numpy call
+    on the same buffers, so every output keeps its bits. The helper runs no
+    dilgp code."""
     X, y = check_xy(X, y)
     n, partition = X.shape[0], learns_partition(spec)
     if partition and n < 4:
@@ -522,7 +542,7 @@ def _train(spec: ModelSpec, X, y, seed: int
                     if spec.t2 or masks is None:    # the logits moved, or this is round 1
                         logits = DomainLogits(q)
                         masks = env_masks(q)
-                # with lam != 0 this waits for B, so the helper is idle below
+                # with lam != 0 this waits for B last, so the helper is idle below
                 g = state.objective_grad(masks, lam)
                 theta = state.params.as_array()
                 # Release this point's state: the trial one overwrites its buffers.

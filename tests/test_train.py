@@ -292,8 +292,11 @@ def test_penalty_step_needs_the_gaussian_kernel(kind):
     X, y, logits = toy(4)
     params = rand_params(rng_for(4, "gauss-only"))
     state = TrainState(kind, params, NoiseSpec(0.25), X, y)
+    factor = state.ws.factor.copy()
     with pytest.raises(InvalidSetting, match=kind.value):
         outer_descent_step(params, logits, state, 0.01, 0.5)
+    # the kind is checked before D_l or B is written anywhere
+    assert np.array_equal(_bits(state.ws.factor), _bits(factor))
     after = outer_descent_step(params, logits, state, 0.01, 0.0)
     assert not np.array_equal(after.as_array(), params.as_array())
 
@@ -800,6 +803,12 @@ def _counting_start_B(monkeypatch):
     return calls
 
 
+def _assert_same_fit(a, b):
+    assert to_jsonl(a.trace.records) == to_jsonl(b.trace.records)
+    for name in ("alpha_vec", "chol"):
+        assert np.array_equal(_bits(getattr(a.post, name)), _bits(getattr(b.post, name))), name
+
+
 @pytest.mark.parametrize("dataset", ["synthetic_1d", "synthetic_2d"])
 def test_overlapped_fit_is_the_serial_fit_bitwise(dataset, monkeypatch):
     from dilgp.experiments import settings_for
@@ -814,10 +823,7 @@ def test_overlapped_fit_is_the_serial_fit_bitwise(dataset, monkeypatch):
     # one start per round, with the helper thread alive from the second on
     assert len(calls) == spec.t1 and calls[1:] == [before + 1] * (spec.t1 - 1)
     assert threading.active_count() == before
-    assert to_jsonl(overlapped.trace.records) == to_jsonl(serial.trace.records)
-    for name in ("alpha_vec", "chol"):
-        assert np.array_equal(_bits(getattr(overlapped.post, name)),
-                              _bits(getattr(serial.post, name))), name
+    _assert_same_fit(overlapped, serial)
 
 
 def test_bo_sized_fit_starts_no_thread(monkeypatch):
@@ -863,3 +869,53 @@ def test_abort_in_an_overlapped_round_joins_the_helper(monkeypatch):
     assert len(calls) == 1 and len(raised) == 1
     assert "coordinate" in str(raised[0]) and len(raised[0].trace) == 0
     assert threading.active_count() == before
+
+
+def test_overlapped_round_forms_every_term_without_B_before_the_wait(monkeypatch):
+    # D_l and both environments' products do not read B = A^-1 C, so each
+    # round forms them while the helper still forms B, and waits for B last
+    from concurrent.futures import Future
+    from dilgp.experiments import settings_for
+    log = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(train_mod, "_OVERLAP_N", 4)
+    monkeypatch.setattr(TrainState, "start_B", logged("start", TrainState.start_B))
+    monkeypatch.setattr(train_mod, "gaussian_scale_direction",
+                        logged("D_l", train_mod.gaussian_scale_direction))
+    monkeypatch.setattr(TrainState, "_env_theta_terms",
+                        logged("env", TrainState._env_theta_terms))
+    monkeypatch.setattr(Future, "result", logged("wait", Future.result))
+    train, _ = data_mod.GENERATORS["synthetic_1d"](0)
+    spec = settings_for("synthetic_1d", "dil_gp", t1=4)
+    fit_model(spec, train, seed=3)
+    assert log == ["start", "D_l", "env", "env", "wait"] * spec.t1
+
+
+def test_overlap_at_its_threshold_is_the_serial_fit_bitwise(monkeypatch):
+    # a real-size overlapped fit against the serial one; the returned
+    # factor must still be the fit's own, as D_l of each round's gradient
+    # is written over the factor of a state that is not returned
+    from dilgp.experiments import settings_for
+    n = train_mod._OVERLAP_N
+    # the first n rows of four stacked synthetic_1d draws (460 rows)
+    draws = [gen_synthetic_1d(seed)[0] for seed in range(4)]
+    train = data_mod.Dataset(np.vstack([d.x for d in draws])[:n],
+                             np.concatenate([d.y for d in draws])[:n], None)
+    spec = settings_for("synthetic_1d", "dil_gp", t1=2)
+    calls = _counting_start_B(monkeypatch)
+    overlapped = fit_model(spec, train, seed=0)
+    assert len(calls) == spec.t1
+    monkeypatch.setattr(train_mod, "_OVERLAP_N", n + 1)
+    serial = fit_model(spec, train, seed=0)
+    assert len(calls) == spec.t1
+    _assert_same_fit(overlapped, serial)
+    post = overlapped.post
+    K = kernel_matrix(GAUSS, post.params, post.train_x, post.train_x)
+    np.testing.assert_allclose(post.chol @ post.chol.T,
+                               K + (spec.sigma2 + post.jitter) * np.eye(n), rtol=0, atol=1e-12)

@@ -34,12 +34,11 @@ class NotPositiveDefinite(DilgpError):
 class TrainingAbort(DilgpError):
     """Training stopped before completing its configured step count.
 
-    ``trace`` holds whatever was recorded before the abort, for post-mortem.
+    ``trace`` holds whatever was recorded before the abort, for post-mortem;
+    the trainer sets it, and an abort raised elsewhere reads None.
     """
 
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    trace = None
 
 
 class ObjectiveFailure(DilgpError):

@@ -238,11 +238,11 @@ class Workspace:
     previous one's, so at most one state of a workspace is live at a time.
     The base is read-only: every state of the fit reads it. potri's buffer
     is free once A^-1 is formed, so its row-major transpose is the scratch
-    that holds B = A^-1 C, after A^-1 and before the next state's. The
-    factor is free once A^-1 is formed too, so D_l takes the factor's
-    buffer: objective_grad is a state's last read of its factor. Each buffer
-    is _aligned in an allocation of its own, so the factor that a posterior
-    keeps holds no other buffer alive."""
+    that holds a round's D_l and then, in a serial round, B = A^-1 C. The
+    helper thread of an overlapped round forms B in the factor instead, so
+    only such a round's state loses its factor. Each buffer is _aligned in
+    an allocation of its own, so the factor that a posterior keeps holds no
+    other buffer alive."""
 
     def __init__(self, kind: KernelKind, X: np.ndarray):
         n, p = X.shape[0], len(ACTIVE_PARAMS[kind])
@@ -268,9 +268,8 @@ class TrainState:
     dense A^-1, C = sum_p K_p and tr(A^-1 C) are formed once each, on first
     use, so a plain-GP round never builds C; so are C alpha and A^-1 C alpha,
     which every environment term shares. B = A^-1 C and the Gaussian
-    kernel's D_l = dC/dlog l live only in the call that reads them, and
-    D_l is written over the factor: with lam != 0, objective_grad is the
-    state's last read of its factor, and post.chol holds D_l after it. Both
+    kernel's D_l = dC/dlog l live only in the call that reads them, in the
+    workspace's scratch; only start_B's B goes into the factor. Both
     environments' terms come from these and one difference
     d = A^-1 (y (m0 - m1)), so a penalty takes two O(n^2) products and an
     ascent step three. The state keeps the terms of the last masks it read:
@@ -339,29 +338,27 @@ class TrainState:
         g0, g1, _, _ = self._terms(m0, m1)
         return PenaltyReport(g0 * g0 + g1 * g1, (g0, g1))
 
-    def ascend(self, q: np.ndarray, t2: int, eta1: float, masks=None) -> np.ndarray:
+    def ascend(self, q: np.ndarray, t2: int, eta1: float, masks
+               ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """t2 gradient-ascent steps q <- q + eta1 g on the raw logits q, which
         it does not validate, with everything the steps share read once; g is
-        the penalty's logit gradient 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1). masks
-        are those of q when the caller has them: the first step then reads
-        the terms kept at them. TrainingAbort names the first coordinate of a
-        non-finite gradient."""
+        the penalty's logit gradient 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1), from
+        the terms at the masks (m0, m1) = env_masks(q). Returns the logits
+        and their masks, the given objects when t2 = 0. TrainingAbort names
+        the first coordinate of a non-finite gradient."""
         if t2 == 0:
-            return q
+            return q, masks
         A_inv, _, y, _, _, Ainv_C_alpha, _, _ = self._shared
         for _ in range(t2):
-            if masks is None:
-                m0, m1 = env_masks(q)
-                g0, g1, _, Cd = self._env_terms(m0, m1)
-            else:
-                (m0, m1), masks = masks, None
-                g0, g1, _, Cd = self._terms(m0, m1)
+            m0, m1 = masks
+            g0, g1, _, Cd = self._terms(m0, m1)
             g = y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * A_inv.dot(Cd))
             if not np.isfinite(g).all():
                 bad = int(np.flatnonzero(~np.isfinite(g))[0])
                 raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
             q = q + eta1 * g
-        return q
+            masks = env_masks(q)
+        return q, masks
 
     def objective_grad(self, masks, lam: float) -> np.ndarray:
         """Gradient of -LML + lam * penalty in the four log-parameters at fixed
@@ -387,15 +384,16 @@ class TrainState:
         D_s = C, so for log s the D_p terms add up to g_e itself. Every term
         but tr(K_p M) is formed first, and trace_Kp_M, the one reader of
         B = A^-1 C, comes last, so a B that start_B submitted has until then.
-        D_l goes into the factor's buffer, which is free once A^-1 is formed.
-        The two-entry vectors are Python floats, whose arithmetic is numpy's
-        elementwise arithmetic entry by entry.
+        D_l goes into the scratch, potri's buffer, which is free once A^-1 is
+        formed; a serial round's B lands there after D_l's last read, and the
+        factor stays the state's. The two-entry vectors are Python floats,
+        whose arithmetic is numpy's elementwise arithmetic entry by entry.
         """
         if self.kind is not KernelKind.GAUSSIAN:
             raise InvalidSetting("the penalty's parameter gradient is derived for the "
                                  f"gaussian kernel only, not {self.kind.value}")
-        A_inv = self.A_inv      # formed from the factor before D_l is written over it
-        D = gaussian_scale_direction(self.params, self.ws.base, self.Kp[1], out=self.ws.factor)
+        A_inv = self.A_inv      # formed through potri's buffer before D_l is written there
+        D = gaussian_scale_direction(self.params, self.ws.base, self.Kp[1], out=self.ws.scratch)
         tr_AD = float(np.einsum("ij,ij->", D, A_inv))
         g0, g1, d, Cd = self._terms(m0, m1)
         alpha, C_alpha = self.post.alpha_vec, self._shared[4]
@@ -420,15 +418,17 @@ class TrainState:
         return dg_s, dg_l, float(0.5 * (D @ a) @ a)
 
     def start_B(self, helper) -> None:
-        """Submit B = A^-1 C, into the workspace's scratch, to the executor
-        helper, for the next trace_Kp_M to wait for. A^-1 and C are formed
-        here; the helper makes that one numpy call and nothing else, and
-        until it is waited for nothing may write A^-1, C or the scratch."""
-        self._B = helper.submit(np.matmul, self.A_inv, self.C, out=self.ws.scratch)
+        """Submit B = A^-1 C to the executor helper, for the next trace_Kp_M
+        to wait for. A^-1 and C are formed here, so the factor is free and B
+        goes into it: the state no longer predicts. The helper makes that one
+        numpy call and nothing else, and until it is waited for nothing may
+        write A^-1 or C or touch the factor."""
+        self._B = helper.submit(np.matmul, self.A_inv, self.C, out=self.ws.factor)
 
     def trace_Kp_M(self) -> tuple[float, float]:
         """tr(K_p M) for log s and log l of the Gaussian kernel from the one
-        dense product B = A^-1 C, formed here or, after start_B, waited for.
+        dense product B = A^-1 C, formed here, in the scratch, or, after
+        start_B, waited for.
 
         A^-1 K = I - tau A^-1, so tr(K M) = tr(B) - tau tr(A^-1 B). As
         C = K + K_l, tr(C M) = tr(B B) leaves tr(K_l M). A^-1 is symmetric,
@@ -444,7 +444,7 @@ class TrainState:
 
 def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> DomainLogits:
     """One gradient-ascent step on the penalty in the logits."""
-    return DomainLogits(state.ascend(logits.q_tilde, 1, eta1))
+    return DomainLogits(state.ascend(logits.q_tilde, 1, eta1, env_masks(logits.q_tilde))[0])
 
 
 def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
@@ -494,34 +494,35 @@ def init_logits(n: int, seed: int) -> DomainLogits:
 def _train(spec: ModelSpec, X, y, seed: int
            ) -> tuple[TrainState, DomainLogits | None, TrainTrace]:
     """spec.t1 training rounds from KernelParams(). When the spec learns a
-    partition, the logits start from init_logits(seed) and each round first
-    ascends on them spec.t2 times, on the raw array, which is validated as
-    DomainLogits once per round; a plain GP ignores the seed and descends
-    on the -LML alone. Each round reads one TrainState, and the state of the
-    accepted step becomes the next round's, so t1 rounds factorize t1 + 1
-    times (plus one per step halving). The next round's first ascent step
-    reads that state at the masks it was accepted at, with the terms it
-    kept, so t1 rounds of t2 ascent steps evaluate the masks t1 t2 + 1 times
-    and the environment terms t1 (t2 + 1) + 1 times (plus the penalties of
-    rejected trial points). Returns the last state, whose posterior is the
-    fitted model (it never runs objective_grad, a state's last read of its
-    factor), the logits (None for a plain GP) and the
-    trace of completed rounds, which on abort rides on the TrainingAbort.
-    All states of the fit write into one Workspace.
+    partition, the logits start from init_logits(seed), whose masks are
+    evaluated once, and each round first ascends on them spec.t2 times, on
+    the raw array, which is validated as DomainLogits once per round; a
+    plain GP ignores the seed and descends on the -LML alone. Each round
+    reads one TrainState, and the state of the accepted step becomes the
+    next round's, so t1 rounds factorize t1 + 1 times (plus one per step
+    halving). The next round's first ascent step reads that state at the
+    masks it was accepted at, with the terms it kept, so t1 rounds of t2
+    ascent steps evaluate the masks t1 t2 + 1 times and the environment
+    terms t1 (t2 + 1) + 1 times (plus the penalties of rejected trial
+    points). Returns the last state, whose posterior is the fitted model,
+    the logits (None for a plain GP) and the trace of completed rounds,
+    which on abort rides on the TrainingAbort. All states of the fit write
+    into one Workspace.
 
     From _OVERLAP_N training points, a fit with a penalty (lam != 0) forms
     each round's B = A^-1 C on one helper thread of its own while the round
     ascends and forms every other term of its gradient: the same numpy call
     on the same buffers, so every output keeps its bits. The helper runs no
-    dilgp code."""
+    dilgp code. It writes B over the factor of the round's state, which the
+    round then drops; no round starts from the state returned."""
     X, y = check_xy(X, y)
     n, partition = X.shape[0], learns_partition(spec)
     if partition and n < 4:
         raise DimensionMismatch(f"need at least 4 training points to split, got {n}")
     logits = init_logits(n, seed) if partition else None
+    masks = env_masks(logits.q_tilde) if partition else None
     kind, noise = spec.kind, spec.noise
     lam = spec.lam if partition else 0.0
-    masks = None
     trace = TrainTrace()
     ws = Workspace(kind, X)
     state = TrainState(kind, KernelParams(), noise, X, y, ws)
@@ -538,10 +539,8 @@ def _train(spec: ModelSpec, X, y, seed: int
                 if partition:
                     if pool is not None:
                         state.start_B(pool)
-                    q = state.ascend(logits.q_tilde, spec.t2, spec.eta1, masks)
-                    if spec.t2 or masks is None:    # the logits moved, or this is round 1
-                        logits = DomainLogits(q)
-                        masks = env_masks(q)
+                    q, masks = state.ascend(logits.q_tilde, spec.t2, spec.eta1, masks)
+                    logits = DomainLogits(q)
                 # with lam != 0 this waits for B last, so the helper is idle below
                 g = state.objective_grad(masks, lam)
                 theta = state.params.as_array()

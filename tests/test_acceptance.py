@@ -145,7 +145,7 @@ def test_criterion_03_gradient_suite_matches_finite_differences():
             worst = max(worst, abs(implied[idx] - want) / max(1.0, abs(want)))
 
         # partition gradient of the penalty, via one ascent step at rate 1
-        got_q = state.ascend(q, 1, 1.0) - q
+        got_q = state.ascend(q, 1, 1.0, env_masks(q))[0] - q
         for i in range(8):
             qp, qm = q.copy(), q.copy()
             qp[i] += h_q

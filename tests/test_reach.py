@@ -1,6 +1,7 @@
-"""Each public function and method of the package is named in the package,
-the benchmark harness or the README: a helper that only tests call is a
-second path to a quantity, and its tests should call the package's path."""
+"""Each function and method of the package, public or private (dunders
+aside), is named in the package, the benchmark harness or the README: a
+helper that only tests call is a second path to a quantity, and its tests
+should call the package's path."""
 
 import ast
 import re
@@ -15,14 +16,16 @@ SOURCES = sorted((ROOT / "src" / "dilgp").glob("*.py"))
 REFERENCES = {"env_log_likelihood", "scaled", "shifted"}
 
 
-def _public_defs():
-    """(qualified name, name) of each public top-level function and method."""
+def _defs(private: bool):
+    """(qualified name, name) of each top-level function and method that is
+    private (one leading underscore) or public."""
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
             is_class = isinstance(node, ast.ClassDef)
             owner = f"{path.stem}.{node.name}" if is_class else path.stem
             yield from ((f"{owner}.{d.name}", d.name) for d in (node.body if is_class else [node])
-                        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"))
+                        if isinstance(d, ast.FunctionDef) and not d.name.startswith("__")
+                        and d.name.startswith("_") == private)
 
 
 def _names_used() -> set[str]:
@@ -40,9 +43,20 @@ def _names_used() -> set[str]:
     return names
 
 
-def test_every_public_name_is_reached():
-    defs = list(_public_defs())
-    assert REFERENCES <= {name for _, name in defs}
+def _unreached(defs) -> list[str]:
     used = _names_used() | REFERENCES
-    unreached = [qual for qual, name in defs if name not in used]
+    return [qual for qual, name in defs if name not in used]
+
+
+def test_every_public_name_is_reached():
+    defs = list(_defs(private=False))
+    assert REFERENCES <= {name for _, name in defs}
+    unreached = _unreached(defs)
+    assert not unreached, f"reached only from tests or from nowhere: {unreached}"
+
+
+def test_every_private_name_is_reached():
+    defs = list(_defs(private=True))
+    assert defs
+    unreached = _unreached(defs)
     assert not unreached, f"reached only from tests or from nowhere: {unreached}"

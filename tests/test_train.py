@@ -154,7 +154,8 @@ def test_penalty_label_swap_exact():
     assert a.penalty == b.penalty
     assert a.per_env_grad == (b.per_env_grad[1], b.per_env_grad[0])
     state = TrainState(GAUSS, params, NoiseSpec(0.1), X, y)
-    assert np.array_equal(state.ascend(-q, 1, 0.5), -state.ascend(q, 1, 0.5))
+    assert np.array_equal(state.ascend(-q, 1, 0.5, env_masks(-q))[0],
+                          -state.ascend(q, 1, 0.5, env_masks(q))[0])
 
 
 def test_penalty_nonnegative_across_seeds():
@@ -177,7 +178,7 @@ def test_grad_q_matches_fd():
         params = rand_params(rng)
         noise = NoiseSpec(0.2)
         state = TrainState(GAUSS, params, noise, X, y)
-        got = state.ascend(q, 1, 1.0) - q
+        got = state.ascend(q, 1, 1.0, env_masks(q))[0] - q
         want = np.zeros_like(got)
         for i in range(len(want)):
             for sign in (1.0, -1.0):
@@ -194,7 +195,30 @@ def test_inner_ascent_zero_rate_is_identity():
     state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
     out = inner_ascent_step(logits, state, 0.0)
     assert np.array_equal(out.q_tilde, logits.q_tilde)
-    assert state.ascend(logits.q_tilde, 0, 0.3) is logits.q_tilde
+    assert state.ascend(logits.q_tilde, 0, 0.3, env_masks(logits.q_tilde))[0] is logits.q_tilde
+
+
+@pytest.mark.parametrize("t2", [1, 3])
+def test_ascend_returns_the_masks_of_its_logits(t2):
+    X, y, logits = toy(5)
+    q = logits.q_tilde
+    state = TrainState(GAUSS, rand_params(rng_for(5, "ascend-masks")), NoiseSpec(0.2), X, y)
+    got, masks = state.ascend(q, t2, 0.5, env_masks(q))
+    assert not np.array_equal(got, q)
+    for m, want in zip(masks, env_masks(got), strict=True):
+        assert np.array_equal(_bits(m), _bits(want))
+
+
+def test_ascend_without_steps_returns_its_arguments(monkeypatch):
+    # t2 = 0 hands back the logits and masks it was given and forms no A^-1
+    X, y, logits = toy(6)
+    state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
+    inverses = []
+    monkeypatch.setattr(train_mod, "cho_inverse", lambda *args, **kw: inverses.append(args))
+    masks = env_masks(logits.q_tilde)
+    q, got = state.ascend(logits.q_tilde, 0, 0.3, masks)
+    assert q is logits.q_tilde and got is masks
+    assert inverses == []
 
 
 def test_inner_ascent_nonfinite_gradient_aborts_with_coordinate():
@@ -248,6 +272,21 @@ def test_outer_step_zero_rate_keeps_params():
     state = TrainState(GAUSS, init, NoiseSpec(0.1), X, y)
     after = outer_descent_step(init, logits, state, 0.0, 0.5)
     assert np.array_equal(after.as_array(), init.as_array())
+
+
+def test_penalized_step_keeps_the_state_predicting():
+    # D_l and a serial round's B go into the workspace's scratch, so the
+    # state a penalized step is taken from keeps its factor, byte for byte
+    X, y, logits = toy(7, n=20)
+    params = rand_params(rng_for(7, "keeps-factor"))
+    state = TrainState(GAUSS, params, NoiseSpec(0.2), X, y)
+    mean, var = predict(state.post, X)
+    factor = state.ws.factor.copy()
+    outer_descent_step(params, logits, state, 0.01, 0.5)
+    assert np.array_equal(_bits(state.ws.factor), _bits(factor))
+    got_mean, got_var = predict(state.post, X)
+    assert np.array_equal(_bits(got_mean), _bits(mean))
+    assert np.array_equal(_bits(got_var), _bits(var))
 
 
 def test_combined_objective_gradient_matches_fd():
@@ -721,14 +760,14 @@ def test_ascend_is_t2_inner_ascent_steps(dataset, n):
     for params in (KernelParams(), KernelParams(0.3, -0.5)):
         with blas.one_thread():
             state = TrainState(GAUSS, params, spec.noise, X, y)
-            got = state.ascend(q0, spec.t2, spec.eta1)
+            got = state.ascend(q0, spec.t2, spec.eta1, env_masks(q0))[0]
             logits, want = DomainLogits(q0), q0
             for _ in range(spec.t2):
                 logits = inner_ascent_step(logits, state, spec.eta1)
                 want = _reference_ascent_step(state, want, spec.eta1)
             masks = env_masks(q0)
             state.penalty(*masks)       # as the penalty that accepts a state does
-            kept = state.ascend(q0, spec.t2, spec.eta1, masks)
+            kept = state.ascend(q0, spec.t2, spec.eta1, masks)[0]
         assert not np.array_equal(got, q0)
         for other in (logits.q_tilde, want, kept):
             assert np.array_equal(_bits(got), _bits(other)), params
@@ -899,8 +938,8 @@ def test_overlapped_round_forms_every_term_without_B_before_the_wait(monkeypatch
 
 def test_overlap_at_its_threshold_is_the_serial_fit_bitwise(monkeypatch):
     # a real-size overlapped fit against the serial one; the returned
-    # factor must still be the fit's own, as D_l of each round's gradient
-    # is written over the factor of a state that is not returned
+    # factor must still be the fit's own, as each round's B is written
+    # over the factor of a state that is not returned
     from dilgp.experiments import settings_for
     n = train_mod._OVERLAP_N
     # the first n rows of four stacked synthetic_1d draws (460 rows)

@@ -1,5 +1,6 @@
-"""The OpenBLAS that numpy and scipy ship, at one thread for a call, and the
-four LAPACK routines that a fit calls.
+"""The OpenBLAS that numpy and scipy ship, at one thread for a call, with
+the build string that names the kernels each picked, and the four LAPACK
+routines that a fit calls.
 
 At dilgp's problem sizes OpenBLAS threads cost more than they save, and how
 a solve is split over threads decides the last digits of its result. The
@@ -28,28 +29,43 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-# Thread setter and getter of the scipy-openblas builds of numpy and of scipy.
-_SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-            ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"))
+# Thread setter and getter, and build-config getter, of the scipy-openblas
+# builds of numpy and of scipy.
+_SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
+             "scipy_openblas_get_config64_"),
+            ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads",
+             "scipy_openblas_get_config"))
 
-OpenBLAS = namedtuple("OpenBLAS", "name set get")
+# config is the library's build string, which names the kernels a DYNAMIC_ARCH
+# build picked on this CPU (None when the library does not export it).
+OpenBLAS = namedtuple("OpenBLAS", "name set get config")
 
 
 def _find() -> list[OpenBLAS]:
-    """Each OpenBLAS shipped with numpy or scipy that exports both functions."""
+    """Each OpenBLAS shipped with numpy or scipy that exports both thread
+    functions."""
     found = []
     for pkg in (np, scipy):
         libdir = Path(pkg.__file__).resolve().parents[1] / f"{pkg.__name__}.libs"
         for path in sorted(libdir.glob("*openblas*.so*")):
             lib = ctypes.CDLL(str(path))
-            for set_name, get_name in _SYMBOLS:
+            for set_name, get_name, config_name in _SYMBOLS:
                 if hasattr(lib, set_name) and hasattr(lib, get_name):
                     setter, getter = getattr(lib, set_name), getattr(lib, get_name)
                     setter.argtypes, setter.restype = [ctypes.c_int], None
                     getter.argtypes, getter.restype = [], ctypes.c_int
-                    found.append(OpenBLAS(path.name, setter, getter))
+                    found.append(OpenBLAS(path.name, setter, getter, _config(lib, config_name)))
                     break
     return found
+
+
+def _config(lib: ctypes.CDLL, name: str) -> str | None:
+    """The build string that lib's function name returns, if lib exports it."""
+    if not hasattr(lib, name):
+        return None
+    get_config = getattr(lib, name)
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    return get_config().decode()
 
 
 LIBRARIES = _find()

@@ -219,6 +219,7 @@ def _write_outputs(outdir: Path, config: dict, written: list[str], t0: float):
         "outputs": checksums,
         "environment": {"numpy": numpy.__version__, "scipy": scipy.__version__,
                         "openblas": [lib.name for lib in blas.LIBRARIES],
+                        "openblas_config": [lib.config for lib in blas.LIBRARIES],
                         "blas_threads": 1 if blas.LIBRARIES else None},
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -58,6 +58,13 @@ def test_fit_model_and_predict_run_at_one_thread(two_threads, monkeypatch):
 
 
 @needs_openblas
+def test_each_library_names_its_build():
+    # the build string names the kernels a DYNAMIC_ARCH build picked here
+    for lib in blas.LIBRARIES:
+        assert lib.config.startswith("OpenBLAS "), lib
+
+
+@needs_openblas
 def test_pin_restored_when_training_aborts(two_threads, monkeypatch):
     seen = []
 

@@ -61,6 +61,7 @@ def test_generate_manifest_checksums(gen_dir):
     env = manifest["environment"]
     assert env["numpy"] == np.__version__
     assert env["openblas"] == [lib.name for lib in blas.LIBRARIES]
+    assert env["openblas_config"] == [lib.config for lib in blas.LIBRARIES]
     assert env["blas_threads"] == (1 if blas.LIBRARIES else None)
     cfg = read_json(gen_dir / "config.json")
     assert cfg["command"] == "generate"

@@ -25,7 +25,7 @@ from .exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                          ObjectiveFailure)
 from .gp import GPPosterior
 from .rng import rng_for
-from .train import Fit, ModelSpec, fit_model
+from .train import MIN_SPLIT_POINTS, Fit, ModelSpec, fit_model, learns_partition
 
 N_GLOBAL_CANDIDATES = 1024
 N_LOCAL_CANDIDATES = 64
@@ -190,7 +190,9 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
     the objective. A non-finite objective value is retried once: an initial
     point is redrawn uniformly, and a step is marked failed and re-proposed
     with a fresh candidate batch. A second consecutive failure raises
-    ObjectiveFailure carrying the state so far.
+    ObjectiveFailure carrying the state so far. A surrogate that learns a
+    partition needs n_init >= train.MIN_SPLIT_POINTS, checked before the
+    objective is called.
 
     steps holds one record per step, built when the step finishes: step (1
     to t_bo), x (a list), f, incumbent_f (lowest f so far, initial design
@@ -206,6 +208,9 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
         raise InvalidSetting(f"t_bo and n_init must be >= 1, got {t_bo} and {n_init}")
     if acq not in ("ucb", "ei"):
         raise InvalidSetting(f"acq must be 'ucb' or 'ei', got {acq!r}")
+    if learns_partition(spec) and n_init < MIN_SPLIT_POINTS:
+        raise InvalidSetting(f"n_init must be >= {MIN_SPLIT_POINTS} for {spec.model}, whose "
+                             f"first fit splits the initial design, got {n_init}")
     rng_init = rng_for(seed, "bo-init")
     rng_cand = rng_for(seed, "bo-candidates")
 

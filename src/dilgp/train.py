@@ -47,6 +47,10 @@ from .rng import rng_for
 
 _MAX_HALVINGS = 8
 
+# Fewest training points a model that learns a partition trains on: each of
+# the two environments needs points to weigh.
+MIN_SPLIT_POINTS = 4
+
 # Training size from which a round forms B = A^-1 C on a helper thread while
 # its partition ascent and the rest of its gradient run. The measured
 # crossover, as the change in a 10-round dil_gp fit's time with the helper
@@ -517,8 +521,9 @@ def _train(spec: ModelSpec, X, y, seed: int
     round then drops; no round starts from the state returned."""
     X, y = check_xy(X, y)
     n, partition = X.shape[0], learns_partition(spec)
-    if partition and n < 4:
-        raise DimensionMismatch(f"need at least 4 training points to split, got {n}")
+    if partition and n < MIN_SPLIT_POINTS:
+        raise DimensionMismatch(f"need at least {MIN_SPLIT_POINTS} training points to split, "
+                                f"got {n}")
     logits = init_logits(n, seed) if partition else None
     masks = env_masks(logits.q_tilde) if partition else None
     kind, noise = spec.kind, spec.noise

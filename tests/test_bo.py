@@ -19,7 +19,7 @@ from dilgp.experiments import quad_bo_experiment, quad_surrogate_config
 from dilgp.kernels import KernelKind, KernelParams, kernel_matrix
 from dilgp.quad import TrajectoryKind
 from dilgp.rng import rng_for
-from dilgp.train import ModelSpec, to_jsonl
+from dilgp.train import MIN_SPLIT_POINTS, ModelSpec, to_jsonl
 
 SPACE = SearchSpace(np.array([0.0]), np.array([1.0]))
 
@@ -199,6 +199,24 @@ def test_bo_run_validation():
         bo_run(quadratic, SPACE, fixed_kernel_cfg(), "ucb", t_bo=3, n_init=0)
     with pytest.raises(ValueError):
         bo_run(quadratic, SPACE, fixed_kernel_cfg(), "pi", t_bo=3)
+
+
+def test_partition_surrogate_with_a_small_design_fails_before_any_query():
+    # a dil_gp surrogate cannot split fewer than MIN_SPLIT_POINTS points, so
+    # bo_run refuses the run before it spends an objective call
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return quadratic(x)
+
+    spec = quad_surrogate_config("dil_gp")
+    with pytest.raises(InvalidSetting, match="n_init must be >= 4 for dil_gp"):
+        bo_run(counting, SPACE, spec, "ucb", t_bo=2, n_init=MIN_SPLIT_POINTS - 1)
+    assert calls == []
+    bo_run(counting, SPACE, quad_surrogate_config("gp_gaussian", t1=1), "ucb", t_bo=1,
+           n_init=MIN_SPLIT_POINTS - 1)
+    assert len(calls) == MIN_SPLIT_POINTS
 
 
 def test_bo_run_cum_regret_against_known_optimum():

@@ -262,6 +262,7 @@ def test_model_flags_are_generated_from_spec_fields():
     pytest.param("eta2", ["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian",
                           "--eta2", "-0.5"], None, id="eta2"),
     pytest.param("t_bo", ["bo", "--t-bo", "0"], None, id="t_bo"),
+    pytest.param("n_init", ["bo", "--n-init", "3"], None, id="n_init_split"),
     pytest.param("sigma2", ["bo", "--sigma2", "0"], None, id="sigma2"),
     pytest.param("sweep", ["fit-eval", "--train-csv", "train.csv", "--test-csv", "test.csv",
                            "--model", "gp_gaussian", "--sweep", "3"], None, id="csv_sweep"),

@@ -457,6 +457,32 @@ def test_one_factorization_per_round(monkeypatch):
         assert calls[0] == KernelParams() and calls[-1] == post.params
 
 
+@pytest.mark.parametrize("model", ["dil_gp", "gp_gaussian"])
+def test_each_state_inverts_only_when_read(model, monkeypatch):
+    # A^-1 and C are formed on first use. A dil_gp fit reads every state's
+    # penalty or logit gradient, so its t1 + 1 states invert once each; a
+    # plain GP reads the gradient of its first t1 states only, and never
+    # forms C
+    calls = {"inverse": 0, "C": 0}
+    real_inverse, real_C = train_mod.cho_inverse, TrainState.__dict__["C"].func
+
+    def counting_inverse(L, out=None, work=None):
+        calls["inverse"] += 1
+        return real_inverse(L, out, work)
+
+    def counting_C(self):
+        calls["C"] += 1
+        return real_C(self)
+
+    monkeypatch.setattr(train_mod, "cho_inverse", counting_inverse)
+    monkeypatch.setattr(TrainState.__dict__["C"], "func", counting_C)
+    spec = ModelSpec(model=model, t1=7, t2=3, eta2=0.005, lam=0.01, sigma2=0.4)
+    _, _, trace = fit_model(spec, gen_synthetic_1d(0)[0], seed=0)
+    assert [r["halvings"] for r in trace.records] == [0] * spec.t1
+    partition = learns_partition(spec)
+    assert calls == {"inverse": spec.t1 + partition, "C": spec.t1 + 1 if partition else 0}
+
+
 def test_each_state_keeps_its_environment_terms_for_the_next_ascent(monkeypatch):
     # the penalty that accepts a state is at the round's masks, and the next
     # round's first ascent step reads that state at the same masks: t1 rounds

@@ -30,7 +30,7 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache
 from types import UnionType
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -189,9 +189,13 @@ def env_masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as numpy's exp of a complex array does (libm's cexp, whose real part at
     a zero imaginary part is exp), while numpy's exp of a real array is its
     own and differs in the last bit on some inputs.
+
+    m0 = 1/2 + copysign(p - 1/2, q) is where(q >= 0, p, 1 - p) bit for bit:
+    for p = sigmoid(|q|) in [1/2, 1], p - 1/2 and 1 - p are exact (Sterbenz)
+    and so are both sums; at q = -0.0, where p = 1/2, both give 1/2.
     """
-    p = 1.0 / (1.0 + np.exp(-np.abs(q) + 0j).real)
-    m0 = np.where(q >= 0, p, 1.0 - p)
+    p = 1.0 / (1.0 + np.exp(np.negative(np.abs(q), dtype=complex)).real)
+    m0 = 0.5 + np.copysign(p - 0.5, q)
     m1 = 1.0 - m0
     # read-only, so a TrainState may key the terms it keeps on their identity
     m0.setflags(write=False)
@@ -259,6 +263,22 @@ class Workspace:
         self.scratch = self.potri.T
 
 
+class _once:
+    """A method read as an attribute, computed on first read and then stored
+    in the instance, where later reads find it: functools.cached_property
+    without the class-wide lock that Python 3.11 and older take on every
+    first read. A TrainState is read from one thread."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class TrainState:
     """Everything training reads at one parameter point, from one kernel
     evaluation and one factorization, written into the Workspace ws (a
@@ -291,17 +311,17 @@ class TrainState:
         self.kind, self.params, self.noise, self.X, self.y = kind, params, noise, X, y
         self._kept = self._B = None
 
-    @cached_property
+    @_once
     def A_inv(self) -> np.ndarray:
         return cho_inverse(self.post.chol, out=self.ws.A_inv, work=self.ws.potri)
 
-    @cached_property
+    @_once
     def C(self) -> np.ndarray:
         Kp, out = self.Kp, self.ws.C
         # a two-slice sum along axis 0 is one addition per entry
         return np.add(Kp[0], Kp[1], out=out) if len(Kp) == 2 else Kp.sum(axis=0, out=out)
 
-    @cached_property
+    @_once
     def _shared(self) -> tuple:
         """(A^-1, C, y, alpha, C alpha, A^-1 C alpha, alpha^T C alpha,
         tr(A^-1 C) / 2): what every environment term at this point reads."""
@@ -344,12 +364,14 @@ class TrainState:
 
     def ascend(self, q: np.ndarray, t2: int, eta1: float, masks
                ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """t2 gradient-ascent steps q <- q + eta1 g on the raw logits q, which
-        it does not validate, with everything the steps share read once; g is
-        the penalty's logit gradient 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1), from
-        the terms at the masks (m0, m1) = env_masks(q). Returns the logits
-        and their masks, the given objects when t2 = 0. TrainingAbort names
-        the first coordinate of a non-finite gradient."""
+        """t2 gradient-ascent steps q <- q + eta1 g on the raw finite logits
+        q, with everything the steps share read once; g is the penalty's
+        logit gradient 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1), from the terms at
+        the masks (m0, m1) = env_masks(q). Returns the logits and their
+        masks, the given objects when t2 = 0. TrainingAbort names the first
+        coordinate of a non-finite gradient. A step that leaves a logit
+        non-finite (eta1 g can overflow) raises DomainLogits' NonFiniteInput,
+        so the logits returned are valid ones."""
         if t2 == 0:
             return q, masks
         A_inv, _, y, _, _, Ainv_C_alpha, _, _ = self._shared
@@ -357,10 +379,13 @@ class TrainState:
             m0, m1 = masks
             g0, g1, _, Cd = self._terms(m0, m1)
             g = y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * A_inv.dot(Cd))
-            if not np.isfinite(g).all():
-                bad = int(np.flatnonzero(~np.isfinite(g))[0])
-                raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
             q = q + eta1 * g
+            # a finite sum has finite terms; one that overflows is checked entry by entry
+            if not math.isfinite(q.sum()):
+                if not np.isfinite(g).all():
+                    bad = int(np.flatnonzero(~np.isfinite(g))[0])
+                    raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
+                DomainLogits(q)     # NonFiniteInput if the step overflowed a logit
             masks = env_masks(q)
         return q, masks
 
@@ -500,18 +525,17 @@ def _train(spec: ModelSpec, X, y, seed: int
     """spec.t1 training rounds from KernelParams(). When the spec learns a
     partition, the logits start from init_logits(seed), whose masks are
     evaluated once, and each round first ascends on them spec.t2 times, on
-    the raw array, which is validated as DomainLogits once per round; a
-    plain GP ignores the seed and descends on the -LML alone. Each round
-    reads one TrainState, and the state of the accepted step becomes the
-    next round's, so t1 rounds factorize t1 + 1 times (plus one per step
-    halving). The next round's first ascent step reads that state at the
-    masks it was accepted at, with the terms it kept, so t1 rounds of t2
-    ascent steps evaluate the masks t1 t2 + 1 times and the environment
-    terms t1 (t2 + 1) + 1 times (plus the penalties of rejected trial
-    points). Returns the last state, whose posterior is the fitted model,
-    the logits (None for a plain GP) and the trace of completed rounds,
-    which on abort rides on the TrainingAbort. All states of the fit write
-    into one Workspace.
+    the raw array, whose every step ascend checks; a plain GP ignores the
+    seed and descends on the -LML alone. Each round reads one TrainState,
+    and the state of the accepted step becomes the next round's, so t1
+    rounds factorize t1 + 1 times (plus one per step halving). The next
+    round's first ascent step reads that state at the masks it was accepted
+    at, with the terms it kept, so t1 rounds of t2 ascent steps evaluate the
+    masks t1 t2 + 1 times and the environment terms t1 (t2 + 1) + 1 times
+    (plus the penalties of rejected trial points). Returns the last state,
+    whose posterior is the fitted model, the logits (None for a plain GP)
+    and the trace of completed rounds, which on abort rides on the
+    TrainingAbort. All states of the fit write into one Workspace.
 
     From _OVERLAP_N training points, a fit with a penalty (lam != 0) forms
     each round's B = A^-1 C on one helper thread of its own while the round
@@ -524,8 +548,8 @@ def _train(spec: ModelSpec, X, y, seed: int
     if partition and n < MIN_SPLIT_POINTS:
         raise DimensionMismatch(f"need at least {MIN_SPLIT_POINTS} training points to split, "
                                 f"got {n}")
-    logits = init_logits(n, seed) if partition else None
-    masks = env_masks(logits.q_tilde) if partition else None
+    q = init_logits(n, seed).q_tilde if partition else None
+    masks = env_masks(q) if partition else None
     kind, noise = spec.kind, spec.noise
     lam = spec.lam if partition else 0.0
     trace = TrainTrace()
@@ -544,8 +568,7 @@ def _train(spec: ModelSpec, X, y, seed: int
                 if partition:
                     if pool is not None:
                         state.start_B(pool)
-                    q, masks = state.ascend(logits.q_tilde, spec.t2, spec.eta1, masks)
-                    logits = DomainLogits(q)
+                    q, masks = state.ascend(q, spec.t2, spec.eta1, masks)
                 # with lam != 0 this waits for B last, so the helper is idle below
                 g = state.objective_grad(masks, lam)
                 theta = state.params.as_array()
@@ -561,7 +584,7 @@ def _train(spec: ModelSpec, X, y, seed: int
                                   "params": dict(vars(state.params)),
                                   "noise_sigma2": noise.sigma2,
                                   "jitter": float(state.post.jitter), "halvings": halvings})
-    return state, logits, trace
+    return state, (DomainLogits(q) if partition else None), trace
 
 
 class Fit(NamedTuple):

@@ -83,11 +83,11 @@ def test_env_masks_negation_swaps_bitwise():
 
 def test_env_masks_keep_expit_bits():
     # the masks were sigmoid(|q|) by scipy.special.expit; they keep its bits
-    # at zero, subnormal, saturating and underflowing |q| and on a random
-    # grid, where numpy's exp of a real array differs in the last bit
+    # at zero, subnormal, saturating, underflowing and infinite |q| and on a
+    # random grid, where numpy's exp of a real array differs in the last bit
     from scipy.special import expit
 
-    edges = np.array([0.0, 5e-324, 1e-300, 36.8, 709.7, 745.0, 800.0])
+    edges = np.array([0.0, 5e-324, 1e-300, 36.8, 709.7, 745.0, 800.0, np.inf])
     grid = rng_for(0, "expit-grid").standard_normal(100_000) * np.logspace(-3, 2.5, 100_000)
     q = np.concatenate([edges, -edges, grid])
     p = expit(np.abs(q))
@@ -230,6 +230,21 @@ def test_inner_ascent_nonfinite_gradient_aborts_with_coordinate():
         state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
         with pytest.raises(TrainingAbort, match="coordinate"):
             inner_ascent_step(logits, state, 0.1)
+
+
+def test_ascent_step_that_overflows_a_logit_is_rejected():
+    # a finite gradient times an enormous rate overflows some logits: the
+    # round stops with DomainLogits' error. Finite logits whose sum
+    # overflows are valid, and saturated ones do not move.
+    X, y, _ = toy(6)
+    spec = ModelSpec(t1=2, t2=3, eta1=1e308, sigma2=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteInput, match="logits contain NaN or infinity"):
+            _train(spec, X, 10.0 * y, 0)
+        state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
+        big = np.full(len(y), 1e308)
+        q, _ = state.ascend(big, 2, 0.1, env_masks(big))
+    assert np.array_equal(q, big)
 
 
 def test_partition_discovery_on_shifted_clusters():

@@ -2,8 +2,10 @@
 computed in-process, against the ones recorded in tests/golden.json.
 
 The cases are fit-eval's report and trace on synthetic_1d and synthetic_2d
-for both models at their calibrated settings, the quadratic BO run with UCB
-and with EI, one PID-tuning experiment per model on fig8, and a fit the
+for both models at their calibrated settings and on synthetic_1d for the
+rational-quadratic and dot-product plain GPs, a three-seed sweep_seeds
+(the CLI's --sweep 3), the quadratic BO run with UCB and with EI, one
+PID-tuning experiment per model on fig8, and a fit the
 size of the benchmark's fit_large (four stacked synthetic_1d draws, t1 = 20,
 which forms B = A^-1 C on the helper thread): its trace, alpha, factor and
 prediction.
@@ -31,7 +33,7 @@ from dilgp.bo import bo_run
 from dilgp.data import GENERATORS, Dataset
 from dilgp.experiments import (QUADRATIC_SPACE, fit_eval,
                                quad_bo_experiment, quad_surrogate_config,
-                               quadratic_objective, settings_for)
+                               quadratic_objective, settings_for, sweep_seeds)
 from dilgp.quad import TrajectoryKind
 from dilgp.train import fit_model, to_jsonl
 
@@ -63,6 +65,12 @@ def _fit_eval(dataset, model):
     return _digest(report.to_json_dict(), to_jsonl(trace.records))
 
 
+def _sweep(dataset, model, n_seeds):
+    reports, summary = sweep_seeds(GENERATORS[dataset], settings_for(dataset, model),
+                                   range(n_seeds))
+    return _digest([r.to_json_dict() for r in reports], summary)
+
+
 def _quadratic_bo(acq):
     state, steps = bo_run(quadratic_objective, QUADRATIC_SPACE, quad_surrogate_config("dil_gp"),
                           acq, t_bo=5, seed=0, f_star=0.0)
@@ -88,6 +96,10 @@ def _large_fit():
 CASES = {
     **{f"fit_eval/{ds}/{model}": (_fit_eval, ds, model)
        for ds in ("synthetic_1d", "synthetic_2d") for model in MODELS},
+    # the plain GPs whose likelihood gradient reads three and two K_p slices
+    **{f"fit_eval/synthetic_1d/{model}": (_fit_eval, "synthetic_1d", model)
+       for model in ("gp_rq", "gp_dp")},
+    "sweep3/synthetic_1d/dil_gp": (_sweep, "synthetic_1d", "dil_gp", 3),
     **{f"bo_quadratic/{acq}": (_quadratic_bo, acq) for acq in ("ucb", "ei")},
     **{f"pid_fig8/{model}": (_pid_experiment, model) for model in MODELS},
     "fit_large_sized/dil_gp": (_large_fit,),

@@ -64,7 +64,8 @@ def _factor(K: np.ndarray, noise: NoiseSpec, params: KernelParams,
     A = np.empty_like(K, order="C") if out is None else out
     np.copyto(A, K)
     A.ravel()[::n + 1] += noise.sigma2      # a view of the diagonal, as A is C-contiguous
-    if not np.isfinite(A).all():
+    # a finite sum has finite terms; one that overflows is checked entry by entry
+    if not math.isfinite(A.sum()) and not np.isfinite(A).all():
         raise NonFiniteInput("kernel matrix contains non-finite entries")
     jitter = 0.0
     while True:
@@ -157,11 +158,12 @@ def cho_inverse(L: np.ndarray, out: np.ndarray | None = None,
 
 
 def _gaussian_quad_ll(L: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
-    """-1/2 r^T (L L^T)^-1 r - sum(log diag L) - n/2 log(2 pi), and (L L^T)^-1 r,
-    solved by potrs."""
+    """-1/2 r^T (L L^T)^-1 r - sum(log diag L) - n/2 log(2 pi), in Python
+    floats, and (L L^T)^-1 r, solved by potrs."""
     alpha = blas.potrs(L, r, lower=1)[0]
     n = r.shape[0]
-    return float(-0.5 * (r @ alpha) - np.log(L.diagonal()).sum() - 0.5 * n * LOG_2PI), alpha
+    return (-0.5 * float(r.dot(alpha)) - float(np.log(L.diagonal()).sum())
+            - 0.5 * n * LOG_2PI), alpha
 
 
 def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
@@ -184,8 +186,10 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
 def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> list[float]:
     """Gradient of the log marginal likelihood from the trace identity
     d LML / dp = 1/2 (alpha^T K_p alpha - tr(A^-1 K_p)), where grads stacks
-    the K_p, A = K + sigma^2 I and alpha = A^-1 y, as Python floats."""
-    return [float(0.5 * (alpha @ Kp @ alpha - np.einsum("ij,ij->", A_inv, Kp)))
+    the K_p, A = K + sigma^2 I and alpha = A^-1 y, as Python floats. ndarray.dot
+    makes the BLAS calls of @, and Python floats do float64 arithmetic, so
+    these are the bits of float(0.5 * (alpha @ K_p @ alpha - tr(A^-1 K_p)))."""
+    return [0.5 * (float(alpha.dot(Kp).dot(alpha)) - float(np.einsum("ij,ij->", A_inv, Kp)))
             for Kp in grads]
 
 

@@ -63,6 +63,13 @@ class KernelParams:
     log_sigma_dp: float = 0.0
 
     def __post_init__(self):
+        # One chained test of ranges inside the ones checked below, where
+        # each exponential and square is finite (exp overflows above 709.78,
+        # its square above 354.89); NaN fails every comparison. Only a point
+        # outside them is checked field by field, which names the field.
+        if (-1e300 < self.log_s < 709.0 and -1e300 < self.log_l < 354.0
+                and -1e300 < self.log_alpha < 709.0 and -1e300 < self.log_sigma_dp < 354.0):
+            return
         for name in PARAM_NAMES:
             v = getattr(self, name)
             if not math.isfinite(v):

@@ -389,17 +389,17 @@ class TrainState:
             masks = env_masks(q)
         return q, masks
 
-    def objective_grad(self, masks, lam: float) -> np.ndarray:
+    def objective_grad(self, masks, lam: float) -> list[float]:
         """Gradient of -LML + lam * penalty in the four log-parameters at fixed
-        masks (m0, m1), zero for those the kernel does not read. With lam = 0
-        the masks are not read."""
+        masks (m0, m1), as Python floats in PARAM_NAMES order, zero for those
+        the kernel does not read. With lam = 0 the masks are not read."""
         g = [-v for v in _lml_grad(self.Kp, self.post.alpha_vec, self.A_inv)]
         if lam != 0.0:
             g = [v + lam * p for v, p in zip(g, self._penalty_theta_grad(*masks))]
         out = [0.0] * len(PARAM_NAMES)
         for i, v in zip(_ACTIVE_INDEX[self.kind], g):
             out[i] = v
-        return np.array(out)
+        return out
 
     def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> tuple[float, float]:
         """The penalty's gradient in (log s, log l) of the Gaussian kernel, the
@@ -476,18 +476,23 @@ def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> D
     return DomainLogits(state.ascend(logits.q_tilde, 1, eta1, env_masks(logits.q_tilde))[0])
 
 
-def _descend(kind: KernelKind, noise: NoiseSpec, X, y, theta: np.ndarray,
-             g: np.ndarray, eta2: float, lam: float, masks, ws: Workspace | None = None
+def _descend(kind: KernelKind, noise: NoiseSpec, X, y, params: KernelParams,
+             g: list[float], eta2: float, lam: float, masks, ws: Workspace | None = None
              ) -> tuple[TrainState, float, PenaltyReport, int]:
     """The state, objective -LML + lam * penalty, penalty at the masks (zero
-    without masks) and step halvings after one step from theta along -g,
-    built in ws. A trial point whose objective is non-finite (or whose
-    KernelParams or factor cannot be formed) is rejected and the step
-    halved, up to _MAX_HALVINGS times; then the step aborts."""
+    without masks) and step halvings after one step from params along -g,
+    built in ws. The trial point theta - eta g is formed in Python floats,
+    entry by entry in PARAM_NAMES order: float64 arithmetic, so the bits of
+    KernelParams.from_array(params.as_array() - eta * np.array(g)). A trial
+    point whose objective is non-finite (or whose KernelParams or factor
+    cannot be formed) is rejected and the step halved, up to _MAX_HALVINGS
+    times; then the step aborts."""
+    theta = (params.log_s, params.log_l, params.log_alpha, params.log_sigma_dp)
     eta = float(eta2)
     for halvings in range(_MAX_HALVINGS + 1):
         try:
-            state = TrainState(kind, KernelParams.from_array(theta - eta * g), noise, X, y, ws)
+            trial = KernelParams(*[t - eta * v for t, v in zip(theta, g)])
+            state = TrainState(kind, trial, noise, X, y, ws)
             pen = state.penalty(*masks) if masks else _NO_PENALTY
             obj = -state.post.lml
             if lam != 0.0:
@@ -508,8 +513,7 @@ def outer_descent_step(params: KernelParams, logits: DomainLogits, state: TrainS
     state built at params."""
     masks = env_masks(logits.q_tilde)
     g = state.objective_grad(masks, lam)
-    new = _descend(state.kind, state.noise, state.X, state.y, params.as_array(),
-                   g, eta2, lam, masks)[0]
+    new = _descend(state.kind, state.noise, state.X, state.y, params, g, eta2, lam, masks)[0]
     return new.params
 
 
@@ -571,10 +575,10 @@ def _train(spec: ModelSpec, X, y, seed: int
                     q, masks = state.ascend(q, spec.t2, spec.eta1, masks)
                 # with lam != 0 this waits for B last, so the helper is idle below
                 g = state.objective_grad(masks, lam)
-                theta = state.params.as_array()
+                params = state.params
                 # Release this point's state: the trial one overwrites its buffers.
                 del state
-                state, obj, pen, halvings = _descend(kind, noise, X, y, theta, g, spec.eta2,
+                state, obj, pen, halvings = _descend(kind, noise, X, y, params, g, spec.eta2,
                                                      lam, masks, ws)
             except TrainingAbort as exc:
                 exc.trace = trace

@@ -308,7 +308,7 @@ def test_lml_value_and_grad_matches_fit_and_train_state(kind):
     lml, grad = lml_value_and_grad(kind, params, noise, X, y)
     assert lml == fit_posterior(kind, params, noise, X, y).lml
     active = [PARAM_NAMES.index(name) for name in ACTIVE_PARAMS[kind]]
-    want = -TrainState(kind, params, noise, X, y).objective_grad(None, 0.0)[active]
+    want = -np.array(TrainState(kind, params, noise, X, y).objective_grad(None, 0.0))[active]
     assert np.array_equal(grad, want)
     h = 1e-5
     fd = [(fit_posterior(kind, params.shifted(name, h), noise, X, y).lml

@@ -286,3 +286,40 @@ def test_from_array_tolist_is_float_of_each_entry():
         got = [getattr(p, name) for name in PARAM_NAMES]
         assert all(type(g) is float for g in got)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def _per_field_check(values: dict):
+    """KernelParams' check field by field, with no range test first: the
+    error it raises, or None."""
+    for name in PARAM_NAMES:
+        v = values[name]
+        if not math.isfinite(v):
+            return NonFiniteInput(f"{name}={v!r} is not finite")
+        power = 2 if name in ("log_l", "log_sigma_dp") else 1
+        try:
+            math.exp(v) ** power
+        except OverflowError:
+            return NonFiniteInput(f"exp({name}) ** {power} overflows at {name}={v!r}")
+    return None
+
+
+def test_params_range_test_is_the_per_field_check():
+    # the chained range test that lets most points skip the loop accepts
+    # and rejects exactly what the loop does, with the same error, for each
+    # edge value in each field and in pairs of fields
+    edges = [math.nan, math.inf, -math.inf, -1e300, -1.5e300, -1e308, 0.0, -0.0,
+             354.0, 354.8, 354.9, 355.0, 709.0, 709.7, 709.8, 1e300]
+    rng = np.random.default_rng(9)
+    points = [{name: v} for name in PARAM_NAMES for v in edges]
+    points += [dict(zip(rng.choice(PARAM_NAMES, 2, replace=False), rng.choice(edges, 2)))
+               for _ in range(200)]
+    for point in points:
+        values = {name: point.get(name, 0.0) for name in PARAM_NAMES}
+        want = _per_field_check(values)
+        if want is None:
+            p = KernelParams(**values)
+            assert np.array_equal(_bits(p.as_array()), _bits([values[n] for n in PARAM_NAMES]))
+        else:
+            with pytest.raises(NonFiniteInput) as err:
+                KernelParams(**values)
+            assert str(err.value) == str(want), values

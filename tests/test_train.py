@@ -429,7 +429,7 @@ def test_trace_records_step_halvings():
     # the record holds the halved step that was accepted
     X, y, _ = toy(10)
     spec = ModelSpec(model="gp_gaussian", t1=2, eta2=300.0, sigma2=0.1)
-    g = TrainState(GAUSS, KernelParams(), spec.noise, X, y).objective_grad(None, 0.0)
+    g = np.array(TrainState(GAUSS, KernelParams(), spec.noise, X, y).objective_grad(None, 0.0))
     with pytest.raises(NonFiniteInput, match="log_l"):
         KernelParams.from_array(-spec.eta2 * g)
     _, _, trace = _train(spec, X, y, 0)
@@ -532,7 +532,8 @@ def test_each_state_keeps_its_environment_terms_for_the_next_ascent(monkeypatch)
                 state = TrainState(GAUSS, params, spec.noise, X, y)
                 logits = inner_ascent_step(logits, state, spec.eta1)
             masks = env_masks(logits.q_tilde)
-            g = TrainState(GAUSS, params, spec.noise, X, y).objective_grad(masks, spec.lam)
+            state = TrainState(GAUSS, params, spec.noise, X, y)
+            g = np.array(state.objective_grad(masks, spec.lam))
             params = KernelParams.from_array(params.as_array() - spec.eta2 * g)
             state = TrainState(GAUSS, params, spec.noise, X, y)
             pen = state.penalty(*masks)
@@ -828,6 +829,36 @@ def test_float_objective_gradient_is_the_numpy_vector_one(kind):
         for lam in ((0.0, 0.01, 1.0) if kind is GAUSS else (0.0,)):
             got = state.objective_grad(masks, lam)
             assert np.array_equal(_bits(got), _bits(_reference_objective_grad(state, masks, lam)))
+
+
+def test_float_step_is_the_numpy_vector_step():
+    # _descend forms theta - eta g in Python floats from the four fields and
+    # the gradient's list: the bits of from_array(as_array() - eta * g), at
+    # every halving, for parameters, gradients and rates across magnitudes
+    rng = rng_for(17, "float-step")
+    X, y, _ = toy(15, n=12, d=2)
+    noise = NoiseSpec(0.2)
+    for _ in range(200):
+        theta = rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 1, 4)
+        g = (rng.standard_normal(4) * 10.0 ** rng.uniform(-12, 3, 4)).tolist()
+        eta = float(10.0 ** rng.uniform(-6, 0))
+        params = KernelParams.from_array(theta)
+        state, _, _, halvings = train_mod._descend(GAUSS, noise, X, y, params, g, eta, 0.0, None)
+        want = KernelParams.from_array(theta - (eta / 2 ** halvings) * np.array(g))
+        assert all(type(getattr(state.params, name)) is float for name in PARAM_NAMES)
+        assert np.array_equal(_bits(state.params.as_array()), _bits(want.as_array()))
+
+
+def test_objective_gradient_is_a_list_of_floats():
+    # training and outer_descent_step read the one float list
+    X, y, logits = toy(16, n=10)
+    masks = env_masks(logits.q_tilde)
+    for kind in KernelKind:
+        state = TrainState(kind, KernelParams(0.1, -0.2, 0.3, -0.1), NoiseSpec(0.2), X, y)
+        for lam in ((0.0, 0.5) if kind is GAUSS else (0.0,)):
+            g = state.objective_grad(masks, lam)
+            assert type(g) is list and len(g) == len(PARAM_NAMES)
+            assert all(type(v) is float for v in g)
 
 
 def test_workspace_base_is_read_only():

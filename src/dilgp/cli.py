@@ -9,8 +9,9 @@ Each command declares its settings once, as a frozen dataclass of
 too. The flags and the keys `--config` accepts come from that declaration,
 and its `__post_init__` checks every value, from a flag or a file alike, for
 exact type, choices and range. Precedence: defaults <- per-dataset
-calibration <- config file <- flags. config.json is the validated config
-less the keys the run never reads, next to a manifest.json of per-file
+calibration <- config file <- flags. A flag the run never reads is an
+error; config.json is the validated config less the keys the run never
+reads, next to a manifest.json of per-file
 checksums and the numpy/scipy/OpenBLAS environment; re-running with `--config config.json` reproduces the output
 files byte for byte. The output directory is given only on the command line
 so reproductions can target a fresh directory. Environment variables are
@@ -171,7 +172,10 @@ def build_config(cls, given: dict):
 
 
 def load_config(cls, args: argparse.Namespace):
-    """The config of the --config file and the flags (flags win)."""
+    """The config of the --config file and the flags (flags win). A flag
+    that the run never reads (config_json leaves it out) is a DilgpError
+    naming it; a --config file's such key is dropped, so a config.json
+    reused under another model still runs."""
     keys = {f.name for f, _ in declared(cls)}
     given = {}
     if args.config:
@@ -187,8 +191,14 @@ def load_config(cls, args: argparse.Namespace):
         unknown = sorted(set(given) - keys)
         if unknown:
             raise DilgpError(f"config has unknown keys for this command: {unknown}")
-    given.update((key, val) for key, val in vars(args).items() if key in keys)
-    return build_config(cls, given)
+    flags = [key for key in vars(args) if key in keys]
+    given.update((key, getattr(args, key)) for key in flags)
+    run = build_config(cls, given)
+    read = config_json(run)
+    unread = ["--" + key.replace("_", "-") for key in flags if key not in read]
+    if unread:
+        raise DilgpError(f"this run does not read {', '.join(unread)}")
+    return run
 
 
 def config_json(run) -> dict:

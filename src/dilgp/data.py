@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DilgpError, DimensionMismatch, NonFiniteInput
+from .exceptions import DilgpError, DimensionMismatch, InvalidDomainTag, NonFiniteInput
 from .rng import rng_for
 
 
@@ -43,7 +43,8 @@ class Dataset:
     """Feature matrix, targets and an optional per-row domain tag.
 
     Domain tags are carried for evaluation and reporting only; training code
-    never reads them.
+    never reads them. Each must be an integer an int64 holds (2.0 is, 1.7,
+    NaN and 2**63 are not); InvalidDomainTag names the first row that is not.
     """
 
     x: np.ndarray
@@ -54,10 +55,7 @@ class Dataset:
     def __post_init__(self):
         self.x, self.y = check_xy(self.x, self.y)
         if self.domain_tag is not None:
-            self.domain_tag = np.asarray(self.domain_tag, dtype=int)
-            if self.domain_tag.shape != self.y.shape:
-                raise DimensionMismatch(
-                    f"domain_tag must have shape {self.y.shape}, got {self.domain_tag.shape}")
+            self.domain_tag = _int_tags(self.domain_tag, self.y.shape)
 
     @property
     def n(self) -> int:
@@ -79,6 +77,29 @@ class Dataset:
                 if self.domain_tag is not None:
                     row.append(str(int(self.domain_tag[i])))
                 writer.writerow(row)
+
+
+def _int_tags(tag, shape: tuple[int]) -> np.ndarray:
+    """The domain tags as int64, each an integer an int64 holds: the rule
+    load_csv drops rows by."""
+    tag = np.asarray(tag)
+    if tag.shape != shape:
+        raise DimensionMismatch(f"domain_tag must have shape {shape}, got {tag.shape}")
+    if tag.dtype.kind in "bi":
+        return tag.astype(np.int64)
+    if tag.dtype.kind == "u":
+        ok = tag <= np.iinfo(np.int64).max
+    else:
+        try:
+            tag = tag.astype(float)
+        except (TypeError, ValueError):
+            raise InvalidDomainTag(f"domain_tag must hold numbers, got dtype {tag.dtype}") from None
+        ok = np.isfinite(tag) & (tag == np.trunc(tag)) & (-2.0 ** 63 <= tag) & (tag < 2.0 ** 63)
+    if not ok.all():
+        row = int(np.flatnonzero(~ok)[0])
+        raise InvalidDomainTag(f"domain_tag row {row} is {tag[row].item()!r}, "
+                               "not an integer an int64 holds")
+    return tag.astype(np.int64)
 
 
 def _noise_scale(v: float, noise_as_std: bool) -> float:

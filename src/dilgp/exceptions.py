@@ -19,6 +19,10 @@ class InvalidSetting(DilgpError, ValueError):
     """A model or run setting lies outside its valid range."""
 
 
+class InvalidDomainTag(DilgpError, ValueError):
+    """A domain tag is not an integer that an int64 holds."""
+
+
 class NotPositiveDefinite(DilgpError):
     """Cholesky failed even at the maximum jitter level.
 

@@ -145,17 +145,25 @@ def quad_bo_experiment(kind: TrajectoryKind, model: str, experiment_seed: int,
     }
 
 
+def _first_divergent_step(a: list[dict], b: list[dict]) -> int | None:
+    """The first BO step whose queries differ, None when all agree."""
+    return next((ra["step"] for ra, rb in zip(a, b) if ra["x"] != rb["x"]), None)
+
+
 def compare_tuners(kind: TrajectoryKind, experiment_seeds=(0, 1, 2, 3, 4)) -> dict:
-    """Run the DIL-vs-plain-GP tuning comparison over several seeds."""
-    experiment_seeds = list(experiment_seeds)
+    """Run the DIL-vs-plain-GP tuning comparison over several seeds.
+
+    Each row holds both held-out ACE values, the strict outcome of dil_gp
+    against gp_gaussian (win, tie or loss), dil_wins (dil <= gp: a tie
+    counts as a win) and the first BO step whose queries differ (None when
+    all agree); the result's dil_wins counts the rows where it holds."""
     rows = []
-    wins = 0
     for s in experiment_seeds:
         dil = quad_bo_experiment(kind, "dil_gp", s)
         gp = quad_bo_experiment(kind, "gp_gaussian", s)
-        win = dil["heldout_ace"] <= gp["heldout_ace"]
-        wins += int(win)
-        rows.append({"seed": s, "dil_heldout": dil["heldout_ace"],
-                     "gp_heldout": gp["heldout_ace"], "dil_wins": win})
-    return {"trajectory": kind.value, "rows": rows, "dil_wins": wins,
-            "n_seeds": len(experiment_seeds)}
+        d, g = dil["heldout_ace"], gp["heldout_ace"]
+        rows.append({"seed": s, "dil_heldout": d, "gp_heldout": g, "dil_wins": d <= g,
+                     "outcome": "win" if d < g else "tie" if d == g else "loss",
+                     "first_divergent_step": _first_divergent_step(dil["steps"], gp["steps"])})
+    return {"trajectory": kind.value, "rows": rows,
+            "dil_wins": sum(r["dil_wins"] for r in rows), "n_seeds": len(rows)}

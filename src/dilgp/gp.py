@@ -186,11 +186,8 @@ def env_log_likelihood(kind: KernelKind, params: KernelParams, noise: NoiseSpec,
 def _lml_grad(grads: np.ndarray, alpha: np.ndarray, A_inv: np.ndarray) -> list[float]:
     """Gradient of the log marginal likelihood from the trace identity
     d LML / dp = 1/2 (alpha^T K_p alpha - tr(A^-1 K_p)), where grads stacks
-    the K_p, A = K + sigma^2 I and alpha = A^-1 y, as Python floats. ndarray.dot
-    makes the BLAS calls of @, and Python floats do float64 arithmetic, so
-    these are the bits of float(0.5 * (alpha @ K_p @ alpha - tr(A^-1 K_p)))."""
-    return [0.5 * (float(alpha.dot(Kp).dot(alpha)) - float(np.einsum("ij,ij->", A_inv, Kp)))
-            for Kp in grads]
+    the K_p, A = K + sigma^2 I and alpha = A^-1 y, as Python floats."""
+    return (0.5 * ((grads @ alpha) @ alpha - np.einsum("pij,ij->p", grads, A_inv))).tolist()
 
 
 def lml_value_and_grad(kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y):

@@ -130,14 +130,15 @@ def _check_inputs(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return X, Y
 
 
-def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _sq_distances(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """||X[i] - Y[j]||^2 summed over the columns from column 0 without FMA,
-    as cdist's sqeuclidean sums them, in one n x m output and one scratch.
+    as cdist's sqeuclidean sums them, in one n x m output (out, allocated
+    when None) and one scratch.
     Each column's differences X[i, k] - Y[j, k] are formed by filling the
     buffer with the X column and subtracting the Y row from it in place:
     the same subtractions as np.subtract.outer, at a contiguous 2-D
     subtract's cost."""
-    out = np.empty((X.shape[0], Y.shape[0]))
+    out = np.empty((X.shape[0], Y.shape[0])) if out is None else out
     diff = np.empty_like(out) if X.shape[1] > 1 else None
     for k in range(X.shape[1]):
         buf = diff if k else out
@@ -148,14 +149,16 @@ def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def base_matrix(kind: KernelKind, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def base_matrix(kind: KernelKind, X: np.ndarray, Y: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The one O(n m d) product of a kernel evaluation: X Y^T for the dot
     product, squared distances ||X[i] - Y[j]||^2 (summed over the columns in
-    cdist's order) for the stationary kernels. The rest is elementwise in it."""
+    cdist's order) for the stationary kernels, written into out (allocated
+    when None). The rest is elementwise in it."""
     X, Y = _check_inputs(X, Y)
     if kind is KernelKind.DOT_PRODUCT:
-        return X @ Y.T
-    return _sq_distances(X, Y)
+        return np.matmul(X, Y.T, out=out)
+    return _sq_distances(X, Y, out)
 
 
 def gram(kind: KernelKind, params: KernelParams, base: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -185,16 +185,12 @@ def env_masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Computed through sigmoid(|q|), whose complement against 1 is exact, so
     negating q swaps the masks bit for bit and m0 + m1 == 1 holds exactly.
-    sigmoid(|q|) keeps scipy.special.expit's bits: both take exp from libm,
-    as numpy's exp of a complex array does (libm's cexp, whose real part at
-    a zero imaginary part is exp), while numpy's exp of a real array is its
-    own and differs in the last bit on some inputs.
 
     m0 = 1/2 + copysign(p - 1/2, q) is where(q >= 0, p, 1 - p) bit for bit:
     for p = sigmoid(|q|) in [1/2, 1], p - 1/2 and 1 - p are exact (Sterbenz)
     and so are both sums; at q = -0.0, where p = 1/2, both give 1/2.
     """
-    p = 1.0 / (1.0 + np.exp(np.negative(np.abs(q), dtype=complex)).real)
+    p = 1.0 / (1.0 + np.exp(-np.abs(q)))
     m0 = 0.5 + np.copysign(p - 0.5, q)
     m1 = 1.0 - m0
     # read-only, so a TrainState may key the terms it keeps on their identity
@@ -254,8 +250,7 @@ class Workspace:
 
     def __init__(self, kind: KernelKind, X: np.ndarray):
         n, p = X.shape[0], len(ACTIVE_PARAMS[kind])
-        self.base = _aligned((n, n))
-        self.base[...] = base_matrix(kind, X, X)
+        self.base = base_matrix(kind, X, X, out=_aligned((n, n)))
         self.base.flags.writeable = False
         self.Kp = _aligned((p, n, n))
         self.factor, self.A_inv, self.C = (_aligned((n, n)) for _ in range(3))

@@ -9,7 +9,7 @@ Prints, for the gated seeds 0-4 and the fixed unseen seeds 5-14:
   and the largest cum_regret / regret_bound over every step;
 - criterion 8: per trajectory, the strict wins, exact ties and losses of
   dil_gp's held-out ACE against gp_gaussian's, and each pair's first BO
-  step whose queries differ.
+  step whose queries differ, as experiments.compare_tuners reports them.
 
 It checks nothing and gates nothing: it is the report that a change which
 moves bits quotes before and after. Each per-seed number is printed with
@@ -24,8 +24,8 @@ from functools import partial
 
 from dilgp.bo import bo_run
 from dilgp.data import GENERATORS
-from dilgp.experiments import (QUADRATIC_OPTIMUM, QUADRATIC_SPACE, fit_eval,
-                               quad_bo_experiment, quadratic_objective, settings_for)
+from dilgp.experiments import (QUADRATIC_OPTIMUM, QUADRATIC_SPACE, compare_tuners, fit_eval,
+                               quadratic_objective, settings_for)
 from dilgp.quad import TrajectoryKind
 from dilgp.train import ModelSpec
 
@@ -59,21 +59,6 @@ def bo_margins(seed: int) -> tuple[bool, float]:
     return hit, max(rec["cum_regret"] / rec["regret_bound"] for rec in steps)
 
 
-def first_divergent_step(a: list[dict], b: list[dict]) -> int | None:
-    """The first BO step whose queries differ, None when all agree."""
-    return next((ra["step"] for ra, rb in zip(a, b) if ra["x"] != rb["x"]), None)
-
-
-def pid_pair(kind: TrajectoryKind, seed: int) -> tuple[str, int | None, float, float]:
-    """(outcome of dil_gp against gp_gaussian, first divergent step, the two
-    held-out ACE values) of one (trajectory, seed)."""
-    dil = quad_bo_experiment(kind, "dil_gp", seed)
-    gp = quad_bo_experiment(kind, "gp_gaussian", seed)
-    d, g = dil["heldout_ace"], gp["heldout_ace"]
-    outcome = "win" if d < g else "tie" if d == g else "loss"
-    return outcome, first_divergent_step(dil["steps"], gp["steps"]), d, g
-
-
 def _counts(outcomes) -> str:
     outcomes = list(outcomes)
     return "/".join(str(outcomes.count(o)) for o in ("win", "tie", "loss"))
@@ -100,8 +85,9 @@ def main() -> None:
           f"largest ratio {max(runs[s][1] for s in seeds)!r}")
 
     p("criterion 8 (PID held-out ACE), dil vs gp per trajectory and seed:")
-    pairs = {(kind, seed): pid_pair(kind, seed) for kind in TrajectoryKind
-             for seed in GATED + UNSEEN}
+    pairs = {(kind, row["seed"]): (row["outcome"], row["first_divergent_step"],
+                                   row["dil_heldout"], row["gp_heldout"])
+             for kind in TrajectoryKind for row in compare_tuners(kind, GATED + UNSEEN)["rows"]}
     for (kind, seed), (outcome, step, d, g) in pairs.items():
         p(f"  {kind.value:11s} seed {seed:2d}: {outcome:4s} first divergent step {step}, "
           f"dil {d!r} gp {g!r}")

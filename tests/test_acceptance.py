@@ -228,18 +228,21 @@ def test_criterion_07_bo_convergence_with_diagnostics():
 
 def test_criterion_08_pid_tuning_heldout_comparison():
     t0 = perf_counter()
-    wins = {}
+    wins, strict = {}, {}
     for kind in TrajectoryKind:
         # a one-shot iterator of seeds must still count every seed
         result = compare_tuners(kind, experiment_seeds=(s for s in range(5)))
         assert result["n_seeds"] == len(result["rows"]) == 5
+        outcomes = [row["outcome"] for row in result["rows"]]
+        assert result["dil_wins"] == sum(o != "loss" for o in outcomes)
         wins[kind.value] = result["dil_wins"]
+        strict[kind.value] = "/".join(str(outcomes.count(o)) for o in ("win", "tie", "loss"))
     elapsed = perf_counter() - t0
     fig8_ok = wins["fig8"] >= 4
     others = [wins[k] >= 4 for k in ("hover", "sin_forward", "spiral_up")]
     emit(f"criterion 8: held-out wins per trajectory {wins} "
          f"(need fig8 >= 4/5 and >= 4/5 on 2 of the other 3), "
-         f"{elapsed:.0f}s (limit 900s)")
+         f"strict wins/ties/losses {strict}, {elapsed:.0f}s (limit 900s)")
     assert fig8_ok
     assert sum(others) >= 2
     assert elapsed < 900.0

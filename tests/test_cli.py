@@ -301,6 +301,33 @@ def test_invalid_settings_report_error(key, argv, config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fit-eval", "--dataset", "synthetic_1d", "--seed", "3", "--sweep", "2"], "--seed"),
+    (["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian", "--lam", "0.5"],
+     "--lam"),
+    (["bo", "--objective", "quadratic", "--trajectory", "hover"], "--trajectory"),
+    (["fit-eval", "--train-csv", "train.csv", "--test-csv", "test.csv", "--noise-as-std"],
+     "--noise-as-std"),
+], ids=["seed_with_sweep", "lam_with_plain_gp", "trajectory_with_quadratic",
+        "noise_as_std_with_csv"])
+def test_flag_the_run_never_reads_is_an_error(argv, flag, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+def test_config_file_key_the_run_never_reads_is_dropped(tmp_path):
+    # a dil_gp run's config.json reused for a plain GP: its lam, t2 and eta1 go
+    a = tmp_path / "a"
+    run_ok(["fit-eval", "--dataset", "synthetic_1d", "--t1", "2", "--out", str(a)])
+    b = tmp_path / "b"
+    run_ok(["fit-eval", "--config", str(a / "config.json"), "--model", "gp_gaussian",
+            "--out", str(b)])
+    assert not {"lam", "t2", "eta1"} & set(read_json(b / "config.json"))
+
+
 @pytest.mark.parametrize("case", ["missing_config", "list_config", "malformed_config",
                                   "missing_train_csv", "inf_domain_tags"])
 def test_bad_input_files_report_error(case, gen_dir, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from dilgp.data import (Dataset, EvalReport, coverage_rate, fit_standardizer,
                         gen_synthetic_1d, gen_synthetic_2d, load_csv, rmse,
                         synthetic_1d_mean, synthetic_2d_mean)
-from dilgp.exceptions import DilgpError, DimensionMismatch, NonFiniteInput
+from dilgp.exceptions import DilgpError, DimensionMismatch, InvalidDomainTag, NonFiniteInput
 
 
 # ---------------------------------------------------------------- container
@@ -33,6 +33,24 @@ def test_dataset_validation():
         Dataset(np.array([[0.0]]), np.array([np.inf]))
     with pytest.raises(DimensionMismatch):
         Dataset(np.zeros((3, 1)), np.zeros(3), np.array([0, 1]))
+
+
+def test_dataset_rejects_tags_an_int64_cannot_hold():
+    # the rule load_csv drops rows by: a fractional, non-finite or too large
+    # tag is an error naming its row, not a truncated or wrapped domain
+    x, y = np.zeros((3, 1)), np.zeros(3)
+    for tags, row in (([0.5, 1.7, 2.0], 0), ([0.0, np.nan, 1.0], 1), ([0, 1, np.inf], 2),
+                      ([0, 1, 2 ** 63], 2), ([0.0, -2.0 ** 64, 1.0], 1), (["0", "a", "1"], None)):
+        with pytest.raises(InvalidDomainTag, match=f"row {row}" if row is not None else "numbers"):
+            Dataset(x, y, tags)
+    assert issubclass(InvalidDomainTag, DilgpError)
+    for tags in ([0.0, -3.0, 2.0], np.array([0, -3, 2], dtype=np.int32),
+                 np.array([0, 3, 2], dtype=np.uint64), [False, True, True]):
+        ds = Dataset(x, y, tags)
+        assert ds.domain_tag.dtype == np.int64
+        assert np.array_equal(ds.domain_tag, np.asarray(tags, dtype=float))
+    big = Dataset(x, y, np.array([0, 1, 2 ** 63 - 1], dtype=np.uint64))
+    assert big.domain_tag[2] == 2 ** 63 - 1
 
 
 # ---------------------------------------------------------------- generators

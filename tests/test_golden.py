@@ -14,7 +14,8 @@ The bits hold for one build: the numpy and scipy versions and the build
 strings of the OpenBLAS libraries they ship, which name the kernels a
 DYNAMIC_ARCH build picked on this CPU. On another fingerprint the test
 skips and names the one it found. A change that moves bits on purpose
-rewrites the file, and says so:
+rewrites the file, and says so; the script prints each case whose digest
+changed and the count left unchanged:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -130,7 +131,15 @@ def test_output_keeps_its_bits(golden, name):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(),
-                                  "digests": {name: compute(name) for name in sorted(CASES)}},
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if recorded and recorded["fingerprint"] != fingerprint():
+        print(f"the old digests are for another build, {recorded['fingerprint']}")
+    old = recorded.get("digests", {})
+    new = {name: compute(name) for name in sorted(CASES)}
+    GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(), "digests": new},
                                  indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(CASES)} digests to {GOLDEN}")
+    changed = [name for name in new if old.get(name) != new[name]]
+    for name in changed:
+        print(f"changed: {name}")
+    print(f"wrote {len(new)} digests to {GOLDEN}: {len(changed)} changed, "
+          f"{len(new) - len(changed)} unchanged")

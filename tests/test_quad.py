@@ -388,7 +388,7 @@ def test_fit_and_predict_import_no_scipy_spatial():
     # the kernels' squared distances come from numpy, so the CLI, the
     # experiments, a fit and a prediction load neither scipy.spatial nor the
     # scipy.sparse and scipy.constants it pulls in (66 modules, about 5.6 MiB);
-    # LAPACK is called from scipy's OpenBLAS and the masks' exp from libm, so
+    # LAPACK is called from scipy's OpenBLAS and the masks' exp from numpy, so
     # they load neither scipy.linalg nor scipy.special (about 320 modules)
     code = ("import sys, numpy as np, dilgp.cli, dilgp.experiments\n"
             "from dilgp.data import gen_synthetic_1d\n"

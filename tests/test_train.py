@@ -81,19 +81,25 @@ def test_env_masks_negation_swaps_bitwise():
     assert np.array_equal(m0, n1) and np.array_equal(m1, n0)
 
 
-def test_env_masks_keep_expit_bits():
-    # the masks were sigmoid(|q|) by scipy.special.expit; they keep its bits
-    # at zero, subnormal, saturating, underflowing and infinite |q| and on a
-    # random grid, where numpy's exp of a real array differs in the last bit
+def test_env_masks_are_within_two_ulp_of_expit():
+    # sigmoid(|q|) from numpy's exp is within 2 ulp of scipy.special.expit at
+    # zero, subnormal, saturating, underflowing and infinite |q| and on a
+    # random grid, each mask within one eps of expit's; on that grid too,
+    # negation swaps the masks bit for bit and they sum to exactly 1
     from scipy.special import expit
 
     edges = np.array([0.0, 5e-324, 1e-300, 36.8, 709.7, 745.0, 800.0, np.inf])
     grid = rng_for(0, "expit-grid").standard_normal(100_000) * np.logspace(-3, 2.5, 100_000)
     q = np.concatenate([edges, -edges, grid])
     p = expit(np.abs(q))
-    want = np.where(q >= 0, p, 1.0 - p)
     m0, m1 = env_masks(q)
-    assert m0.tobytes() == want.tobytes() and m1.tobytes() == (1.0 - want).tobytes()
+    assert np.all(np.abs(np.where(q >= 0, m0, m1) - p) <= 2 * np.spacing(p))
+    want = np.where(q >= 0, p, 1.0 - p)
+    eps = np.finfo(float).eps
+    assert np.abs(m0 - want).max() <= eps and np.abs(m1 - (1.0 - want)).max() <= eps
+    n0, n1 = env_masks(-q)
+    assert m0.tobytes() == n1.tobytes() and m1.tobytes() == n0.tobytes()
+    assert np.all(m0 + m1 == 1.0)
 
 
 def test_domain_logits_validation():
@@ -767,7 +773,7 @@ def _reference_ascent_step(state, q, eta1):
 
 def _reference_objective_grad(state, masks, lam):
     A_inv, Kp, alpha = state.A_inv, state.Kp, state.post.alpha_vec
-    g = -np.array([0.5 * (alpha @ K @ alpha - np.einsum("ij,ij->", A_inv, K)) for K in Kp])
+    g = -0.5 * ((Kp @ alpha) @ alpha - np.einsum("pij,ij->p", Kp, A_inv))
     if lam != 0.0:
         g0, g1, d, Cd, C, C_alpha = _reference_terms(state, *masks)
         B = A_inv @ C

@@ -79,7 +79,7 @@ class Dataset:
                 writer.writerow(row)
 
 
-def _int_tags(tag, shape: tuple[int]) -> np.ndarray:
+def _int_tags(tag, shape: tuple[int, ...]) -> np.ndarray:
     """The domain tags as int64, each an integer an int64 holds: the rule
     load_csv drops rows by."""
     tag = np.asarray(tag)

@@ -137,11 +137,6 @@ def regret_bound(beta_t: float, gamma_t: float, t: int, sigma2_noise: float) -> 
     return beta_t * math.sqrt(c1 * t * gamma_t)
 
 
-def fit_surrogate(spec: ModelSpec, state: BOState, refit_seed: int) -> Fit:
-    """Fit spec's model on everything queried so far (see fit_model)."""
-    return fit_model(spec, Dataset(state.queried_x, state.queried_f), refit_seed)
-
-
 def propose_next(fit: Fit, state: BOState, space: SearchSpace, acq, rng) -> np.ndarray:
     """Minimize the acquisition of fit's mean and std (model units) over 1024
     uniform candidates plus 64 Gaussian perturbations of state's incumbent
@@ -225,7 +220,8 @@ def bo_run(objective, space: SearchSpace, spec: ModelSpec,
     cum_regret = 0.0
 
     for t in range(1, t_bo + 1):
-        fit = fit_surrogate(spec, state, rng_for(seed, "surrogate", t).integers(2 ** 31).item())
+        fit = fit_model(spec, Dataset(state.queried_x, state.queried_f),
+                        rng_for(seed, "surrogate", t).integers(2 ** 31).item())
         if t == 1:
             cum_gain = _initial_info_gain(fit.post, sigma2)
         beta_t = beta_schedule(float(np.max(np.abs(state.queried_f))), sigma, cum_gain,

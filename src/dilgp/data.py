@@ -271,13 +271,11 @@ class EvalReport:
 
     rmse: float
     n_test: int
-    coverage_rate: float | None = None
+    coverage_rate: float
     per_domain_rmse: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"rmse": self.rmse, "n_test": self.n_test}
-        if self.coverage_rate is not None:
-            out["coverage_rate"] = self.coverage_rate
+        out = {"rmse": self.rmse, "n_test": self.n_test, "coverage_rate": self.coverage_rate}
         if self.per_domain_rmse is not None:
             out["per_domain_rmse"] = {str(k): v for k, v in sorted(self.per_domain_rmse.items())}
         return out

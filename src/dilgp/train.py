@@ -181,7 +181,7 @@ class DomainLogits:
 
 def env_masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Soft membership masks (m0, m1) = (sigmoid(q), 1 - sigmoid(q)) of the
-    raw logits q, as read-only arrays.
+    raw logits q.
 
     Computed through sigmoid(|q|), whose complement against 1 is exact, so
     negating q swaps the masks bit for bit and m0 + m1 == 1 holds exactly.
@@ -192,20 +192,7 @@ def env_masks(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     p = 1.0 / (1.0 + np.exp(-np.abs(q)))
     m0 = 0.5 + np.copysign(p - 0.5, q)
-    m1 = 1.0 - m0
-    # read-only, so a TrainState may key the terms it keeps on their identity
-    m0.setflags(write=False)
-    m1.setflags(write=False)
-    return m0, m1
-
-
-@dataclass(frozen=True)
-class PenaltyReport:
-    penalty: float
-    per_env_grad: tuple[float, float]
-
-
-_NO_PENALTY = PenaltyReport(0.0, (0.0, 0.0))
+    return m0, 1.0 - m0
 
 
 @dataclass
@@ -290,12 +277,11 @@ class TrainState:
     kernel's D_l = dC/dlog l live only in the call that reads them, in the
     workspace's scratch; only start_B's B goes into the factor. Both
     environments' terms come from these and one difference
-    d = A^-1 (y (m0 - m1)), so a penalty takes two O(n^2) products and an
-    ascent step three. The state keeps the terms of the last masks it read:
-    the penalty that accepts a state is at the masks of the round that
-    built it, and the next round's first ascent step reads the state at
-    those masks again, so that step takes one product. ascend takes all of
-    a round's ascent steps in one loop that reads these once.
+    d = A^-1 (y (m0 - m1)), so env_terms takes two O(n^2) products and an
+    ascent step three. ascend takes all of a round's ascent steps in one
+    loop that reads these once. After construction a state changes only by
+    forming A^-1, C and _shared: the terms of a pair of masks, and
+    start_B's pending B, are values that its caller passes on.
     """
 
     def __init__(self, kind: KernelKind, params: KernelParams, noise: NoiseSpec, X, y,
@@ -304,7 +290,6 @@ class TrainState:
         self.Kp = grad_stack(kind, params, self.ws.base, out=self.ws.Kp)
         self.post = gram_posterior(kind, params, noise, X, y, self.Kp[0], out=self.ws.factor)
         self.kind, self.params, self.noise, self.X, self.y = kind, params, noise, X, y
-        self._kept = self._B = None
 
     @_once
     def A_inv(self) -> np.ndarray:
@@ -325,9 +310,9 @@ class TrainState:
         return (A_inv, C, self.y, alpha, C_alpha, A_inv.dot(C_alpha), float(alpha.dot(C_alpha)),
                 0.5 * float(np.einsum("ij,ij->", A_inv, C)))
 
-    def _env_terms(self, m0: np.ndarray, m1: np.ndarray
-                   ) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """(g0, g1, d, C d). g_e = 1/2 a_e^T C a_e - 1/2 tr(A^-1 C) is the
+    def env_terms(self, masks) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(g0, g1, d, C d) at the masks (m0, m1); the penalty is
+        g0^2 + g1^2. g_e = 1/2 a_e^T C a_e - 1/2 tr(A^-1 C) is the
         derivative at w = 1 of environment e's masked likelihood, with
         a_e = A^-1 (y m_e). As m0 + m1 = 1, a_e = (alpha +- d) / 2 with
         d = A^-1 (y (m0 - m1)), and as C is symmetric
@@ -337,42 +322,29 @@ class TrainState:
         Swapping the masks negates d exactly, so it swaps g0 and g1 bit for bit.
         """
         A_inv, C, y, alpha, _, _, aCa, half_tr = self._shared
+        m0, m1 = masks
         d = A_inv.dot(y * (m0 - m1))
         Cd = C.dot(d)
         shared = (aCa + float(d.dot(Cd))) / 8.0 - half_tr
         split = float(alpha.dot(Cd)) / 4.0
         return shared + split, shared - split, d, Cd
 
-    def _terms(self, m0: np.ndarray, m1: np.ndarray
-               ) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """_env_terms at the masks, computed once for the last masks read.
-        Masks are compared by identity, which is sound because env_masks
-        makes them read-only."""
-        kept = self._kept
-        if kept is None or kept[0] is not m0 or kept[1] is not m1:
-            self._kept = kept = (m0, m1, self._env_terms(m0, m1))
-        return kept[2]
-
-    def penalty(self, m0: np.ndarray, m1: np.ndarray) -> PenaltyReport:
-        g0, g1, _, _ = self._terms(m0, m1)
-        return PenaltyReport(g0 * g0 + g1 * g1, (g0, g1))
-
-    def ascend(self, q: np.ndarray, t2: int, eta1: float, masks
-               ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    def ascend(self, q: np.ndarray, t2: int, eta1: float, masks, terms) -> tuple:
         """t2 gradient-ascent steps q <- q + eta1 g on the raw finite logits
         q, with everything the steps share read once; g is the penalty's
-        logit gradient 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1), from the terms at
-        the masks (m0, m1) = env_masks(q). Returns the logits and their
-        masks, the given objects when t2 = 0. TrainingAbort names the first
+        logit gradient 2 y m0 m1 A^-1 (g0 C a0 - g1 C a1), from the terms
+        env_terms(masks) at the masks (m0, m1) = env_masks(q). Each step
+        forms the masks and terms of its new logits. Returns (q, masks,
+        terms), the given objects when t2 = 0. TrainingAbort names the first
         coordinate of a non-finite gradient. A step that leaves a logit
         non-finite (eta1 g can overflow) raises DomainLogits' NonFiniteInput,
         so the logits returned are valid ones."""
         if t2 == 0:
-            return q, masks
+            return q, masks, terms
         A_inv, _, y, _, _, Ainv_C_alpha, _, _ = self._shared
         for _ in range(t2):
             m0, m1 = masks
-            g0, g1, _, Cd = self._terms(m0, m1)
+            g0, g1, _, Cd = terms
             g = y * (m0 * m1) * ((g0 - g1) * Ainv_C_alpha + (g0 + g1) * A_inv.dot(Cd))
             q = q + eta1 * g
             # a finite sum has finite terms; one that overflows is checked entry by entry
@@ -382,21 +354,23 @@ class TrainState:
                     raise TrainingAbort(f"non-finite logit gradient at coordinate {bad}")
                 DomainLogits(q)     # NonFiniteInput if the step overflowed a logit
             masks = env_masks(q)
-        return q, masks
+            terms = self.env_terms(masks)
+        return q, masks, terms
 
-    def objective_grad(self, masks, lam: float) -> list[float]:
-        """Gradient of -LML + lam * penalty in the four log-parameters at fixed
-        masks (m0, m1), as Python floats in PARAM_NAMES order, zero for those
-        the kernel does not read. With lam = 0 the masks are not read."""
+    def objective_grad(self, terms, lam: float, B=None) -> list[float]:
+        """Gradient of -LML + lam * penalty in the four log-parameters at the
+        env_terms of fixed masks, as Python floats in PARAM_NAMES order, zero
+        for those the kernel does not read. With lam = 0 the terms are not
+        read. B is start_B's future, if any."""
         g = [-v for v in _lml_grad(self.Kp, self.post.alpha_vec, self.A_inv)]
         if lam != 0.0:
-            g = [v + lam * p for v, p in zip(g, self._penalty_theta_grad(*masks))]
+            g = [v + lam * p for v, p in zip(g, self._penalty_theta_grad(terms, B))]
         out = [0.0] * len(PARAM_NAMES)
         for i, v in zip(_ACTIVE_INDEX[self.kind], g):
             out[i] = v
         return out
 
-    def _penalty_theta_grad(self, m0: np.ndarray, m1: np.ndarray) -> tuple[float, float]:
+    def _penalty_theta_grad(self, terms, B) -> tuple[float, float]:
         """The penalty's gradient in (log s, log l) of the Gaussian kernel, the
         one kernel trained with the penalty (InvalidSetting for any other, with
         no buffer written), from the trace identity applied to g_e
@@ -407,7 +381,7 @@ class TrainState:
 
         D_s = C, so for log s the D_p terms add up to g_e itself. Every term
         but tr(K_p M) is formed first, and trace_Kp_M, the one reader of
-        B = A^-1 C, comes last, so a B that start_B submitted has until then.
+        B = A^-1 C, comes last, so the B that start_B submitted has until then.
         D_l goes into the scratch, potri's buffer, which is free once A^-1 is
         formed; a serial round's B lands there after D_l's last read, and the
         factor stays the state's. The two-entry vectors are Python floats,
@@ -419,11 +393,11 @@ class TrainState:
         A_inv = self.A_inv      # formed through potri's buffer before D_l is written there
         D = gaussian_scale_direction(self.params, self.ws.base, self.Kp[1], out=self.ws.scratch)
         tr_AD = float(np.einsum("ij,ij->", D, A_inv))
-        g0, g1, d, Cd = self._terms(m0, m1)
+        g0, g1, d, Cd = terms
         alpha, C_alpha = self.post.alpha_vec, self._shared[4]
         env0 = self._env_theta_terms(0.5 * (alpha + d), 0.5 * (C_alpha + Cd), D)
         env1 = self._env_theta_terms(0.5 * (alpha - d), 0.5 * (C_alpha - Cd), D)
-        tr_K, tr_Kl = self.trace_Kp_M()
+        tr_K, tr_Kl = self.trace_Kp_M(B)
         shared_s = 0.5 * tr_K
         shared_l = 0.5 * tr_Kl - 0.5 * tr_AD
         grad_s = grad_l = 0.0
@@ -441,25 +415,24 @@ class TrainState:
         dg_s, dg_l = (-(self.Kp @ (self.A_inv @ Ca)) @ a).tolist()
         return dg_s, dg_l, float(0.5 * (D @ a) @ a)
 
-    def start_B(self, helper) -> None:
-        """Submit B = A^-1 C to the executor helper, for the next trace_Kp_M
-        to wait for. A^-1 and C are formed here, so the factor is free and B
-        goes into it: the state no longer predicts. The helper makes that one
-        numpy call and nothing else, and until it is waited for nothing may
-        write A^-1 or C or touch the factor."""
-        self._B = helper.submit(np.matmul, self.A_inv, self.C, out=self.ws.factor)
+    def start_B(self, helper):
+        """Submit B = A^-1 C to the executor helper and return its future,
+        for trace_Kp_M to wait for. A^-1 and C are formed here, so the factor
+        is free and B goes into it: the state no longer predicts. The helper
+        makes that one numpy call and nothing else, and until it is waited
+        for nothing may write A^-1 or C or touch the factor."""
+        return helper.submit(np.matmul, self.A_inv, self.C, out=self.ws.factor)
 
-    def trace_Kp_M(self) -> tuple[float, float]:
+    def trace_Kp_M(self, pending=None) -> tuple[float, float]:
         """tr(K_p M) for log s and log l of the Gaussian kernel from the one
-        dense product B = A^-1 C, formed here, in the scratch, or, after
-        start_B, waited for.
+        dense product B = A^-1 C, formed here, in the scratch, or waited for
+        on start_B's future pending.
 
         A^-1 K = I - tau A^-1, so tr(K M) = tr(B) - tau tr(A^-1 B). As
         C = K + K_l, tr(C M) = tr(B B) leaves tr(K_l M). A^-1 is symmetric,
         so tr(A^-1 B) = <A^-1, B>.
         """
-        A_inv, pending = self.A_inv, self._B
-        self._B = None      # a submitted B is waited for once
+        A_inv = self.A_inv
         B = np.matmul(A_inv, self.C, out=self.ws.scratch) if pending is None else pending.result()
         tau = self.noise.sigma2 + self.post.jitter
         tr_K = float(B.trace() - tau * np.einsum("ij,ij->", A_inv, B))
@@ -468,13 +441,14 @@ class TrainState:
 
 def inner_ascent_step(logits: DomainLogits, state: TrainState, eta1: float) -> DomainLogits:
     """One gradient-ascent step on the penalty in the logits."""
-    return DomainLogits(state.ascend(logits.q_tilde, 1, eta1, env_masks(logits.q_tilde))[0])
+    masks = env_masks(logits.q_tilde)
+    return DomainLogits(state.ascend(logits.q_tilde, 1, eta1, masks, state.env_terms(masks))[0])
 
 
 def _descend(kind: KernelKind, noise: NoiseSpec, X, y, params: KernelParams,
              g: list[float], eta2: float, lam: float, masks, ws: Workspace | None = None
-             ) -> tuple[TrainState, float, PenaltyReport, int]:
-    """The state, objective -LML + lam * penalty, penalty at the masks (zero
+             ) -> tuple[TrainState, float, tuple | None, int]:
+    """The state, objective -LML + lam * penalty, env_terms at the masks (None
     without masks) and step halvings after one step from params along -g,
     built in ws. The trial point theta - eta g is formed in Python floats,
     entry by entry in PARAM_NAMES order: float64 arithmetic, so the bits of
@@ -488,14 +462,14 @@ def _descend(kind: KernelKind, noise: NoiseSpec, X, y, params: KernelParams,
         try:
             trial = KernelParams(*[t - eta * v for t, v in zip(theta, g)])
             state = TrainState(kind, trial, noise, X, y, ws)
-            pen = state.penalty(*masks) if masks else _NO_PENALTY
+            terms = None if masks is None else state.env_terms(masks)
             obj = -state.post.lml
             if lam != 0.0:
-                obj += lam * pen.penalty
+                obj += lam * (terms[0] * terms[0] + terms[1] * terms[1])
         except (NonFiniteInput, NotPositiveDefinite):
             obj = math.inf
         if math.isfinite(obj):
-            return state, obj, pen, halvings
+            return state, obj, terms, halvings
         eta *= 0.5
     raise TrainingAbort(
         f"objective stayed non-finite after {_MAX_HALVINGS} step halvings "
@@ -507,7 +481,7 @@ def outer_descent_step(params: KernelParams, logits: DomainLogits, state: TrainS
     """One parameter update on NLL + lam * penalty at fixed logits, from the
     state built at params."""
     masks = env_masks(logits.q_tilde)
-    g = state.objective_grad(masks, lam)
+    g = state.objective_grad(state.env_terms(masks), lam)
     new = _descend(state.kind, state.noise, state.X, state.y, params, g, eta2, lam, masks)[0]
     return new.params
 
@@ -519,22 +493,24 @@ def init_logits(n: int, seed: int) -> DomainLogits:
     return DomainLogits(0.1 * rng.standard_normal(n))
 
 
+@one_thread()
 def _train(spec: ModelSpec, X, y, seed: int
            ) -> tuple[TrainState, DomainLogits | None, TrainTrace]:
-    """spec.t1 training rounds from KernelParams(). When the spec learns a
-    partition, the logits start from init_logits(seed), whose masks are
-    evaluated once, and each round first ascends on them spec.t2 times, on
-    the raw array, whose every step ascend checks; a plain GP ignores the
-    seed and descends on the -LML alone. Each round reads one TrainState,
-    and the state of the accepted step becomes the next round's, so t1
-    rounds factorize t1 + 1 times (plus one per step halving). The next
-    round's first ascent step reads that state at the masks it was accepted
-    at, with the terms it kept, so t1 rounds of t2 ascent steps evaluate the
+    """spec.t1 training rounds from KernelParams(), at one BLAS thread. When
+    the spec learns a partition, the logits start from init_logits(seed),
+    whose masks and environment terms at the first state are evaluated
+    once, and each round first ascends on them spec.t2 times, on the raw
+    array, whose every step ascend checks; a plain GP ignores the seed and
+    descends on the -LML alone. Each round reads one TrainState, and the
+    state of the accepted step becomes the next round's, so t1 rounds
+    factorize t1 + 1 times (plus one per step halving). The terms that
+    accept a state are at the round's masks; the next round's ascent and
+    gradient start from them, so t1 rounds of t2 ascent steps evaluate the
     masks t1 t2 + 1 times and the environment terms t1 (t2 + 1) + 1 times
-    (plus the penalties of rejected trial points). Returns the last state,
-    whose posterior is the fitted model, the logits (None for a plain GP)
-    and the trace of completed rounds, which on abort rides on the
-    TrainingAbort. All states of the fit write into one Workspace.
+    (plus those of rejected trial points). Returns the last state, whose
+    posterior is the fitted model, the logits (None for a plain GP) and the
+    trace of completed rounds, which on abort rides on the TrainingAbort.
+    All states of the fit write into one Workspace.
 
     From _OVERLAP_N training points, a fit with a penalty (lam != 0) forms
     each round's B = A^-1 C on one helper thread of its own while the round
@@ -554,6 +530,7 @@ def _train(spec: ModelSpec, X, y, seed: int
     trace = TrainTrace()
     ws = Workspace(kind, X)
     state = TrainState(kind, KernelParams(), noise, X, y, ws)
+    terms = state.env_terms(masks) if partition else None
     if lam != 0.0 and n >= _OVERLAP_N:
         # imported here, so that a small fit imports and starts nothing
         from concurrent.futures import ThreadPoolExecutor
@@ -564,22 +541,22 @@ def _train(spec: ModelSpec, X, y, seed: int
     with helper as pool:
         for t in range(1, spec.t1 + 1):
             try:
+                B = None if pool is None else state.start_B(pool)
                 if partition:
-                    if pool is not None:
-                        state.start_B(pool)
-                    q, masks = state.ascend(q, spec.t2, spec.eta1, masks)
+                    q, masks, terms = state.ascend(q, spec.t2, spec.eta1, masks, terms)
                 # with lam != 0 this waits for B last, so the helper is idle below
-                g = state.objective_grad(masks, lam)
+                g = state.objective_grad(terms, lam, B)
                 params = state.params
                 # Release this point's state: the trial one overwrites its buffers.
                 del state
-                state, obj, pen, halvings = _descend(kind, noise, X, y, params, g, spec.eta2,
-                                                     lam, masks, ws)
+                state, obj, terms, halvings = _descend(kind, noise, X, y, params, g, spec.eta2,
+                                                       lam, masks, ws)
             except TrainingAbort as exc:
                 exc.trace = trace
                 raise
-            trace.records.append({"step": t, "objective": obj, "penalty": pen.penalty,
-                                  "per_env_grad": pen.per_env_grad,
+            g0, g1 = terms[:2] if partition else (0.0, 0.0)
+            trace.records.append({"step": t, "objective": obj, "penalty": g0 * g0 + g1 * g1,
+                                  "per_env_grad": (g0, g1),
                                   "params": dict(vars(state.params)),
                                   "noise_sigma2": noise.sigma2,
                                   "jitter": float(state.post.jitter), "halvings": halvings})
@@ -600,10 +577,10 @@ class Fit(NamedTuple):
         return predict(self.post, self.scaler.transform_x(X_raw))
 
 
-@one_thread()
 def fit_model(spec: ModelSpec, train: Dataset, seed: int) -> Fit:
-    """Standardize and train spec.model at one BLAS thread; the posterior is
-    that of the last training state, so nothing is factorized after training.
+    """Standardize and train spec.model (_train pins one BLAS thread); the
+    posterior is that of the last training state, so nothing is factorized
+    after training.
 
     The standardizer holds the training statistics, or is
     Standardizer.identity when spec.standardize is off. seed drives the

@@ -132,10 +132,12 @@ def test_criterion_03_gradient_suite_matches_finite_differences():
         implied = (params.as_array() - after.as_array()) / eta
 
         def penalty(p, q_at):
-            return TrainState(kind, p, noise, X, y).penalty(*env_masks(q_at))
+            """(g0^2 + g1^2, (g0, g1)) at the masks of q_at."""
+            g0, g1, _, _ = TrainState(kind, p, noise, X, y).env_terms(env_masks(q_at))
+            return g0 * g0 + g1 * g1, (g0, g1)
 
         def objective(p):
-            return -fit_posterior(kind, p, noise, X, y).lml + lam * penalty(p, q).penalty
+            return -fit_posterior(kind, p, noise, X, y).lml + lam * penalty(p, q)[0]
 
         for idx, name in enumerate(PARAM_NAMES):
             if name not in ACTIVE_PARAMS[kind]:
@@ -145,18 +147,19 @@ def test_criterion_03_gradient_suite_matches_finite_differences():
             worst = max(worst, abs(implied[idx] - want) / max(1.0, abs(want)))
 
         # partition gradient of the penalty, via one ascent step at rate 1
-        got_q = state.ascend(q, 1, 1.0, env_masks(q))[0] - q
+        masks = env_masks(q)
+        got_q = state.ascend(q, 1, 1.0, masks, state.env_terms(masks))[0] - q
         for i in range(8):
             qp, qm = q.copy(), q.copy()
             qp[i] += h_q
             qm[i] -= h_q
-            want = (penalty(params, qp).penalty - penalty(params, qm).penalty) / (2 * h_q)
+            want = (penalty(params, qp)[0] - penalty(params, qm)[0]) / (2 * h_q)
             worst = max(worst, abs(got_q[i] - want) / max(1.0, abs(want)))
 
         # per-environment derivative in the common rescaling of the
         # exponentiated parameters
-        rep = penalty(params, q)
-        for g, mask in zip(rep.per_env_grad, env_masks(q)):
+        _, per_env_grad = penalty(params, q)
+        for g, mask in zip(per_env_grad, env_masks(q)):
             want = (env_log_likelihood(kind, params.scaled(1 + h_w), noise, X, y, mask)
                     - env_log_likelihood(kind, params.scaled(1 - h_w), noise, X, y, mask)
                     ) / (2 * h_w)

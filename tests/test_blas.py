@@ -1,4 +1,4 @@
-"""The one-thread BLAS pin: its scope around fit_model and predict, and
+"""The one-thread BLAS pin: its scope around training and predict, and
 outputs that do not depend on the BLAS thread count; and the LAPACK
 routines, which are scipy.linalg.lapack's own without importing
 scipy.linalg."""
@@ -45,7 +45,7 @@ def recording(fn, seen):
 @needs_openblas
 def test_fit_model_and_predict_run_at_one_thread(two_threads, monkeypatch):
     seen = []
-    monkeypatch.setattr(train, "_train", recording(train._train, seen))
+    monkeypatch.setattr(train, "gram_posterior", recording(train.gram_posterior, seen))
     monkeypatch.setattr(gp, "kernel_matrix", recording(gp.kernel_matrix, seen))
     data, test = gen_synthetic_1d(0)
     post, scaler, _ = fit_model(ModelSpec(t1=2), data, seed=0)
@@ -72,7 +72,7 @@ def test_pin_restored_when_training_aborts(two_threads, monkeypatch):
         seen.append(threads())
         raise TrainingAbort("stop")
 
-    monkeypatch.setattr(train, "_train", abort)
+    monkeypatch.setattr(train, "Workspace", abort)
     with pytest.raises(TrainingAbort):
         fit_model(ModelSpec(t1=2), gen_synthetic_1d(0)[0], seed=0)
     assert seen == [[1] * len(blas.LIBRARIES)]

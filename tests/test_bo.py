@@ -11,15 +11,15 @@ import pytest
 
 from dilgp.bo import (BOState, SearchSpace,
                       acquisition_ei, acquisition_ucb, beta_schedule, bo_run,
-                      fit_surrogate, information_gain_step,
-                      propose_next, regret_bound)
+                      information_gain_step, propose_next, regret_bound)
+from dilgp.data import Dataset
 from dilgp.exceptions import (DimensionMismatch, InvalidSetting, NonFiniteInput,
                               ObjectiveFailure)
 from dilgp.experiments import quad_bo_experiment, quad_surrogate_config
 from dilgp.kernels import KernelKind, KernelParams, kernel_matrix
 from dilgp.quad import TrajectoryKind
 from dilgp.rng import rng_for
-from dilgp.train import MIN_SPLIT_POINTS, ModelSpec, to_jsonl
+from dilgp.train import MIN_SPLIT_POINTS, ModelSpec, fit_model, to_jsonl
 
 SPACE = SearchSpace(np.array([0.0]), np.array([1.0]))
 
@@ -131,7 +131,7 @@ def _toy_surrogate():
     rng = rng_for(0, "sur-toy")
     X = rng.uniform(0.0, 1.0, (6, 1))
     state = BOState(X, np.array([quadratic(x) for x in X]))
-    return fit_surrogate(fixed_kernel_cfg(), state, refit_seed=0), state
+    return fit_model(fixed_kernel_cfg(), Dataset(state.queried_x, state.queried_f), 0), state
 
 
 def test_propose_next_deterministic():

@@ -229,8 +229,8 @@ def test_coverage_closed_form_and_validation():
 
 
 def test_eval_report_json_schema():
-    bare = EvalReport(rmse=0.5, n_test=80)
-    assert bare.to_json_dict() == {"rmse": 0.5, "n_test": 80}
+    bare = EvalReport(rmse=0.5, n_test=80, coverage_rate=0.75)
+    assert bare.to_json_dict() == {"rmse": 0.5, "n_test": 80, "coverage_rate": 0.75}
     full = EvalReport(rmse=0.5, n_test=80, coverage_rate=0.9,
                       per_domain_rmse={1: 0.4, 0: 0.6})
     d = full.to_json_dict()

@@ -42,7 +42,16 @@ def rand_params(rng):
 
 
 def penalty(kind, params, noise, X, y, q):
-    return TrainState(kind, params, noise, X, y).penalty(*env_masks(q))
+    """(g0^2 + g1^2, (g0, g1)): the penalty at the masks of q and its two
+    per-environment derivatives."""
+    g0, g1, _, _ = TrainState(kind, params, noise, X, y).env_terms(env_masks(q))
+    return g0 * g0 + g1 * g1, (g0, g1)
+
+
+def ascend(state, q, t2, eta1):
+    """state.ascend from the masks of q and their terms."""
+    masks = env_masks(q)
+    return state.ascend(q, t2, eta1, masks, state.env_terms(masks))
 
 
 # ---------------------------------------------------------------- masks
@@ -50,11 +59,6 @@ def penalty(kind, params, noise, X, y, q):
 def test_env_masks_zero_logits():
     m0, m1 = env_masks(np.zeros(7))
     assert np.all(m0 == 0.5) and np.all(m1 == 0.5)
-    # read-only: a TrainState keeps the terms of the masks it last read,
-    # keyed on the arrays' identity
-    for m in (m0, m1):
-        with pytest.raises(ValueError):
-            m[0] = 1.0
 
 
 def test_env_masks_saturation():
@@ -126,9 +130,9 @@ def test_model_spec_validation():
 
 def test_penalty_symmetric_masks_equal_grads():
     X, y, _ = toy(0)
-    rep = penalty(GAUSS, KernelParams(), NoiseSpec(0.1), X, y, np.zeros(len(y)))
-    assert abs(rep.per_env_grad[0] - rep.per_env_grad[1]) < 1e-6
-    assert rep.penalty >= 0.0
+    pen, per_env_grad = penalty(GAUSS, KernelParams(), NoiseSpec(0.1), X, y, np.zeros(len(y)))
+    assert abs(per_env_grad[0] - per_env_grad[1]) < 1e-6
+    assert pen >= 0.0
 
 
 def test_penalty_matches_scale_derivative_fd():
@@ -141,35 +145,33 @@ def test_penalty_matches_scale_derivative_fd():
         params = rand_params(rng)
         noise = NoiseSpec(0.2)
         m0, m1 = env_masks(logits.q_tilde)
-        rep = penalty(GAUSS, params, noise, X, y, logits.q_tilde)
-        for g, mask in zip(rep.per_env_grad, (m0, m1)):
+        pen, per_env_grad = penalty(GAUSS, params, noise, X, y, logits.q_tilde)
+        for g, mask in zip(per_env_grad, (m0, m1)):
             lp = env_log_likelihood(GAUSS, params.scaled(1.0 + h), noise, X, y, mask)
             lm = env_log_likelihood(GAUSS, params.scaled(1.0 - h), noise, X, y, mask)
             want = (lp - lm) / (2.0 * h)
             assert abs(g - want) <= 1e-4 * max(1.0, abs(want))
-        assert rep.penalty == pytest.approx(
-            rep.per_env_grad[0] ** 2 + rep.per_env_grad[1] ** 2, rel=1e-12)
+        assert pen == pytest.approx(per_env_grad[0] ** 2 + per_env_grad[1] ** 2, rel=1e-12)
 
 
 def test_penalty_label_swap_exact():
     X, y, logits = toy(2)
     q = logits.q_tilde
     params = rand_params(rng_for(2, "pen-swap"))
-    a = penalty(GAUSS, params, NoiseSpec(0.1), X, y, q)
-    b = penalty(GAUSS, params, NoiseSpec(0.1), X, y, -q)
-    assert a.penalty == b.penalty
-    assert a.per_env_grad == (b.per_env_grad[1], b.per_env_grad[0])
+    pen_a, grads_a = penalty(GAUSS, params, NoiseSpec(0.1), X, y, q)
+    pen_b, grads_b = penalty(GAUSS, params, NoiseSpec(0.1), X, y, -q)
+    assert pen_a == pen_b
+    assert grads_a == (grads_b[1], grads_b[0])
     state = TrainState(GAUSS, params, NoiseSpec(0.1), X, y)
-    assert np.array_equal(state.ascend(-q, 1, 0.5, env_masks(-q))[0],
-                          -state.ascend(q, 1, 0.5, env_masks(q))[0])
+    assert np.array_equal(ascend(state, -q, 1, 0.5)[0], -ascend(state, q, 1, 0.5)[0])
 
 
 def test_penalty_nonnegative_across_seeds():
     for seed in range(12):
         rng = rng_for(seed, "pen-nonneg")
         X, y, logits = toy(seed, n=6)
-        rep = penalty(GAUSS, rand_params(rng), NoiseSpec(0.3), X, y, logits.q_tilde)
-        assert rep.penalty >= 0.0
+        pen, _ = penalty(GAUSS, rand_params(rng), NoiseSpec(0.3), X, y, logits.q_tilde)
+        assert pen >= 0.0
 
 
 # ---------------------------------------------------------------- logit ascent
@@ -184,13 +186,13 @@ def test_grad_q_matches_fd():
         params = rand_params(rng)
         noise = NoiseSpec(0.2)
         state = TrainState(GAUSS, params, noise, X, y)
-        got = state.ascend(q, 1, 1.0, env_masks(q))[0] - q
+        got = ascend(state, q, 1, 1.0)[0] - q
         want = np.zeros_like(got)
         for i in range(len(want)):
             for sign in (1.0, -1.0):
                 q2 = q.copy()
                 q2[i] += sign * h
-                want[i] += sign * penalty(GAUSS, params, noise, X, y, q2).penalty
+                want[i] += sign * penalty(GAUSS, params, noise, X, y, q2)[0]
         want /= 2.0 * h
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-3 * scale
@@ -201,7 +203,7 @@ def test_inner_ascent_zero_rate_is_identity():
     state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
     out = inner_ascent_step(logits, state, 0.0)
     assert np.array_equal(out.q_tilde, logits.q_tilde)
-    assert state.ascend(logits.q_tilde, 0, 0.3, env_masks(logits.q_tilde))[0] is logits.q_tilde
+    assert ascend(state, logits.q_tilde, 0, 0.3)[0] is logits.q_tilde
 
 
 @pytest.mark.parametrize("t2", [1, 3])
@@ -209,21 +211,25 @@ def test_ascend_returns_the_masks_of_its_logits(t2):
     X, y, logits = toy(5)
     q = logits.q_tilde
     state = TrainState(GAUSS, rand_params(rng_for(5, "ascend-masks")), NoiseSpec(0.2), X, y)
-    got, masks = state.ascend(q, t2, 0.5, env_masks(q))
+    got, masks, terms = ascend(state, q, t2, 0.5)
     assert not np.array_equal(got, q)
     for m, want in zip(masks, env_masks(got), strict=True):
         assert np.array_equal(_bits(m), _bits(want))
+    # and the terms of those masks
+    for value, want in zip(terms, state.env_terms(masks), strict=True):
+        assert np.array_equal(_bits(value), _bits(want))
 
 
 def test_ascend_without_steps_returns_its_arguments(monkeypatch):
-    # t2 = 0 hands back the logits and masks it was given and forms no A^-1
+    # t2 = 0 hands back the logits, masks and terms it was given and forms
+    # no A^-1
     X, y, logits = toy(6)
     state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
     inverses = []
     monkeypatch.setattr(train_mod, "cho_inverse", lambda *args, **kw: inverses.append(args))
-    masks = env_masks(logits.q_tilde)
-    q, got = state.ascend(logits.q_tilde, 0, 0.3, masks)
-    assert q is logits.q_tilde and got is masks
+    masks, terms = env_masks(logits.q_tilde), (0.0, 0.0, None, None)
+    q, got, got_terms = state.ascend(logits.q_tilde, 0, 0.3, masks, terms)
+    assert q is logits.q_tilde and got is masks and got_terms is terms
     assert inverses == []
 
 
@@ -249,22 +255,20 @@ def test_ascent_step_that_overflows_a_logit_is_rejected():
             _train(spec, X, 10.0 * y, 0)
         state = TrainState(GAUSS, KernelParams(), NoiseSpec(0.1), X, y)
         big = np.full(len(y), 1e308)
-        q, _ = state.ascend(big, 2, 0.1, env_masks(big))
+        q = ascend(state, big, 2, 0.1)[0]
     assert np.array_equal(q, big)
 
 
 def test_partition_discovery_on_shifted_clusters():
     # after full training at the calibrated settings, the soft masks should
     # tell the two generating clusters apart on most seeds
-    # at one BLAS thread, as fit_model trains
     hits = 0
     for s in range(5):
         train, _ = gen_synthetic_1d(s)
         sz = fit_standardizer(train)
         tr = replace(train, x=sz.transform_x(train.x), y=sz.transform_y(train.y))
         spec = ModelSpec(t1=100, t2=10, eta1=0.1, eta2=0.005, lam=0.01, sigma2=0.4)
-        with blas.one_thread():
-            _, logits, _ = _train(spec, tr.x, tr.y, s)
+        _, logits, _ = _train(spec, tr.x, tr.y, s)
         m0, _ = env_masks(logits.q_tilde)
         tags = tr.domain_tag
         gap = abs(float(m0[tags == 1].mean()) - float(m0[tags == 0].mean()))
@@ -328,7 +332,7 @@ def test_combined_objective_gradient_matches_fd():
 
         def objective(p):
             return (-fit_posterior(kind, p, noise, X, y).lml
-                    + lam * penalty(kind, p, noise, X, y, logits.q_tilde).penalty)
+                    + lam * penalty(kind, p, noise, X, y, logits.q_tilde)[0])
 
         for idx, name in enumerate(PARAM_NAMES):
             if name not in ACTIVE_PARAMS[kind]:
@@ -505,24 +509,24 @@ def test_each_state_inverts_only_when_read(model, monkeypatch):
 
 
 def test_each_state_keeps_its_environment_terms_for_the_next_ascent(monkeypatch):
-    # the penalty that accepts a state is at the round's masks, and the next
-    # round's first ascent step reads that state at the same masks: t1 rounds
-    # of t2 steps evaluate the masks t1 t2 + 1 times (not t1 (t2 + 1)) and the
+    # the terms that accept a state are at the round's masks, and the next
+    # round's ascent and gradient start from them: t1 rounds of t2 steps
+    # evaluate the masks t1 t2 + 1 times (not t1 (t2 + 1)) and the
     # environment terms t1 (t2 + 1) + 1 times (not t1 (t2 + 2)), and the fit
     # keeps the bits of a loop that rebuilds everything in every round
     counts = {"masks": 0, "env_terms": 0}
-    real_masks, real_env_terms = train_mod.env_masks, TrainState._env_terms
+    real_masks, real_env_terms = train_mod.env_masks, TrainState.env_terms
 
     def counting_masks(q):
         counts["masks"] += 1
         return real_masks(q)
 
-    def counting_env_terms(self, m0, m1):
+    def counting_env_terms(self, masks):
         counts["env_terms"] += 1
-        return real_env_terms(self, m0, m1)
+        return real_env_terms(self, masks)
 
     monkeypatch.setattr(train_mod, "env_masks", counting_masks)
-    monkeypatch.setattr(TrainState, "_env_terms", counting_env_terms)
+    monkeypatch.setattr(TrainState, "env_terms", counting_env_terms)
     train, _ = gen_synthetic_1d(0)
     spec = ModelSpec(model="dil_gp", t1=7, t2=3, eta2=0.005, lam=0.01, sigma2=0.4)
     post, scaler, trace = fit_model(spec, train, seed=0)
@@ -539,12 +543,13 @@ def test_each_state_keeps_its_environment_terms_for_the_next_ascent(monkeypatch)
                 logits = inner_ascent_step(logits, state, spec.eta1)
             masks = env_masks(logits.q_tilde)
             state = TrainState(GAUSS, params, spec.noise, X, y)
-            g = np.array(state.objective_grad(masks, spec.lam))
+            g = np.array(state.objective_grad(state.env_terms(masks), spec.lam))
             params = KernelParams.from_array(params.as_array() - spec.eta2 * g)
             state = TrainState(GAUSS, params, spec.noise, X, y)
-            pen = state.penalty(*masks)
-            records.append({"step": step, "objective": -state.post.lml + spec.lam * pen.penalty,
-                            "penalty": pen.penalty, "per_env_grad": pen.per_env_grad,
+            g0, g1, _, _ = state.env_terms(masks)
+            pen = g0 * g0 + g1 * g1
+            records.append({"step": step, "objective": -state.post.lml + spec.lam * pen,
+                            "penalty": pen, "per_env_grad": (g0, g1),
                             "params": dict(vars(params)), "noise_sigma2": spec.sigma2,
                             "jitter": float(state.post.jitter), "halvings": 0})
     assert np.array_equal(post.alpha_vec, state.post.alpha_vec)
@@ -800,7 +805,7 @@ def _reference_objective_grad(state, masks, lam):
 @pytest.mark.parametrize("n", [30, 115])
 def test_ascend_is_t2_inner_ascent_steps(dataset, n):
     # one loop over a round's t2 steps gives the logits of t2 separate
-    # steps, with or without the masks whose terms the state kept
+    # steps, and the same logits again from the same masks and terms
     from dilgp.experiments import settings_for
     spec = settings_for(dataset, "dil_gp")
     X, y = _standardized(dataset, n)
@@ -808,16 +813,16 @@ def test_ascend_is_t2_inner_ascent_steps(dataset, n):
     for params in (KernelParams(), KernelParams(0.3, -0.5)):
         with blas.one_thread():
             state = TrainState(GAUSS, params, spec.noise, X, y)
-            got = state.ascend(q0, spec.t2, spec.eta1, env_masks(q0))[0]
+            masks = env_masks(q0)
+            terms = state.env_terms(masks)      # as the descent that accepts a state forms them
+            got = state.ascend(q0, spec.t2, spec.eta1, masks, terms)[0]
             logits, want = DomainLogits(q0), q0
             for _ in range(spec.t2):
                 logits = inner_ascent_step(logits, state, spec.eta1)
                 want = _reference_ascent_step(state, want, spec.eta1)
-            masks = env_masks(q0)
-            state.penalty(*masks)       # as the penalty that accepts a state does
-            kept = state.ascend(q0, spec.t2, spec.eta1, masks)[0]
+            again = state.ascend(q0, spec.t2, spec.eta1, masks, terms)[0]
         assert not np.array_equal(got, q0)
-        for other in (logits.q_tilde, want, kept):
+        for other in (logits.q_tilde, want, again):
             assert np.array_equal(_bits(got), _bits(other)), params
 
 
@@ -833,7 +838,7 @@ def test_float_objective_gradient_is_the_numpy_vector_one(kind):
         assert np.array_equal(_bits(state.C), _bits(state.Kp.sum(axis=0)))
         masks = env_masks(logits.q_tilde)
         for lam in ((0.0, 0.01, 1.0) if kind is GAUSS else (0.0,)):
-            got = state.objective_grad(masks, lam)
+            got = state.objective_grad(state.env_terms(masks), lam)
             assert np.array_equal(_bits(got), _bits(_reference_objective_grad(state, masks, lam)))
 
 
@@ -862,7 +867,7 @@ def test_objective_gradient_is_a_list_of_floats():
     for kind in KernelKind:
         state = TrainState(kind, KernelParams(0.1, -0.2, 0.3, -0.1), NoiseSpec(0.2), X, y)
         for lam in ((0.0, 0.5) if kind is GAUSS else (0.0,)):
-            g = state.objective_grad(masks, lam)
+            g = state.objective_grad(state.env_terms(masks), lam)
             assert type(g) is list and len(g) == len(PARAM_NAMES)
             assert all(type(v) is float for v in g)
 
@@ -874,7 +879,7 @@ def test_workspace_base_is_read_only():
     base = ws.base.copy()
     assert not ws.base.flags.writeable
     state = TrainState(GAUSS, KernelParams(0.2, 0.1), NoiseSpec(0.2), X, y, ws)
-    state.objective_grad(env_masks(np.linspace(-1.0, 1.0, 10)), 0.5)
+    state.objective_grad(state.env_terms(env_masks(np.linspace(-1.0, 1.0, 10))), 0.5)
     assert np.array_equal(ws.base, base)
 
 
@@ -941,6 +946,35 @@ def test_overlapped_fit_is_the_serial_fit_bitwise(dataset, monkeypatch):
     assert len(calls) == spec.t1 and calls[1:] == [before + 1] * (spec.t1 - 1)
     assert threading.active_count() == before
     _assert_same_fit(overlapped, serial)
+
+
+def test_rounds_leave_each_state_its_constructor_attributes_and_matrices(monkeypatch):
+    # the terms of a pair of masks and a pending B are values that a round
+    # passes on: after serial and overlapped rounds, an ascent and a gradient,
+    # a state holds its constructor's attributes and A^-1, C and _shared only
+    X, y, logits = toy(18, n=12, d=2)
+    built = set(vars(TrainState(GAUSS, KernelParams(), NoiseSpec(0.2), X, y)))
+    states = []
+
+    class RecordingState(TrainState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(train_mod, "TrainState", RecordingState)
+    calls = _counting_start_B(monkeypatch)
+    spec = ModelSpec(t1=3, t2=2, lam=0.5, sigma2=0.2)
+    _train(spec, X, y, 0)
+    assert calls == []
+    monkeypatch.setattr(train_mod, "_OVERLAP_N", 4)
+    state = _train(spec, X, y, 0)[0]
+    assert len(calls) == spec.t1
+    masks = env_masks(logits.q_tilde)
+    state.ascend(logits.q_tilde, 2, 0.1, masks, state.env_terms(masks))
+    state.objective_grad(state.env_terms(masks), spec.lam)
+    assert len(states) >= 2 * (spec.t1 + 1)
+    for s in states:
+        assert set(vars(s)) == built | {"A_inv", "C", "_shared"}
 
 
 def test_bo_sized_fit_starts_no_thread(monkeypatch):

@@ -11,11 +11,11 @@ and its `__post_init__` checks every value, from a flag or a file alike, for
 exact type, choices and range. Precedence: defaults <- per-dataset
 calibration <- config file <- flags. A flag the run never reads is an
 error; config.json is the validated config less the keys the run never
-reads, next to a manifest.json of per-file
-checksums and the numpy/scipy/OpenBLAS environment; re-running with `--config config.json` reproduces the output
-files byte for byte. The output directory is given only on the command line
-so reproductions can target a fresh directory. Environment variables are
-never consulted.
+reads, next to a manifest.json of per-file checksums and the
+numpy/scipy/OpenBLAS environment; re-running with `--config config.json`
+reproduces the output files byte for byte. The output directory is given
+only on the command line so reproductions can target a fresh directory.
+Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -52,7 +51,6 @@ def _from_csv(run) -> bool:
 class GenerateConfig:
     generator: str = setting("synthetic_1d", choices=GENERATORS)
     seed: int = 0
-    noise_as_std: bool = setting(False, "read noise levels as std instead of variance")
 
     def __post_init__(self):
         check_fields(self)
@@ -72,8 +70,6 @@ class FitEvalConfig:
         None, "comma-separated names; default: all non-target columns", when=_from_csv)
     domain_column: str | None = setting(
         None, "tag column for per-domain RMSE reporting", when=_from_csv)
-    noise_as_std: bool = setting(False, "read noise levels as std instead of variance",
-                                 when=lambda run: run.dataset is not None)
     seed: int = setting(0, when=lambda run: run.sweep is None)
     sweep: int | None = setting(None, "run seeds 0..N-1 and report mean with max deviation",
                                 minimum=1, when=lambda run: run.sweep is not None)
@@ -245,7 +241,7 @@ def _make_outdir(outdir: Path):
 
 
 def cmd_generate(run: GenerateConfig, outdir: Path) -> list[str]:
-    train, test = GENERATORS[run.generator](run.seed, noise_as_std=run.noise_as_std)
+    train, test = GENERATORS[run.generator](run.seed)
     _make_outdir(outdir)
     train.to_csv(outdir / "train.csv")
     test.to_csv(outdir / "test.csv")
@@ -260,7 +256,7 @@ def cmd_fit_eval(run: FitEvalConfig, outdir: Path) -> list[str]:
                      for path in (run.train_csv, run.test_csv))
         load = lambda seed: pair
     else:
-        load = partial(GENERATORS[run.dataset], noise_as_std=run.noise_as_std)
+        load = GENERATORS[run.dataset]
     if run.sweep is None:
         report, trace = fit_eval(*load(run.seed), run.spec, seed=run.seed)
         payload = report.to_json_dict()

@@ -79,9 +79,14 @@ class Dataset:
                 writer.writerow(row)
 
 
+def _holds_int64(tag: np.ndarray) -> np.ndarray:
+    """Which float tags are integers an int64 holds: the rule Dataset refuses
+    a tag by and load_csv drops a row by."""
+    return np.isfinite(tag) & (tag == np.trunc(tag)) & (-2.0 ** 63 <= tag) & (tag < 2.0 ** 63)
+
+
 def _int_tags(tag, shape: tuple[int, ...]) -> np.ndarray:
-    """The domain tags as int64, each an integer an int64 holds: the rule
-    load_csv drops rows by."""
+    """The domain tags as int64, each an integer an int64 holds."""
     tag = np.asarray(tag)
     if tag.shape != shape:
         raise DimensionMismatch(f"domain_tag must have shape {shape}, got {tag.shape}")
@@ -94,17 +99,12 @@ def _int_tags(tag, shape: tuple[int, ...]) -> np.ndarray:
             tag = tag.astype(float)
         except (TypeError, ValueError):
             raise InvalidDomainTag(f"domain_tag must hold numbers, got dtype {tag.dtype}") from None
-        ok = np.isfinite(tag) & (tag == np.trunc(tag)) & (-2.0 ** 63 <= tag) & (tag < 2.0 ** 63)
+        ok = _holds_int64(tag)
     if not ok.all():
         row = int(np.flatnonzero(~ok)[0])
         raise InvalidDomainTag(f"domain_tag row {row} is {tag[row].item()!r}, "
                                "not an integer an int64 holds")
     return tag.astype(np.int64)
-
-
-def _noise_scale(v: float, noise_as_std: bool) -> float:
-    # Noise levels are variances by default; the flag reads them as stds.
-    return v if noise_as_std else math.sqrt(v)
 
 
 def synthetic_1d_mean(x: np.ndarray, cluster: int) -> np.ndarray:
@@ -129,7 +129,7 @@ def synthetic_2d_mean(X: np.ndarray, cluster: int) -> np.ndarray:
     raise ValueError(f"cluster must be 0 or 1, got {cluster}")
 
 
-def gen_synthetic_1d(seed: int, noise_as_std: bool = False) -> tuple[Dataset, Dataset]:
+def gen_synthetic_1d(seed: int) -> tuple[Dataset, Dataset]:
     """1-D shifted-cluster problem.
 
     Training: 100 points with x ~ N(0, 1) plus 15 points with x ~ N(6.5, 1).
@@ -138,7 +138,7 @@ def gen_synthetic_1d(seed: int, noise_as_std: bool = False) -> tuple[Dataset, Da
     first cluster's target).
     """
     rng = rng_for(seed, "synthetic-1d")
-    s = _noise_scale(0.1, noise_as_std)
+    s = math.sqrt(0.1)
     x1 = rng.normal(0.0, 1.0, 100)
     y1 = synthetic_1d_mean(x1, 0) + 3.0 * s * rng.standard_normal(100)
     x2_tr = rng.normal(6.5, 1.0, 15)
@@ -152,15 +152,15 @@ def gen_synthetic_1d(seed: int, noise_as_std: bool = False) -> tuple[Dataset, Da
     return train, test
 
 
-def gen_synthetic_2d(seed: int, noise_as_std: bool = False) -> tuple[Dataset, Dataset]:
+def gen_synthetic_2d(seed: int) -> tuple[Dataset, Dataset]:
     """2-D shifted-cluster problem (100 + 15 train, 80 test).
 
     Clusters sit at (0.3, 0.3) and (0.7, 0.7) with covariance 0.01 I. Noise
     is added per input coordinate (variances 0.1 and 0.05) and summed.
     """
     rng = rng_for(seed, "synthetic-2d")
-    s1 = _noise_scale(0.1, noise_as_std)
-    s2 = _noise_scale(0.05, noise_as_std)
+    s1 = math.sqrt(0.1)
+    s2 = math.sqrt(0.05)
     x1 = 0.3 + 0.1 * rng.standard_normal((100, 2))
     y1 = synthetic_2d_mean(x1, 0) + s1 * rng.standard_normal((100, 2)).sum(axis=1)
     x2_tr = 0.7 + 0.1 * rng.standard_normal((15, 2))
@@ -204,27 +204,21 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None,
             if not feature_columns:
                 raise DilgpError(f"{path}: no feature columns left after excluding "
                                  f"{target_column!r} and {domain_column!r}")
-        xs, ys, tags = [], [], []
-        dropped = 0
+        # each parsed row is its features, its target and its tag (0 without a column)
+        rows, dropped = [], 0
         for row in reader:
             try:
-                fx = [float(row[c]) for c in feature_columns]
-                fy = float(row[target_column])
-                tag = float(row[domain_column]) if domain_column else 0.0
+                rows.append([float(row[c]) for c in feature_columns + [target_column]]
+                            + [float(row[domain_column]) if domain_column else 0.0])
             except (TypeError, ValueError):
                 dropped += 1
-                continue
-            if not (all(math.isfinite(v) for v in fx + [fy]) and tag.is_integer()
-                    and -2.0 ** 63 <= tag < 2.0 ** 63):
-                dropped += 1
-                continue
-            xs.append(fx)
-            ys.append(fy)
-            tags.append(int(tag))
-    if not xs:
+    cells = np.array(rows, dtype=float).reshape(len(rows), len(feature_columns) + 2)
+    keep = np.isfinite(cells[:, :-1]).all(axis=1) & _holds_int64(cells[:, -1])
+    dropped += int(np.count_nonzero(~keep))
+    if not keep.any():
         raise DilgpError(f"{path}: no parseable data rows (dropped {dropped})")
-    return Dataset(np.array(xs), np.array(ys),
-                   np.array(tags) if domain_column else None, dropped_rows=dropped)
+    return Dataset(cells[keep, :-2], cells[keep, -2],
+                   cells[keep, -1] if domain_column else None, dropped_rows=dropped)
 
 
 @dataclass(frozen=True)

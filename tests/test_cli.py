@@ -82,6 +82,23 @@ def test_generate_rejects_unknown_generator(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_noise_as_std_is_no_setting(tmp_path, capsys):
+    # the generators' noise levels are variances, with no switch to read them
+    # as stds; a config.json of an older version that holds the key is refused
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--noise-as-std", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --noise-as-std" in capsys.readouterr().err
+    old = tmp_path / "config.json"
+    old.write_text(json.dumps({"command": "generate", "generator": "synthetic_1d",
+                               "seed": 0, "noise_as_std": False}))
+    assert main(["generate", "--config", str(old), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "noise_as_std" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- fit-eval
 
 @pytest.fixture(scope="module")
@@ -274,8 +291,8 @@ def test_model_flags_are_generated_from_spec_fields():
     pytest.param("dataset", ["fit-eval"], {"dataset": "synthetic_9d"}, id="dataset_unknown"),
     pytest.param("generator", ["generate"], {"generator": "synthetic_9d"},
                  id="generator_unknown"),
-    pytest.param("noise_as_std", ["fit-eval"], {"dataset": "synthetic_1d", "noise_as_std": "no"},
-                 id="noise_as_std_str"),
+    pytest.param("standardize", ["fit-eval"], {"dataset": "synthetic_1d", "standardize": "no"},
+                 id="standardize_str"),
     pytest.param("trajectory", ["bo"], {"objective": "quad_pid", "trajectory": "loop"},
                  id="trajectory_unknown"),
     pytest.param("objective", ["bo"], {"objective": "nope"}, id="objective_unknown"),
@@ -306,10 +323,7 @@ def test_invalid_settings_report_error(key, argv, config, tmp_path, capsys):
     (["fit-eval", "--dataset", "synthetic_1d", "--model", "gp_gaussian", "--lam", "0.5"],
      "--lam"),
     (["bo", "--objective", "quadratic", "--trajectory", "hover"], "--trajectory"),
-    (["fit-eval", "--train-csv", "train.csv", "--test-csv", "test.csv", "--noise-as-std"],
-     "--noise-as-std"),
-], ids=["seed_with_sweep", "lam_with_plain_gp", "trajectory_with_quadratic",
-        "noise_as_std_with_csv"])
+], ids=["seed_with_sweep", "lam_with_plain_gp", "trajectory_with_quadratic"])
 def test_flag_the_run_never_reads_is_an_error(argv, flag, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1

@@ -103,17 +103,6 @@ def test_generators_deterministic():
         assert not np.array_equal(a_tr.y, c_tr.y)
 
 
-def test_noise_level_flag_rescales_residuals():
-    # same seed consumes the same draws, only the noise multiplier changes:
-    # levels are variances by default, read directly as stds with the flag
-    var_tr, _ = gen_synthetic_1d(5, noise_as_std=False)
-    std_tr, _ = gen_synthetic_1d(5, noise_as_std=True)
-    assert np.array_equal(var_tr.x, std_tr.x)
-    r_var = var_tr.y[:100] - synthetic_1d_mean(var_tr.x[:100, 0], 0)
-    r_std = std_tr.y[:100] - synthetic_1d_mean(std_tr.x[:100, 0], 0)
-    assert np.allclose(r_std, r_var * (0.1 / math.sqrt(0.1)), rtol=1e-12)
-
-
 # ---------------------------------------------------------------- csv io
 
 def test_csv_round_trip_exact(tmp_path):
@@ -154,6 +143,31 @@ def test_load_csv_drops_infinite_domain_tags(tmp_path):
     assert ds.dropped_rows == 5
     assert np.array_equal(ds.y, [2.0, 8.0, 9.0])
     assert np.array_equal(ds.domain_tag, [0, 1, -3])
+
+
+def test_load_csv_drops_the_rows_whose_tags_dataset_refuses(tmp_path):
+    # kept rows, tags and dropped_rows as recorded from the per-row loader
+    # this one replaced; every parseable tag it drops is one Dataset refuses
+    tags = ["2", "-0.0", "1.5", "inf", "-inf", "nan", "9.2e18", str(2 ** 63), str(-2 ** 63),
+            "1e20", "x"]
+    rows = [f"{i + 1}.0,{i + 1}.0,{t}" for i, t in enumerate(tags)]
+    rows += ["nan,12.0,0", "13.0,inf,1", "14.0,14.0,3", "-inf,15.0,1", "16.0,-inf,-1"]
+    path = tmp_path / "d.csv"
+    path.write_text("x0,y,domain\n" + "\n".join(rows) + "\n")
+    ds = load_csv(path, "y", domain_column="domain")
+    assert ds.dropped_rows == 11
+    assert np.array_equal(ds.x, [[1.0], [2.0], [7.0], [9.0], [14.0]])
+    assert np.array_equal(ds.y, [1.0, 2.0, 7.0, 9.0, 14.0])
+    assert ds.domain_tag.dtype == np.int64
+    assert ds.domain_tag.tolist() == [2, 0, 9_200_000_000_000_000_000, -2 ** 63, 3]
+    kept = {"2", "-0.0", "9.2e18", str(-2 ** 63)}
+    for t in tags[:-1]:
+        one = (np.zeros((1, 1)), np.zeros(1), np.array([float(t)]))
+        if t in kept:
+            Dataset(*one)
+        else:
+            with pytest.raises(InvalidDomainTag, match="row 0"):
+                Dataset(*one)
 
 
 def test_load_csv_errors(tmp_path):

@@ -11,10 +11,11 @@ and its `__post_init__` checks every value, from a flag or a file alike, for
 exact type, choices and range. Precedence: defaults <- per-dataset
 calibration <- config file <- flags. A flag the run never reads is an
 error; config.json is the validated config less the keys the run never
-reads, next to a manifest.json of per-file checksums and the
-numpy/scipy/OpenBLAS environment; re-running with `--config config.json`
-reproduces the output files byte for byte. The output directory is given
-only on the command line so reproductions can target a fresh directory.
+reads, next to a manifest.json of per-file checksums, the numpy and scipy
+versions and numpy's OpenBLAS, whose build every factor and solve runs on;
+re-running with `--config config.json` reproduces the output files byte
+for byte. The output directory is given only on the command line so
+reproductions can target a fresh directory.
 Environment variables are never consulted.
 """
 
@@ -212,7 +213,8 @@ def config_json(run) -> dict:
 def _write_outputs(outdir: Path, config: dict, written: list[str], t0: float):
     """Write config.json, checksum it and the files this run wrote (other
     files in outdir are not this run's), write manifest.json with the
-    library versions and the BLAS thread count of the fits."""
+    library versions, the OpenBLAS of blas.LIBRARIES with its build string
+    and the BLAS thread count of the fits."""
     cfg_text = json.dumps(config, indent=2, sort_keys=True) + "\n"
     (outdir / "config.json").write_text(cfg_text)
     checksums = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()

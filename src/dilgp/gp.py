@@ -7,8 +7,9 @@ train.TrainState pass the log s slice of their K_p stack, so each parameter
 point evaluates its kernel once; the factor and the dense inverse may be
 formed in buffers the caller owns. X and y are checked by data.check_xy,
 which gram_posterior's callers have run. The factorization, the solves and
-the inverse are blas's potrf, potrs, trtrs and potri: scipy.linalg.lapack's
-own routines, loaded without importing scipy.linalg. The posterior carries
+the inverse are blas's potrf, potrs, trtrs and potri: LAPACK's from the
+OpenBLAS that numpy ships, the library of every matrix product, with the
+call forms of scipy.linalg.lapack's wrappers. The posterior carries
 the factor, alpha = (K + sigma^2 I)^-1 y and the log marginal likelihood,
 and prediction, the likelihood and its gradient read them. Per-environment
 likelihoods mask the residual inside both quadratic-form factors while
@@ -126,12 +127,13 @@ def predict(post: GPPosterior, Xs) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at query points, at one BLAS thread; the
     query points are checked once, by kernel_matrix.
 
-    The variance subtracts |v|^2 with L v = K(X, Xs), solved by trtrs;
-    negative variances produced by round-off are clamped to zero.
+    The variance subtracts |v|^2 with L v = K(X, Xs), solved by trtrs in
+    K(X, Xs)'s own buffer, which nothing reads after the mean; negative
+    variances produced by round-off are clamped to zero.
     """
     Kxs = kernel_matrix(post.kind, post.params, post.train_x, Xs)
     mean = Kxs.T @ post.alpha_vec
-    v, info = blas.trtrs(post.chol, Kxs, lower=1)
+    v, info = blas.trtrs(post.chol, Kxs, lower=1, overwrite_b=1)
     if info != 0:
         raise NotPositiveDefinite(f"trtrs met a zero on the factor's diagonal (info={info})")
     var = _diag(post.kind, post.params, np.asarray(Xs, dtype=float)) - np.einsum("ij,ij->j", v, v)

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written as a BENCH_*.json file.
 
-Checks out a parent revision in a temporary `git worktree` (local, removed
-afterwards) and, for each workload, runs `perfbench/worker.py --mode
+Exports a parent revision with `git archive` into a temporary directory
+(removed afterwards) and, for each workload, runs `perfbench/worker.py --mode
 measure` once from the parent's tree and once from this working tree per
 pair. Each side runs from its own tree, as the working directory and on
 PYTHONPATH, with the BLAS thread variables removed as `perfbench/run.py`
@@ -144,19 +144,21 @@ def main(argv=None) -> int:
     parent_commit = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_tree), parent_commit)
-        try:
-            if _bench_files(parent_tree) != _bench_files(ROOT):
-                raise SystemExit("perfbench/ or BENCHMARK.json differ between the parent and "
-                                 "this tree; the two sides would not run the same benchmark")
-            trees = {"parent": parent_tree, "change": ROOT}
-            workloads = {}
-            for name in args.workload:
-                workloads[name], envs = run_pairs(trees, spec, name, args.pairs, args.seed,
-                                                  args.seconds)
-        finally:
-            _git("worktree", "remove", "--force", str(parent_tree))
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_commit],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        if _bench_files(parent_tree) != _bench_files(ROOT):
+            raise SystemExit("perfbench/ or BENCHMARK.json differ between the parent and "
+                             "this tree; the two sides would not run the same benchmark")
+        trees = {"parent": parent_tree, "change": ROOT}
+        workloads = {}
+        for name in args.workload:
+            workloads[name], envs = run_pairs(trees, spec, name, args.pairs, args.seed,
+                                              args.seconds)
     tree_keys = ("git_commit", "src_modified", "src_dilgp_lines")
+    # the exported tree has no repository, so its commit is the one exported
+    envs["parent"].update(git_commit=parent_commit, src_modified=False)
     report = {
         "parent": {"rev": args.parent, **{k: envs["parent"][k] for k in tree_keys}},
         "change": {k: envs["change"][k] for k in tree_keys},

@@ -1,13 +1,14 @@
 """The one-thread BLAS pin: its scope around training and predict, and
 outputs that do not depend on the BLAS thread count; and the LAPACK
-routines, which are scipy.linalg.lapack's own without importing
-scipy.linalg."""
+routines, which come from numpy's OpenBLAS, or from scipy's compiled
+wrappers where numpy's library lacks them."""
 
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -132,36 +133,77 @@ def test_pid_tuning_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert len(outputs[0][1].splitlines()) == 3
 
 
-def test_lapack_routines_are_scipy_linalg_lapacks_own():
-    """A fit and a prediction load scipy.linalg._flapack but neither
-    scipy.linalg nor scipy.special; a later import of scipy.linalg reuses
-    that module, so blas's four routines are scipy.linalg.lapack's objects
-    and give scipy.linalg.cholesky's bits."""
-    code = ("import sys, numpy as np, dilgp.cli\n"
-            "from dilgp import blas\n"
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_fit_and_predict_map_one_openblas_and_no_scipy_linalg():
+    """A fit and a prediction call LAPACK from numpy's OpenBLAS, so the
+    process maps that one OpenBLAS file and loads no scipy.linalg module:
+    neither scipy.linalg's package nor its compiled _flapack wrappers."""
+    code = ("import sys, dilgp.cli\n"
             "from dilgp.data import gen_synthetic_1d\n"
             "from dilgp.train import ModelSpec, fit_model\n"
             "train, test = gen_synthetic_1d(0)\n"
             "fit_model(ModelSpec(t1=2, t2=1), train, seed=0).predict(test.x)\n"
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'scipy.linalg._flapack')\n"
-            "             if m in sys.modules))\n"
-            "import scipy.linalg, scipy.linalg.lapack as lapack\n"
-            "print([getattr(blas, n) is getattr(lapack, 'd' + n)\n"
-            "       for n in ('potrf', 'potrs', 'potri', 'trtrs')])\n"
-            "a = np.random.default_rng(0).normal(size=(6, 6))\n"
-            "a = a @ a.T + 6.0 * np.eye(6)\n"
-            "L, info = blas.potrf(a, lower=1)\n"
-            "print(info == 0 and np.array_equal(scipy.linalg.cholesky(a, lower=True), L))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.splitlines() == ["['scipy.linalg._flapack']", "[True, True, True, True]",
-                                        "True"]
+            "maps = open('/proc/self/maps').read().split()\n"
+            "print(json.dumps([sorted({p for p in maps if 'openblas' in p.rsplit('/', 1)[-1]}),\n"
+            "                  sorted(m for m in sys.modules if m.startswith('scipy.linalg'))]))")
+    proc = subprocess.run([sys.executable, "-c", "import json\n" + code], capture_output=True,
+                          text=True, check=True)
+    mapped, linalg = json.loads(proc.stdout)
+    assert len(mapped) == 1 and linalg == [], proc.stdout
+    if blas.LIBRARIES:
+        assert mapped[0].endswith(blas.LIBRARIES[0].name)
 
 
-def test_missing_lapack_wrappers_raise_import_error_naming_the_path(tmp_path, monkeypatch):
+def test_without_numpys_lapack_the_routines_are_flapacks(tmp_path, monkeypatch):
+    """Where numpy's OpenBLAS lacks the LAPACK symbols, the four routines are
+    scipy.linalg._flapack's and the pin covers scipy's OpenBLAS too; with no
+    _flapack either, the ImportError names the paths it looked for."""
     import scipy
+    import scipy.linalg._flapack as flapack
+
+    find = blas._find
+    monkeypatch.setattr(blas, "_find", lambda *pkgs: (
+        [(object(), openblas) for _, openblas in find(*pkgs)] if pkgs == (np,) else find(*pkgs)))
+    libraries, routines = blas._load()
+    assert routines == (flapack.dpotrf, flapack.dpotrs, flapack.dpotri, flapack.dtrtrs)
+    assert [lib.name for lib in libraries] == [lib.name for _, lib in find(np, scipy)]
 
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
-        blas._flapack()
+        blas._load()
+
+
+def test_routines_called_from_several_threads_keep_their_results():
+    """The routines' integer arguments are per thread, so threads factoring
+    and solving matrices of different orders at once each get the result a
+    lone call gives."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for n in (3, 17, 30, 55):
+        a = rng.normal(size=(n, n))
+        a = a @ a.T + n * np.eye(n)
+        b = rng.normal(size=n)
+        c = blas.potrf(a, lower=1)[0]
+        cases.append((a, b, c, blas.potrs(c, b, lower=1)[0]))
+    wrong = []
+
+    def work(a, b, c, x):
+        for _ in range(300):
+            c1, info = blas.potrf(a, lower=1)
+            x1 = blas.potrs(c1, b, lower=1)[0]
+            if info or not (np.array_equal(c1, c) and np.array_equal(x1, x)):
+                wrong.append(a.shape[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=case) for case in cases * 2]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []

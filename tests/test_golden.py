@@ -10,10 +10,11 @@ size of the benchmark's fit_large (four stacked synthetic_1d draws, t1 = 20,
 which forms B = A^-1 C on the helper thread): its trace, alpha, factor and
 prediction.
 
-The bits hold for one build: the numpy and scipy versions and the build
-strings of the OpenBLAS libraries they ship, which name the kernels a
-DYNAMIC_ARCH build picked on this CPU. On another fingerprint the test
-skips and names the one it found. A change that moves bits on purpose
+The bits hold for one build: the numpy and scipy versions (EI's normal cdf
+is scipy.special's ndtr) and the build string of each library in
+blas.LIBRARIES, numpy's OpenBLAS, whose products and LAPACK every fit
+calls; it names the kernels a DYNAMIC_ARCH build picked on this CPU. On
+another fingerprint the test skips and names the one it found. A change that moves bits on purpose
 rewrites the file, and says so; the script prints each case whose digest
 changed and the count left unchanged:
 
